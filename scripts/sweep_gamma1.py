@@ -1,15 +1,19 @@
 """Tabulate the inhibitor-strength threshold gamma1(beta) over a beta range.
 
-Writes a CSV with both evaluation routes (direct formula and the potential
-bisection) so their agreement can be checked downstream.
+Writes a CSV with both closed-form evaluation routes, gamma1_direct and
+gamma1_via_potential (through gamma0 and the potential F), and their
+absolute difference, so the two code paths cross-check each other.
 
-CLI equivalent: fhn-pulse sweep --beta-min ... --beta-max ... --steps ...
+`fhn-pulse sweep-gamma1` tabulates gamma0 and gamma1 through the direct
+route only.
+
+    python3 scripts/sweep_gamma1.py --beta-min 0.34 --beta-max 0.49 --steps 151
 """
 
 import argparse
-import csv
 
 from fhn_pulse import gamma1_direct, gamma1_via_potential
+from fhn_pulse.records import write_csv
 
 
 def main() -> int:
@@ -31,11 +35,7 @@ def main() -> int:
         g_pot = gamma1_via_potential(beta)
         rows.append((beta, g_direct, g_pot, abs(g_direct - g_pot)))
 
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["beta", "gamma1_direct", "gamma1_potential", "abs_diff"])
-        for row in rows:
-            w.writerow([f"{val:.17g}" for val in row])
+    write_csv(args.out, "beta,gamma1_direct,gamma1_potential,abs_diff", list(zip(*rows)))
 
     worst = max(r[3] for r in rows)
     print(f"wrote {args.out}: {len(rows)} rows, max |direct - potential| = {worst:.3e}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, Profile
+from .records import Record
 
 #: Tolerance on band-bound comparisons.
 BAND_TOL = 1e-12
@@ -50,13 +51,16 @@ def detect_crossings(
 
 
 @dataclass(frozen=True)
-class AdmissibleState:
+class AdmissibleState(Record):
     """A profile together with its band indices and a membership flag."""
 
     profile: Profile
     i1: int
     i2: int | None
     bounds_ok: bool
+
+    _exclude = ("profile",)
+    _derived = ("x1", "x2")
 
     @property
     def x1(self) -> float:
@@ -65,15 +69,6 @@ class AdmissibleState:
     @property
     def x2(self) -> float | None:
         return None if self.i2 is None else self.i2 * self.profile.grid.h
-
-    def to_dict(self) -> dict:
-        return {
-            "i1": self.i1,
-            "i2": self.i2,
-            "x1": self.x1,
-            "x2": self.x2,
-            "bounds_ok": self.bounds_ok,
-        }
 
 
 def band_bounds(

@@ -20,6 +20,7 @@ from .grid import Grid, Profile, derivative, inner_l2, norm_h1, norm_l2
 from .minimizer import SolveResult
 from .model import Params, compute_constants, potential_F
 from .operators import GreenKind, apply_green, solve_inhibitor
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +28,7 @@ from .operators import GreenKind, apply_green, solve_inhibitor
 
 
 @dataclass(frozen=True)
-class LinearizationReport:
+class LinearizationReport(Record):
     """Eigen-data of the rest-state linearization matrix
     [[beta/d, 1/d], [-1, gamma]] and the derived ordering chain."""
 
@@ -50,29 +51,6 @@ class LinearizationReport:
     slow_rate: float
     fast_rate: float
     ordering_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "trace": self.trace,
-            "det": self.det,
-            "discriminant": self.discriminant,
-            "real_eigenvalues": self.real_eigenvalues,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "a_vec": list(self.a_vec),
-            "b_vec": list(self.b_vec),
-            "l1_vec": list(self.l1_vec),
-            "l2_vec": list(self.l2_vec),
-            "sign_products": list(self.sign_products),
-            "slow_rate": self.slow_rate,
-            "fast_rate": self.fast_rate,
-            "ordering_ok": self.ordering_ok,
-        }
 
 
 def linearize(params: Params) -> LinearizationReport:
@@ -179,36 +157,23 @@ def hamiltonian_residual(u: Profile, v: Profile, params: Params) -> Profile:
 
 
 @dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(Record):
     name: str
     passed: bool
     witness: float
     tolerance: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     checks: tuple[PropertyCheck, ...]
+
+    _derived = ("all_passed",)
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
     def to_text(self) -> str:
         lines = []
@@ -525,7 +490,7 @@ def check_pulse_properties(
 
 
 @dataclass(frozen=True)
-class SuiteCheck:
+class SuiteCheck(Record):
     name: str
     n_pass: int
     n_total: int
@@ -533,24 +498,15 @@ class SuiteCheck:
     tolerance: float
     detail: str = ""
 
+    _derived = ("passed",)
+
     @property
     def passed(self) -> bool:
         return self.n_pass == self.n_total
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_pass": self.n_pass,
-            "n_total": self.n_total,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class InequalitySuiteReport:
+class InequalitySuiteReport(Record):
     beta: float
     gamma: float
     d: float
@@ -560,22 +516,11 @@ class InequalitySuiteReport:
     seed: int
     checks: tuple[SuiteCheck, ...]
 
+    _derived = ("all_passed",)
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "d": self.d,
-            "x_max": self.x_max,
-            "n": self.n,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
     def to_text(self) -> str:
         lines = [

@@ -20,7 +20,6 @@ import os
 import pathlib
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -34,10 +33,11 @@ from .analysis import (
 )
 from .dynamics import BlowUpError, evolve, export_trajectory
 from .energy import EnergyReport
-from .grid import FLOAT_FMT, Grid, Profile, mirror, profile_from_csv, profile_to_csv
+from .grid import Grid, mirror, profile_from_csv, profile_to_csv
 from .minimizer import MinimizeOptions, SolveResult, minimize
 from .model import Params, compute_constants, gamma0, gamma1_direct
 from .operators import InhibitorError
+from .records import json_text, write_csv, write_json
 
 OUTDIR_ENV = "FHN_PULSE_OUTDIR"
 
@@ -80,7 +80,6 @@ _DEFAULTS: dict[str, dict] = {
         "beta_min": _REQUIRED,
         "beta_max": _REQUIRED,
         "steps": _REQUIRED,
-        "workers": 1,
         "out": _REQUIRED,
         "seed": 0,
     },
@@ -145,7 +144,6 @@ def build_parser() -> _Parser:
     p.add_argument("--beta-min", type=float)
     p.add_argument("--beta-max", type=float)
     p.add_argument("--steps", type=int)
-    p.add_argument("--workers", type=int)
 
     p = add("verify", "run the randomized operator and energy inequality suite")
     p.add_argument("--beta", type=float)
@@ -204,10 +202,6 @@ def merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def write_json(path: pathlib.Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def write_manifest(out: pathlib.Path, command: str, cfg: dict, t0: float) -> None:
     manifest = {
         "command": command,
@@ -231,8 +225,7 @@ def _prepare_out(cfg: dict) -> pathlib.Path:
 
 def _cmd_constants(cfg: dict) -> int:
     report = compute_constants(cfg["beta"], cfg["gamma"])
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    print(text)
+    sys.stdout.write(json_text(report.to_dict()))
     if cfg["out"]:
         t0 = time.monotonic()
         out = _prepare_out(cfg)
@@ -262,12 +255,7 @@ def _cmd_solve(cfg: dict) -> int:
     write_json(out / "energy.json", result.energy.to_dict())
     if cfg["mirror"]:
         for name, prof in (("u0", result.u0), ("v0", result.v0)):
-            xs, vs = mirror(prof)
-            lines = ["x,value"]
-            lines += [f"{xi:.17g},{vi:.17g}" for xi, vi in zip(xs, vs)]
-            (out / f"{name}_mirrored.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
+            write_csv(out / f"{name}_mirrored.csv", "x,value", mirror(prof))
     write_manifest(out, "solve", cfg, t0)
 
     print(
@@ -278,10 +266,6 @@ def _cmd_solve(cfg: dict) -> int:
     return 0 if result.converged else 2
 
 
-def _gamma_point(beta: float) -> tuple[float, float, float]:
-    return beta, gamma0(beta), gamma1_direct(beta)
-
-
 def _cmd_sweep(cfg: dict) -> int:
     t0 = time.monotonic()
     lo, hi, steps = cfg["beta_min"], cfg["beta_max"], cfg["steps"]
@@ -289,17 +273,11 @@ def _cmd_sweep(cfg: dict) -> int:
         raise ConfigError("steps must be at least 2")
     if not (1.0 / 3.0 < lo < hi < 0.5):
         raise ConfigError("beta range must lie strictly inside (1/3, 1/2)")
-    betas = np.linspace(lo, hi, steps)
-    if cfg["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
-            rows = list(pool.map(_gamma_point, betas.tolist()))
-    else:
-        rows = [_gamma_point(b) for b in betas.tolist()]
+    betas = np.linspace(lo, hi, steps).tolist()
+    columns = (betas, [gamma0(b) for b in betas], [gamma1_direct(b) for b in betas])
 
     out = _prepare_out(cfg)
-    lines = ["beta,gamma0,gamma1"]
-    lines += [",".join(FLOAT_FMT % col for col in row) for row in rows]
-    (out / "gamma1_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out / "gamma1_curve.csv", "beta,gamma0,gamma1", columns)
     write_manifest(out, "sweep-gamma1", cfg, t0)
     print(f"sweep-gamma1: {steps} points on [{lo}, {hi}] -> {out}")
     return 0
@@ -321,37 +299,26 @@ def _cmd_verify(cfg: dict) -> int:
 
 
 def load_solve_run(run_dir: str | pathlib.Path) -> SolveResult:
-    """Rebuild a SolveResult from a solve run directory (profiles from CSV,
-    scalars from solve_result.json)."""
+    """Rebuild a SolveResult from a solve run directory: the inverse of
+    SolveResult.to_dict plus the u0/v0 CSV profiles. Missing or unknown
+    keys in solve_result.json raise ConfigError."""
     run = pathlib.Path(run_dir)
-    data = json.loads((run / "solve_result.json").read_text())
+    path = run / "solve_result.json"
+    data = json.loads(path.read_text())
     u0 = profile_from_csv(run / "u0.csv")
     v0 = profile_from_csv(run / "v0.csv")
-    params = Params(**data["params"])
-    grid = u0.grid
-    if (grid.x_max, grid.n) != (data["grid"]["x_max"], data["grid"]["n"]):
+    try:
+        grid = Grid(**data.pop("grid"))
+        params = Params(**data.pop("params"))
+        energy = EnergyReport(**data.pop("energy"))
+        result = SolveResult(
+            params=params, grid=grid, u0=u0, v0=v0, energy=energy, **data
+        )
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ConfigError(f"malformed {path}: {err!r}") from err
+    if grid != u0.grid:
         raise ConfigError("stored profiles disagree with the recorded grid")
-    return SolveResult(
-        params=params,
-        grid=grid,
-        u0=u0,
-        v0=v0,
-        energy=EnergyReport(**data["energy"]),
-        iterations=data["iterations"],
-        converged=data["converged"],
-        termination=data["termination"],
-        final_gradient_norm=data["final_gradient_norm"],
-        el_residual_max=data["el_residual_max"],
-        active_constraint_count=data["active_constraint_count"],
-        active_constraint_fraction=data["active_constraint_fraction"],
-        i1=data["i1"],
-        i2=data["i2"],
-        x1=data["x1"],
-        x2=data["x2"],
-        collapse_warnings=data["collapse_warnings"],
-        newton_iters_total=data["newton_iters_total"],
-        init_info=data["init_info"],
-    )
+    return result
 
 
 def _cmd_analyze(cfg: dict) -> int:

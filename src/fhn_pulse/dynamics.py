@@ -12,7 +12,6 @@ converged pulse a fixed point of the map up to its gradient tolerance.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 from .grid import Grid, Profile, profile_to_csv
 from .model import Params, compute_constants, reaction_f
 from .operators import factor_shifted, solve_factored
+from .records import Record, write_json
 
 
 class BlowUpError(RuntimeError):
@@ -36,7 +36,7 @@ class BlowUpError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     params: Params
     grid: Grid
     dt: float
@@ -46,6 +46,9 @@ class Trajectory:
     u_drift: float
     v_drift: float
 
+    _exclude = ("snapshots",)
+    _derived = ("t_final",)
+
     @property
     def t_final(self) -> float:
         return self.n_steps * self.dt
@@ -53,22 +56,6 @@ class Trajectory:
     @property
     def final_state(self) -> tuple[Profile, Profile]:
         return self.snapshots[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.params.d,
-            "tau": self.params.tau,
-            "gamma": self.params.gamma,
-            "beta": self.params.beta,
-            "x_max": self.grid.x_max,
-            "n": self.grid.n,
-            "dt": self.dt,
-            "n_steps": self.n_steps,
-            "t_final": self.t_final,
-            "times": list(self.times),
-            "u_drift": self.u_drift,
-            "v_drift": self.v_drift,
-        }
 
 
 def evolve(
@@ -157,8 +144,9 @@ def export_trajectory(traj: Trajectory, out_dir: str | pathlib.Path) -> pathlib.
         profile_to_csv(u, out / u_name)
         profile_to_csv(v, out / v_name)
         entries.append({"time": t, "u": u_name, "v": v_name})
-    index = traj.to_dict()
+    summary = traj.to_dict()
+    index = {**summary.pop("params"), **summary.pop("grid"), **summary}
     index["snapshots"] = entries
     index_path = out / "trajectory.json"
-    index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+    write_json(index_path, index)
     return index_path

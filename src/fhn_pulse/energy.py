@@ -25,26 +25,17 @@ import numpy as np
 from .grid import Profile
 from .model import Params, potential_F, reaction_f
 from .operators import InhibitorError, InhibitorSolution, solve_inhibitor
+from .records import Record
 
 
 @dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(Record):
     total: float
     gradient_term: float
     potential_term: float
     nonlocal_term: float
     alt_total: float
     form_gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "gradient_term": self.gradient_term,
-            "potential_term": self.potential_term,
-            "nonlocal_term": self.nonlocal_term,
-            "alt_total": self.alt_total,
-            "form_gap": self.form_gap,
-        }
 
 
 def _gradient_values(

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Fixed CSV float format: 17 significant digits round-trips float64 exactly.
-FLOAT_FMT = "%.17g"
+from .records import write_csv
 
 
 @dataclass(frozen=True)
@@ -136,12 +135,7 @@ def mirror(p: Profile) -> tuple[np.ndarray, np.ndarray]:
 
 def profile_to_csv(p: Profile, path: str) -> None:
     """Write (x, value) rows with 17-significant-digit decimals."""
-    lines = ["x,value"]
-    x = p.grid.nodes()
-    for xi, vi in zip(x, p.values):
-        lines.append(f"{xi:.17g},{vi:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "x,value", (p.grid.nodes(), p.values))
 
 
 def profile_from_csv(path: str) -> Profile:

@@ -32,27 +32,30 @@ from .model import (
     predicted_head_length,
 )
 from .operators import InhibitorError, InhibitorSolution
+from .records import Record
+
+
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+STEP_INIT = 1.0
+STEP_MIN = 1e-6
+STEP_MAX = 1e2
+LS_MAX = 40  # backtracking trials per line search
+INHIBITOR_TOL = 1e-11
+# a bound is active where the gradient pushes past it by more than this
+ACTIVE_GRADIENT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Descent controls; every field is surfaced in the CLI config."""
+    """Stopping controls; both are surfaced in the CLI config."""
 
     gtol: float = 1e-8
     max_iters: int = 50_000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    step_init: float = 1.0
-    step_min: float = 1e-6
-    step_max: float = 1e2
-    ls_max: int = 40
-    inhibitor_tol: float = 1e-11
-    active_gradient_tol: float = 1e-6
-    record_history: bool = True
 
 
 @dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Converged (or best-effort) constrained minimizer with diagnostics."""
 
     params: Params
@@ -76,32 +79,8 @@ class SolveResult:
     init_info: dict
     energy_history: list[float] = field(repr=False, default_factory=list)
 
-    def to_dict(self) -> dict:
-        """Scalar summary for JSON output; profiles are exported as CSV."""
-        return {
-            "params": {
-                "d": self.params.d,
-                "tau": self.params.tau,
-                "gamma": self.params.gamma,
-                "beta": self.params.beta,
-            },
-            "grid": {"x_max": self.grid.x_max, "n": self.grid.n},
-            "energy": self.energy.to_dict(),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "termination": self.termination,
-            "final_gradient_norm": self.final_gradient_norm,
-            "el_residual_max": self.el_residual_max,
-            "active_constraint_count": self.active_constraint_count,
-            "active_constraint_fraction": self.active_constraint_fraction,
-            "i1": self.i1,
-            "i2": self.i2,
-            "x1": self.x1,
-            "x2": self.x2,
-            "collapse_warnings": self.collapse_warnings,
-            "newton_iters_total": self.newton_iters_total,
-            "init_info": self.init_info,
-        }
+    # bulk fields: the profiles are exported as CSV, the history not at all
+    _exclude = ("u0", "v0", "energy_history")
 
 
 def _branch_values(v: np.ndarray, beta: float, u_start: float) -> np.ndarray:
@@ -145,7 +124,7 @@ def build_outer_profile(params: Params, grid: Grid) -> Profile:
 
 
 def default_initial_profile(
-    params: Params, grid: Grid, inhibitor_tol: float = 1e-11
+    params: Params, grid: Grid, inhibitor_tol: float = INHIBITOR_TOL
 ) -> tuple[Profile, dict]:
     """Scan a short list of admissible starts and keep the first with
     negative energy, else the lowest found: the reduced-problem composite
@@ -247,7 +226,7 @@ def minimize(
     weights = grid.weights()
 
     if init is None:
-        start, init_info = default_initial_profile(params, grid, opts.inhibitor_tol)
+        start, init_info = default_initial_profile(params, grid, INHIBITOR_TOL)
     else:
         if init.grid != grid:
             raise ValueError("initial profile lives on a different grid")
@@ -263,7 +242,7 @@ def minimize(
     w[-1] = 0.0
 
     report, grad, sol = evaluate_energy(
-        Profile(grid, w), params, inhibitor_tol=opts.inhibitor_tol
+        Profile(grid, w), params, inhibitor_tol=INHIBITOR_TOL
     )
     J = report.alt_total
     init_info.setdefault("init_energy", J)
@@ -277,7 +256,7 @@ def minimize(
     iterations = 0
     termination = "max_iters"
     converged = False
-    step = opts.step_init
+    step = STEP_INIT
     prev_dw: np.ndarray | None = None
     prev_g = g
 
@@ -298,11 +277,11 @@ def minimize(
             den = float(np.dot(weights, prev_dw * dg))
             if den > 0.0 and num > 0.0:
                 step = num / den
-        step = min(max(step, opts.step_min), opts.step_max)
+        step = min(max(step, STEP_MIN), STEP_MAX)
 
         t = step
         accepted = False
-        for _ in range(opts.ls_max):
+        for _ in range(LS_MAX):
             z = Profile(grid, w - t * g)
             i1_t, i2_t = _band_assignment(z, params.beta)
             if i1_t is None:
@@ -315,17 +294,17 @@ def minimize(
                     Profile(grid, w_try),
                     params,
                     v_init=sol.v,
-                    inhibitor_tol=opts.inhibitor_tol,
+                    inhibitor_tol=INHIBITOR_TOL,
                 )
             except InhibitorError:
-                t *= opts.backtrack
+                t *= BACKTRACK
                 continue
             predicted = float(np.dot(weights, g * (w_try - w)))
-            if report_t.alt_total <= J + opts.armijo_c * min(predicted, 0.0):
+            if report_t.alt_total <= J + ARMIJO_C * min(predicted, 0.0):
                 accepted = True
                 break
-            t *= opts.backtrack
-            if t < opts.step_min:
+            t *= BACKTRACK
+            if t < STEP_MIN:
                 break
 
         if not accepted:
@@ -343,12 +322,11 @@ def minimize(
         sol = sol_t
         newton_total += sol_t.newton_iters
         iterations += 1
-        if opts.record_history:
-            history.append(J)
+        history.append(J)
 
     u0 = Profile(grid, w)
     lower, upper = band_bounds(grid, i1, i2, params.beta, M)
-    agt = opts.active_gradient_tol
+    agt = ACTIVE_GRADIENT_TOL
     active = ((np.abs(w - lower) <= 1e-12) & (g > agt)) | (
         (np.abs(w - upper) <= 1e-12) & (g < -agt)
     )
@@ -390,5 +368,5 @@ def minimize(
         collapse_warnings=collapse_warnings,
         newton_iters_total=newton_total,
         init_info=init_info,
-        energy_history=history if opts.record_history else [],
+        energy_history=history,
     )

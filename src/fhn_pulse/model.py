@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .records import Record
+
 #: Bisection bracket and absolute tolerance for the tail cutoff M.
 _M_BRACKET = (0.0, 10.0)
 _M_TOL = 1e-12
@@ -119,7 +121,7 @@ def gamma1_via_potential(beta: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(Record):
     """Closed-form constants at fixed (beta, gamma).
 
     The constructive quantities a_q0, b_q0, d0, M0, M2, m2, d1 are
@@ -143,26 +145,6 @@ class ConstantsReport:
     M2: float
     m2: float
     d1: float
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "gamma0": self.gamma0,
-            "gamma1": self.gamma1,
-            "M": self.M,
-            "c0_competitor": self.c0_competitor,
-            "a_q0": self.a_q0,
-            "b_q0": self.b_q0,
-            "d0": self.d0,
-            "M0": self.M0,
-            "M1": self.M1,
-            "M2": self.M2,
-            "m2": self.m2,
-            "d1": self.d1,
-        }
 
 
 def compute_constants(beta: float, gamma: float) -> ConstantsReport:
@@ -221,7 +203,7 @@ def compute_constants(beta: float, gamma: float) -> ConstantsReport:
 
 
 @dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(Record):
     """Where (beta, gamma, d) sits relative to the guaranteed-existence regime.
 
     beta_ok: beta in (1/3, 1/2). gamma_ok: gamma < gamma1(beta) (requires
@@ -236,19 +218,11 @@ class RegimeReport:
     gamma1: float = field(default=math.nan)
     d1: float = field(default=math.nan)
 
+    _derived = ("in_strict_regime",)
+
     @property
     def in_strict_regime(self) -> bool:
         return self.beta_ok and self.gamma_ok and self.d_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "beta_ok": self.beta_ok,
-            "gamma_ok": self.gamma_ok,
-            "d_ok": self.d_ok,
-            "in_strict_regime": self.in_strict_regime,
-            "gamma1": self.gamma1,
-            "d1": self.d1,
-        }
 
 
 def regime_report(params: Params) -> RegimeReport:

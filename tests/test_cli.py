@@ -2,10 +2,13 @@
 configuration merging, and byte-level determinism of the data files."""
 
 import json
+import shutil
 
+import numpy as np
 import pytest
 
-from fhn_pulse.cli import main
+from fhn_pulse.cli import load_solve_run, main
+from fhn_pulse.grid import profile_from_csv, profile_to_csv
 
 SOLVE_ARGS = [
     "solve", "--beta", "0.4", "--gamma", "0.1", "--d", "1e-5",
@@ -133,15 +136,6 @@ class TestSweep:
         assert lines[0] == "beta,gamma0,gamma1"
         assert len(lines) == 6
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        args = ["sweep-gamma1", "--beta-min", "0.35", "--beta-max", "0.45",
-                "--steps", "5"]
-        assert main(args + ["--workers", "2", "--out", str(tmp_path / "w")]) == 0
-        assert main(args + ["--out", str(tmp_path / "s")]) == 0
-        assert (tmp_path / "w" / "gamma1_curve.csv").read_bytes() == (
-            tmp_path / "s" / "gamma1_curve.csv"
-        ).read_bytes()
-
     def test_bad_range_rejected(self, tmp_path):
         rc = main(["sweep-gamma1", "--beta-min", "0.2", "--beta-max", "0.45",
                    "--steps", "5", "--out", str(tmp_path / "x")])
@@ -184,8 +178,6 @@ class TestAnalyze:
         assert (out / "analyze_report.json").exists()
 
     def test_corrupted_grid_metadata_exits_1(self, solve_run, tmp_path):
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(solve_run, broken)
         meta = json.loads((broken / "solve_result.json").read_text())
@@ -195,6 +187,38 @@ class TestAnalyze:
 
     def test_missing_run_exits_1(self, tmp_path):
         assert main(["analyze", "--run", str(tmp_path / "nope")]) == 1
+
+
+class TestLoadSolveRun:
+    def test_load_round_trip(self, solve_run, tmp_path):
+        result = load_solve_run(solve_run)
+        stored = json.loads((solve_run / "solve_result.json").read_text())
+        assert result.to_dict() == stored
+        for name, prof in (("u0", result.u0), ("v0", result.v0)):
+            stored_csv = solve_run / f"{name}.csv"
+            assert np.array_equal(prof.values, profile_from_csv(stored_csv).values)
+            profile_to_csv(prof, tmp_path / f"{name}.csv")
+            assert (tmp_path / f"{name}.csv").read_bytes() == stored_csv.read_bytes()
+
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.pop("i1"),
+            lambda m: m["energy"].pop("total"),
+            lambda m: m.update(extra=1),
+        ],
+        ids=["missing_key", "missing_nested_key", "unknown_key"],
+    )
+    def test_malformed_result_exits_1(self, solve_run, tmp_path, capsys, command, edit):
+        broken = tmp_path / "broken"
+        shutil.copytree(solve_run, broken)
+        meta = json.loads((broken / "solve_result.json").read_text())
+        edit(meta)
+        (broken / "solve_result.json").write_text(json.dumps(meta))
+        args = [command, "--run", str(broken), "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        assert "malformed" in capsys.readouterr().err
 
 
 class TestEvolve:

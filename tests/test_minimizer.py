@@ -165,12 +165,3 @@ class TestOptions:
         assert not res.converged
         assert res.termination == "max_iters"
         assert res.iterations == 3
-
-    def test_history_can_be_disabled(self):
-        res = minimize(
-            CHEAP_PARAMS,
-            CHEAP_GRID,
-            init=build_q0(1.0, 1.8, CHEAP_GRID),
-            options=MinimizeOptions(gtol=1e-8, max_iters=3, record_history=False),
-        )
-        assert res.energy_history == []
