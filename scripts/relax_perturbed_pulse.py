@@ -40,8 +40,11 @@ def main() -> int:
 
     t0 = time.time()
     res = minimize(params, grid, options=MinimizeOptions(gtol=1e-8))
-    if not res.converged:
-        print(f"pulse solve did not converge ({res.termination}); aborting")
+    if not (res.converged and res.active_constraint_count == 0):
+        print(
+            f"no standing pulse ({res.termination}, "
+            f"active={res.active_constraint_count}); aborting"
+        )
         return 2
     print(f"pulse: {time.time() - t0:.1f}s, J={res.energy.total:+.3e}")
 

@@ -5,6 +5,10 @@ fine-grid run with negative energy use:
 
     python scripts/run_pulse.py --d 1e-6 --n 32768
 
+Exit codes follow `fhn-pulse solve`: 2 when there is no standing pulse
+(not converged, or constraints still active at the end), 3 when a property
+check fails.
+
 CLI equivalent: fhn-pulse solve ... followed by fhn-pulse analyze --run ...
 """
 
@@ -55,7 +59,11 @@ def main() -> int:
     )
     lin = linearize(params)
     print(f"slow decay rate sqrt(lambda1) = {lin.slow_rate:.6f}")
-    if not res.converged:
+    if not (res.converged and res.active_constraint_count == 0):
+        print(
+            f"no standing pulse: converged={res.converged} "
+            f"active={res.active_constraint_count}"
+        )
         return 2
     report = check_pulse_properties(res)
     print(report.to_text())

@@ -104,7 +104,7 @@ def evolve(
     for step in range(1, n_steps + 1):
         rhs_u = (u + dt * (reaction_f(u, beta) - v)) / (dt * d)
         u = solve_factored(factor_u, rhs_u[:-1])
-        rhs_v = (tau / dt) * v + u - v**3
+        rhs_v = (tau / dt) * v + u - v * v * v
         v = solve_factored(factor_v, rhs_v[:-1])
 
         t = step * dt

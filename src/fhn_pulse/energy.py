@@ -74,14 +74,16 @@ def evaluate_energy(
     dw = np.diff(wv)
     gradient_term = 0.5 * params.d * float(np.dot(dw, dw)) / h
     potential_term = float(np.dot(weights, potential_F(wv, params.beta)))
-    nonlocal_term = float(np.dot(weights, 0.5 * wv * vv + 0.25 * vv**4))
+    vv2 = vv * vv
+    vv4 = vv2 * vv2
+    nonlocal_term = float(np.dot(weights, 0.5 * wv * vv + 0.25 * vv4))
     total = gradient_term + potential_term + nonlocal_term
 
     dv = np.diff(vv)
     stiff_v = float(np.dot(dv, dv)) / h
     alt_nonlocal = (
         -0.5 * stiff_v
-        - float(np.dot(weights, 0.5 * params.gamma * vv**2 + 0.25 * vv**4))
+        - float(np.dot(weights, 0.5 * params.gamma * vv2 + 0.25 * vv4))
         + float(np.dot(weights, wv * vv))
     )
     alt_total = gradient_term + potential_term + alt_nonlocal

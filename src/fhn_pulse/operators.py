@@ -119,11 +119,12 @@ def _fd_residual(
     """Residual of (-D2 + gamma) v + v^3 - u on the solved rows 0..n-1."""
     m = len(v) - 1
     r = np.empty(m)
-    r[0] = (2.0 * v[0] - 2.0 * v[1]) / h**2 + gamma * v[0] + v[0] ** 3 - u[0]
+    r[0] = (2.0 * v[0] - 2.0 * v[1]) / h**2 + gamma * v[0] + v[0] * v[0] * v[0] - u[0]
+    vi = v[1:m]
     r[1:m] = (
-        (-v[0 : m - 1] + 2.0 * v[1:m] - v[2 : m + 1]) / h**2
-        + gamma * v[1:m]
-        + v[1:m] ** 3
+        (-v[0 : m - 1] + 2.0 * vi - v[2 : m + 1]) / h**2
+        + gamma * vi
+        + vi * vi * vi
         - u[1:m]
     )
     return r

@@ -18,6 +18,7 @@ from fhn_pulse import (
     project,
 )
 from fhn_pulse.grid import integrate
+from fhn_pulse.operators import _fd_residual
 from fhn_pulse.admissible import (
     detect_crossings,
     q0_energy_upper_bound,
@@ -25,8 +26,10 @@ from fhn_pulse.admissible import (
     q0_nonlocal_upper_bound,
     q0_potential_term,
 )
+from tests.conftest import CHEAP_GRID, CHEAP_PARAMS
 
 PARAMS = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
+EPS = float(np.finfo(float).eps)
 GRID = Grid(30.0, 2048)
 
 
@@ -144,3 +147,85 @@ class TestGradient:
             - sol.v.values[1:-1]
         )
         assert np.allclose(grad.values[1:-1], -interior, atol=1e-10)
+
+
+class TestProductForms:
+    """The kernels write cubes and fourth powers as products, because numpy's
+    array power is slow on negative entries. They must match the power
+    forms to a few ULPs, on mixed-sign and all-negative inputs and on a
+    pulse with a negative tail."""
+
+    @staticmethod
+    def _power_F(xi, beta):
+        return xi**4 / 4.0 - (1.0 + beta) * xi**3 / 3.0 + beta * xi**2 / 2.0
+
+    @staticmethod
+    def _power_residual(v, u, gamma, h):
+        m = len(v) - 1
+        r = np.empty(m)
+        r[0] = (2.0 * v[0] - 2.0 * v[1]) / h**2 + gamma * v[0] + v[0] ** 3 - u[0]
+        r[1:m] = (
+            (-v[0 : m - 1] + 2.0 * v[1:m] - v[2 : m + 1]) / h**2
+            + gamma * v[1:m]
+            + v[1:m] ** 3
+            - u[1:m]
+        )
+        return r
+
+    @pytest.fixture(scope="class")
+    def arrays(self, cheap_pulse):
+        tail = cheap_pulse.u0.values
+        assert np.count_nonzero(tail < 0.0) > tail.size // 2
+        return {
+            "mixed": np.linspace(-1.5, 1.5, 1001),
+            "negative": np.linspace(-2.0, -1e-3, 1001),
+            "pulse": tail,
+        }
+
+    def test_potential_F(self, arrays):
+        for name, xi in arrays.items():
+            np.testing.assert_allclose(
+                potential_F(xi, CHEAP_PARAMS.beta),
+                self._power_F(xi, CHEAP_PARAMS.beta),
+                rtol=1e-14,
+                atol=1e-15,  # the terms cancel near the roots of F
+                err_msg=name,
+            )
+
+    def test_inhibitor_residual(self, arrays):
+        gamma, h = CHEAP_PARAMS.gamma, CHEAP_GRID.h
+        for name, v in arrays.items():
+            u = v[::-1].copy()
+            vmax, umax = np.abs(v).max(), np.abs(u).max()
+            # roundoff of the residual's terms, as in solve_inhibitor's floor
+            scale = 4.0 * vmax / h**2 + gamma * vmax + vmax**3 + umax
+            np.testing.assert_allclose(
+                _fd_residual(v, u, gamma, h),
+                self._power_residual(v, u, gamma, h),
+                rtol=1e-14,
+                atol=4.0 * EPS * scale,
+                err_msg=name,
+            )
+
+    def test_energy_totals(self, cheap_pulse):
+        w = cheap_pulse.u0
+        rep, _, sol = evaluate_energy(w, CHEAP_PARAMS)
+        wv, vv, h = w.values, sol.v.values, CHEAP_GRID.h
+        weights = CHEAP_GRID.weights()
+        gamma = CHEAP_PARAMS.gamma
+        dw, dv = np.diff(wv), np.diff(vv)
+        gradient = 0.5 * CHEAP_PARAMS.d * float(np.dot(dw, dw)) / h
+        potential = float(np.dot(weights, self._power_F(wv, CHEAP_PARAMS.beta)))
+        nonlocal_ = float(np.dot(weights, 0.5 * wv * vv + 0.25 * vv**4))
+        alt_nonlocal = (
+            -0.5 * float(np.dot(dv, dv)) / h
+            - float(np.dot(weights, 0.5 * gamma * vv**2 + 0.25 * vv**4))
+            + float(np.dot(weights, wv * vv))
+        )
+        atol = 4.0 * EPS * (abs(gradient) + abs(potential) + abs(nonlocal_))
+        assert rep.total == pytest.approx(
+            gradient + potential + nonlocal_, rel=1e-14, abs=atol
+        )
+        assert rep.alt_total == pytest.approx(
+            gradient + potential + alt_nonlocal, rel=1e-14, abs=atol
+        )

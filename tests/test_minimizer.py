@@ -129,6 +129,28 @@ class TestInitialization:
         assert cheap_pulse.energy.total < res.energy.total
         assert cheap_pulse.x1 < 0.1 < res.x1
 
+    def test_verdict_survives_one_ulp_start_changes(self):
+        # the wide-ramp solve ends where J moves by single ULPs per step;
+        # the line search must not turn that into a verdict that depends
+        # on the last bit of the start
+        base = build_q0(1.0, 1.8, CHEAP_GRID).values
+        runs = [
+            minimize(
+                CHEAP_PARAMS,
+                CHEAP_GRID,
+                init=Profile(CHEAP_GRID, base * scale),
+                options=MinimizeOptions(gtol=1e-8),
+            )
+            for scale in (1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53)
+        ]
+        first = runs[0]
+        for res in runs[1:]:
+            assert res.termination == first.termination
+            assert res.converged == first.converged
+            assert res.iterations == first.iterations
+            assert res.active_constraint_count == first.active_constraint_count
+            assert abs(res.energy.alt_total - first.energy.alt_total) <= 1e-15
+
 
 class TestBandAssignment:
     def test_exact_zero_keeps_detected_index(self):
