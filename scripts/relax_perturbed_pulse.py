@@ -40,7 +40,7 @@ def main() -> int:
 
     t0 = time.time()
     res = minimize(params, grid, options=MinimizeOptions(gtol=1e-8))
-    if not (res.converged and res.active_constraint_count == 0):
+    if not res.is_pulse:
         print(
             f"no standing pulse ({res.termination}, "
             f"active={res.active_constraint_count}); aborting"

@@ -59,7 +59,7 @@ def main() -> int:
     )
     lin = linearize(params)
     print(f"slow decay rate sqrt(lambda1) = {lin.slow_rate:.6f}")
-    if not (res.converged and res.active_constraint_count == 0):
+    if not res.is_pulse:
         print(
             f"no standing pulse: converged={res.converged} "
             f"active={res.active_constraint_count}"

@@ -207,6 +207,12 @@ def _hysteresis_crossings(
     return down, up
 
 
+# Inputs a property check may require. A check whose input is missing fails
+# with a NaN witness and a detail naming that input.
+NEEDS_X2 = "x2"
+NEEDS_EIGEN = "real eigenvalues"
+
+
 def check_pulse_properties(
     result: SolveResult, params: Params | None = None
 ) -> PropertyReport:
@@ -227,108 +233,53 @@ def check_pulse_properties(
     h = grid.h
     x = grid.nodes()
     beta = params.beta
-
     lin = linearize(params)
-    checks: list[PropertyCheck] = []
 
     tol_weak = 10.0 * (h**2 + 1e-11)
     deriv_tol = 1e-6
     hyst = max(1e-7, 10.0 * h**2)
+    rate_rel_tol = 0.05
+    # Hamiltonian identity; the second-difference error peaks inside the
+    # transition layer of width ~ sqrt(d), giving a residual constant that
+    # grows like 1/d, hence the h^2/d term (coefficient measured ~7e-4)
+    ham_tol = max(100.0 * h**2, 5e-3 * h**2 / params.d)
+    el_tol = 1e-5
     pad = 2.0 / lin.slow_rate if lin.real_eigenvalues else 2.0
     tail_hi = grid.x_max - pad
-
     i1, i2 = result.i1, result.i2
-    have_x2 = i2 is not None
-
-    # unique crossing of level beta with negative slope
-    down_b, up_b = _hysteresis_crossings(u.values, beta, hyst)
     du = derivative(u).values
-    slope_x1 = float(du[min(i1, grid.n)])
-    checks.append(
-        PropertyCheck(
-            name="level_crossing_unique",
-            passed=(down_b == 1 and up_b == 0 and slope_x1 < -deriv_tol),
-            witness=slope_x1,
-            tolerance=deriv_tol,
-            detail=f"down={down_b} up={up_b} x1={result.x1:.6g}",
-        )
-    )
 
-    # unique zero crossing with negative slope
-    if have_x2:
-        down_0, up_0 = _hysteresis_crossings(u.values, 0.0, hyst)
-        slope_x2 = float(du[min(i2, grid.n)])
-        checks.append(
-            PropertyCheck(
-                name="zero_crossing_unique",
-                passed=(down_0 == 1 and up_0 == 0 and slope_x2 < -deriv_tol),
-                witness=slope_x2,
-                tolerance=deriv_tol,
-                detail=f"down={down_0} up={up_0} x2={result.x2:.6g}",
-            )
-        )
-    else:
-        checks.append(
-            PropertyCheck(
-                name="zero_crossing_unique",
-                passed=False,
-                witness=math.nan,
-                tolerance=hyst,
-                detail="no zero crossing detected (i2 is None)",
-            )
-        )
+    # each check returns (passed, witness, detail)
+    def crossing(level, i, label, at):
+        # unique crossing of the level with negative slope
+        down, up = _hysteresis_crossings(u.values, level, hyst)
+        slope = float(du[min(i, grid.n)])
+        passed = down == 1 and up == 0 and slope < -deriv_tol
+        return passed, slope, f"down={down} up={up} {label}={at:.6g}"
 
-    # sign bands: u > beta before x1, 0 < u < beta between, u < 0 after x2
-    head = u.values[: i1 + 1]
-    head_viol = float(beta - np.min(head)) if len(head) else math.inf
-    if have_x2:
+    def sign_bands():
+        # u > beta before x1, 0 < u < beta between, u < 0 after x2
+        head = u.values[: i1 + 1]
+        head_viol = float(beta - np.min(head)) if len(head) else math.inf
         mid = u.values[i1 + 1 : i2]
         mid_viol = (
             max(float(np.max(mid) - beta), float(-np.min(mid)))
             if len(mid)
             else 0.0
         )
-        tail_mask = (x > x[i2]) & (x <= tail_hi)
-        tail_viol = float(np.max(u.values[tail_mask])) if tail_mask.any() else 0.0
-        band_witness = max(head_viol, mid_viol, tail_viol)
-    else:
-        band_witness = math.inf
-    checks.append(
-        PropertyCheck(
-            name="sign_bands",
-            passed=band_witness <= tol_weak,
-            witness=band_witness,
-            tolerance=tol_weak,
-            detail="max violation over the three bands",
-        )
-    )
+        tail = u.values[(x > x[i2]) & (x <= tail_hi)]
+        tail_viol = float(np.max(tail)) if len(tail) else 0.0
+        worst = max(head_viol, mid_viol, tail_viol)
+        return worst <= tol_weak, worst, "max violation over the three bands"
 
-    # u strictly decreasing on [x1, x2]
-    if have_x2:
-        seg = du[i1 : i2 + 1]
-        mid_slope_max = float(np.max(seg))
-        checks.append(
-            PropertyCheck(
-                name="u_decreasing_mid",
-                passed=mid_slope_max < deriv_tol,
-                witness=mid_slope_max,
-                tolerance=deriv_tol,
-                detail="max u' on [x1, x2]",
-            )
-        )
-    else:
-        checks.append(
-            PropertyCheck(
-                name="u_decreasing_mid", passed=False, witness=math.nan,
-                tolerance=deriv_tol, detail="x2 missing",
-            )
-        )
+    def u_decreasing_mid():
+        worst = float(np.max(du[i1 : i2 + 1]))
+        return worst < deriv_tol, worst, "max u' on [x1, x2]"
 
-    # exactly one (strictly negative) local minimum on the tail, equal to
-    # the global minimum beyond x1
-    if have_x2:
-        lo_idx, hi_idx = i2 + 1, int(np.searchsorted(x, tail_hi))
-        seg = u.values[lo_idx : hi_idx + 1]
+    def unique_negative_min():
+        # exactly one (strictly negative) local minimum on the tail, equal
+        # to the global minimum beyond x1
+        seg = u.values[i2 + 1 : int(np.searchsorted(x, tail_hi)) + 1]
         is_min = np.zeros(len(seg), dtype=bool)
         if len(seg) >= 3:
             is_min[1:-1] = (
@@ -336,152 +287,80 @@ def check_pulse_properties(
                 & (seg[1:-1] <= seg[2:])
                 & (seg[1:-1] < -hyst)
             )
-        # adjacent flagged nodes are one flat minimum, not two
-        runs = int(np.count_nonzero(is_min[1:] & ~is_min[:-1])) + int(is_min[0])
+        # adjacent flagged nodes are one flat minimum, not two; the tail
+        # segment is empty when x2 sits at the truncation boundary
+        starts = is_min[1:] & ~is_min[:-1]
+        runs = int(np.count_nonzero(starts)) + int(is_min[:1].any())
         min_val = float(np.min(seg[is_min])) if is_min.any() else math.inf
         global_min = float(np.min(u.values[i1:]))
         agree = abs(min_val - global_min) <= tol_weak if runs else False
-        checks.append(
-            PropertyCheck(
-                name="unique_negative_min",
-                passed=(runs == 1 and min_val < -hyst and agree),
-                witness=min_val,
-                tolerance=hyst,
-                detail=f"local minima runs={runs}, global min={global_min:.6g}",
-            )
-        )
-    else:
-        checks.append(
-            PropertyCheck(
-                name="unique_negative_min", passed=False, witness=math.nan,
-                tolerance=hyst, detail="x2 missing",
-            )
-        )
+        detail = f"local minima runs={runs}, global min={global_min:.6g}"
+        return runs == 1 and min_val < -hyst and agree, min_val, detail
 
-    # inhibitor strictly positive (up to the weak tolerance near truncation)
-    v_min = float(np.min(v.values[x <= tail_hi])) if (x <= tail_hi).any() else 0.0
-    checks.append(
-        PropertyCheck(
-            name="v_positive",
-            passed=v_min > -tol_weak,
-            witness=v_min,
-            tolerance=tol_weak,
-            detail="min v on [0, x_max - pad]",
-        )
-    )
+    def v_positive():
+        # inhibitor strictly positive (up to the weak tolerance near truncation)
+        body = v.values[x <= tail_hi]
+        v_min = float(np.min(body)) if len(body) else 0.0
+        return v_min > -tol_weak, v_min, "min v on [0, x_max - pad]"
 
-    # inhibitor decreasing past x2
-    if have_x2:
-        dv = derivative(v).values
-        mask = (x >= x[i2]) & (x <= tail_hi)
-        v_slope_max = float(np.max(dv[mask])) if mask.any() else 0.0
-        checks.append(
-            PropertyCheck(
-                name="v_decreasing_tail",
-                passed=v_slope_max < deriv_tol,
-                witness=v_slope_max,
-                tolerance=deriv_tol,
-                detail="max v' on [x2, x_max - pad]",
-            )
-        )
-    else:
-        checks.append(
-            PropertyCheck(
-                name="v_decreasing_tail", passed=False, witness=math.nan,
-                tolerance=deriv_tol, detail="x2 missing",
-            )
-        )
+    def v_decreasing_tail():
+        slopes = derivative(v).values[(x >= x[i2]) & (x <= tail_hi)]
+        worst = float(np.max(slopes)) if len(slopes) else 0.0
+        return worst < deriv_tol, worst, "max v' on [x2, x_max - pad]"
 
-    # eigenvector-combination barriers psi1 = u + alpha2 v, psi2 = u + alpha1 v
-    psi_tol = 10.0 * (h**2 + 1e-11)
-    if lin.real_eigenvalues:
-        psi1 = float(np.min(u.values + lin.alpha2 * v.values))
-        psi2 = float(np.min(u.values + lin.alpha1 * v.values))
-        checks.append(
-            PropertyCheck(
-                name="psi1_nonnegative", passed=psi1 >= -psi_tol,
-                witness=psi1, tolerance=psi_tol,
-            )
-        )
-        checks.append(
-            PropertyCheck(
-                name="psi2_nonnegative", passed=psi2 >= -psi_tol,
-                witness=psi2, tolerance=psi_tol,
-            )
-        )
-    else:
-        checks.append(
-            PropertyCheck(
-                name="psi1_nonnegative", passed=False, witness=math.nan,
-                tolerance=psi_tol, detail="complex eigenvalues",
-            )
-        )
-        checks.append(
-            PropertyCheck(
-                name="psi2_nonnegative", passed=False, witness=math.nan,
-                tolerance=psi_tol, detail="complex eigenvalues",
-            )
-        )
+    def psi_min(alpha):
+        # eigenvector-combination barrier u + alpha v
+        psi = float(np.min(u.values + alpha * v.values))
+        return psi >= -tol_weak, psi, ""
 
-    # slow decay rate of the activator tail
-    rate_rel_tol = 0.05
-    if lin.real_eigenvalues and have_x2:
+    def slow_decay_rate():
+        # slow decay rate of the activator tail
         window = default_decay_window(result.x2, lin.slow_rate, grid.x_max)
         try:
             rate = fit_decay(u, window)
-            rel = abs(rate - lin.slow_rate) / lin.slow_rate
-            checks.append(
-                PropertyCheck(
-                    name="slow_decay_rate",
-                    passed=rel <= rate_rel_tol,
-                    witness=rate,
-                    tolerance=rate_rel_tol,
-                    detail=f"predicted {lin.slow_rate:.6g}, relative error {rel:.3g}",
-                )
-            )
         except ValueError as err:
-            checks.append(
-                PropertyCheck(
-                    name="slow_decay_rate", passed=False, witness=math.nan,
-                    tolerance=rate_rel_tol, detail=str(err),
-                )
-            )
-    else:
-        checks.append(
-            PropertyCheck(
-                name="slow_decay_rate", passed=False, witness=math.nan,
-                tolerance=rate_rel_tol, detail="missing eigen data or x2",
-            )
-        )
+            return False, math.nan, str(err)
+        rel = abs(rate - lin.slow_rate) / lin.slow_rate
+        detail = f"predicted {lin.slow_rate:.6g}, relative error {rel:.3g}"
+        return rel <= rate_rel_tol, rate, detail
 
-    # Hamiltonian identity; the second-difference error peaks inside the
-    # transition layer of width ~ sqrt(d), giving a residual constant that
-    # grows like 1/d, hence the h^2/d term (coefficient measured ~7e-4)
-    ham_tol = max(100.0 * h**2, 5e-3 * h**2 / params.d)
-    ham = hamiltonian_residual(u, v, params).values
-    ham_max = float(np.max(np.abs(ham[1:-1])))
-    checks.append(
-        PropertyCheck(
-            name="hamiltonian_identity",
-            passed=ham_max <= ham_tol,
-            witness=ham_max,
-            tolerance=ham_tol,
-            detail="max interior residual of the first integral",
-        )
+    def hamiltonian_identity():
+        ham = hamiltonian_residual(u, v, params).values
+        ham_max = float(np.max(np.abs(ham[1:-1])))
+        detail = "max interior residual of the first integral"
+        return ham_max <= ham_tol, ham_max, detail
+
+    def steady_state_residual():
+        # Euler-Lagrange residual
+        el = result.el_residual_max
+        return el <= el_tol, el, "max interior |d u'' + f(u) - v|"
+
+    table = (
+        ("level_crossing_unique", deriv_tol, (),
+         lambda: crossing(beta, i1, "x1", result.x1)),
+        ("zero_crossing_unique", deriv_tol, (NEEDS_X2,),
+         lambda: crossing(0.0, i2, "x2", result.x2)),
+        ("sign_bands", tol_weak, (NEEDS_X2,), sign_bands),
+        ("u_decreasing_mid", deriv_tol, (NEEDS_X2,), u_decreasing_mid),
+        ("unique_negative_min", hyst, (NEEDS_X2,), unique_negative_min),
+        ("v_positive", tol_weak, (), v_positive),
+        ("v_decreasing_tail", deriv_tol, (NEEDS_X2,), v_decreasing_tail),
+        ("psi1_nonnegative", tol_weak, (NEEDS_EIGEN,), lambda: psi_min(lin.alpha2)),
+        ("psi2_nonnegative", tol_weak, (NEEDS_EIGEN,), lambda: psi_min(lin.alpha1)),
+        ("slow_decay_rate", rate_rel_tol, (NEEDS_EIGEN, NEEDS_X2), slow_decay_rate),
+        ("hamiltonian_identity", ham_tol, (), hamiltonian_identity),
+        ("steady_state_residual", el_tol, (), steady_state_residual),
     )
-
-    # steady-state (Euler-Lagrange) residual
-    el_tol = 1e-5
-    checks.append(
-        PropertyCheck(
-            name="steady_state_residual",
-            passed=result.el_residual_max <= el_tol,
-            witness=result.el_residual_max,
-            tolerance=el_tol,
-            detail="max interior |d u'' + f(u) - v|",
-        )
-    )
-
+    have = {NEEDS_X2: i2 is not None, NEEDS_EIGEN: lin.real_eigenvalues}
+    checks = []
+    for name, tolerance, needs, check in table:
+        missing = [need for need in needs if not have[need]]
+        if missing:
+            passed, witness = False, math.nan
+            detail = "missing " + " and ".join(missing)
+        else:
+            passed, witness, detail = check()
+        checks.append(PropertyCheck(name, passed, witness, tolerance, detail))
     return PropertyReport(checks=tuple(checks))
 
 
@@ -740,12 +619,15 @@ def verify_inequality_suite(
         )
     )
 
-    # energy two-form identity and the response-energy identity
-    m_gap = []
+    # energy two-form identity and the response-energy identity; the
+    # energy reuses each sample's response as its (already converged) start
+    energies = [
+        evaluate_energy(w, params, v_init=sol.v)[0]
+        for w, sol in zip(admissible, responses)
+    ]
+    m_gap = [-report.form_gap for report in energies]
     m_ident = []
     for w, sol in zip(admissible, responses):
-        report, _, _ = evaluate_energy(w, params)
-        m_gap.append(-report.form_gap)
         vv = sol.v.values
         dv = np.diff(vv)
         lhs = inner_l2(w, sol.v)
@@ -767,13 +649,9 @@ def verify_inequality_suite(
     ub = q0_energy_upper_bound(consts.d0, beta, gamma, consts.a_q0, consts.b_q0)
     chain_margin = -(abs(ub + consts.M0) / consts.M0) + 1e-10
     checks.append(
-        SuiteCheck(
-            name="competitor_gap_closed_form",
-            n_pass=int(chain_margin >= -0.0),
-            n_total=1,
-            worst_margin=chain_margin,
-            tolerance=0.0,
-            detail=f"J_upper(q0)={ub:.6e} vs -M0={-consts.M0:.6e} (relative)",
+        margins_to_check(
+            "competitor_gap_closed_form", [chain_margin], 0.0,
+            f"J_upper(q0)={ub:.6e} vs -M0={-consts.M0:.6e} (relative)",
         )
     )
 
@@ -782,21 +660,14 @@ def verify_inequality_suite(
     q_tiny = build_q0(consts.a_q0, consts.b_q0, grid)
     report_tiny, _, _ = evaluate_energy(q_tiny, params_d0)
     checks.append(
-        SuiteCheck(
-            name="competitor_gap_on_grid",
-            n_pass=int(report_tiny.total <= -consts.M0),
-            n_total=1,
-            worst_margin=float(-consts.M0 - report_tiny.total),
-            tolerance=0.0,
-            detail=f"energy(q0(a_q0, b_q0)) at d=d0 is {report_tiny.total:.3e}",
+        margins_to_check(
+            "competitor_gap_on_grid", [-consts.M0 - report_tiny.total], 0.0,
+            f"energy(q0(a_q0, b_q0)) at d=d0 is {report_tiny.total:.3e}",
         )
     )
 
     # energy lower bound -M1 on admissible samples
-    m_lb = []
-    for w in admissible:
-        report, _, _ = evaluate_energy(w, params)
-        m_lb.append(report.total + consts.M1)
+    m_lb = [report.total + consts.M1 for report in energies]
     checks.append(
         margins_to_check("energy_lower_bound", m_lb, tol, "J(w) + M1")
     )

@@ -266,9 +266,7 @@ def _cmd_solve(cfg: dict) -> int:
         f"{result.final_gradient_norm:.3e} "
         f"active={result.active_constraint_count} -> {out}"
     )
-    # a stationary point that still leans on the constraint bands is not a
-    # standing pulse, however small its projected gradient
-    return 0 if result.converged and result.active_constraint_count == 0 else 2
+    return 0 if result.is_pulse else 2
 
 
 def _cmd_sweep(cfg: dict) -> int:

@@ -89,6 +89,13 @@ class SolveResult(Record):
     # bulk fields: the profiles are exported as CSV, the history not at all
     _exclude = ("u0", "v0", "energy_history")
 
+    @property
+    def is_pulse(self) -> bool:
+        """A standing pulse: converged with no active constraint. A
+        stationary point that still leans on the constraint bands is not a
+        pulse, however small its projected gradient."""
+        return self.converged and self.active_constraint_count == 0
+
 
 def _branch_values(v: np.ndarray, beta: float, u_start: float) -> np.ndarray:
     """Vectorized Newton for the outer roots of f(u) = v, one branch at a

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
 
 from .grid import Grid, Profile
@@ -79,6 +78,13 @@ def solve_factored(factor, rhs: np.ndarray) -> np.ndarray:
     return np.append(v, 0.0)
 
 
+def _cumulative_trapezoid(y: np.ndarray, h: float) -> np.ndarray:
+    """Running trapezoid integral of y on spacing h, starting at 0 (the
+    arithmetic of scipy.integrate.cumulative_trapezoid, whose import
+    would pull in several scipy subpackages)."""
+    return np.concatenate(([0.0], np.cumsum(h * (y[1:] + y[:-1]) / 2.0)))
+
+
 def apply_green(
     kind: GreenKind, w: Profile, gamma: float, method: str = "solve"
 ) -> Profile:
@@ -105,8 +111,8 @@ def apply_green(
         x = grid.nodes()
         grow = np.cosh(sg * x) * w.values
         decay = np.exp(-sg * x) * w.values
-        prefix = cumulative_trapezoid(grow, dx=grid.h, initial=0.0)
-        suffix_total = cumulative_trapezoid(decay, dx=grid.h, initial=0.0)
+        prefix = _cumulative_trapezoid(grow, grid.h)
+        suffix_total = _cumulative_trapezoid(decay, grid.h)
         suffix = suffix_total[-1] - suffix_total
         v = (np.exp(-sg * x) * prefix + np.cosh(sg * x) * suffix) / sg
         return Profile(grid, v)

@@ -194,6 +194,70 @@ class TestPulseProperties:
         assert all(l.startswith("[pass]") for l in lines[:-1])
 
 
+class TestPropertyGuard:
+    """Checks whose input is missing fail with a NaN witness and a detail
+    naming the input; the other checks are still computed."""
+
+    NAMES = [
+        "level_crossing_unique",
+        "zero_crossing_unique",
+        "sign_bands",
+        "u_decreasing_mid",
+        "unique_negative_min",
+        "v_positive",
+        "v_decreasing_tail",
+        "psi1_nonnegative",
+        "psi2_nonnegative",
+        "slow_decay_rate",
+        "hamiltonian_identity",
+        "steady_state_residual",
+    ]
+    NEEDS_X2 = {
+        "zero_crossing_unique",
+        "sign_bands",
+        "u_decreasing_mid",
+        "unique_negative_min",
+        "v_decreasing_tail",
+        "slow_decay_rate",
+    }
+    NEEDS_EIGEN = {"psi1_nonnegative", "psi2_nonnegative", "slow_decay_rate"}
+
+    def _assert_guarded(self, report, guarded, word):
+        assert [c.name for c in report.checks] == self.NAMES
+        for c in report.checks:
+            if c.name in guarded:
+                assert not c.passed and math.isnan(c.witness), c
+                assert word in c.detail, c
+            else:
+                assert not math.isnan(c.witness), c
+
+    def test_names_in_order(self, cheap_pulse):
+        names = [c.name for c in check_pulse_properties(cheap_pulse).checks]
+        assert names == self.NAMES
+
+    def test_missing_x2(self, cheap_pulse):
+        fake = dataclasses.replace(cheap_pulse, i2=None, x2=None)
+        report = check_pulse_properties(fake)
+        self._assert_guarded(report, self.NEEDS_X2, "x2")
+        full = {c.name: c for c in check_pulse_properties(cheap_pulse).checks}
+        for c in report.checks:
+            if c.name not in self.NEEDS_X2:
+                assert c == full[c.name]
+
+    def test_complex_eigenvalues(self, cheap_pulse):
+        params = dataclasses.replace(cheap_pulse.params, d=1.0)
+        assert not linearize(params).real_eigenvalues
+        report = check_pulse_properties(cheap_pulse, params)
+        self._assert_guarded(report, self.NEEDS_EIGEN, "eigenvalues")
+
+    def test_empty_tail_window_fails_without_crash(self, cheap_pulse):
+        # x2 at the last node leaves no tail to hold the negative minimum
+        fake = dataclasses.replace(cheap_pulse, i2=cheap_pulse.grid.n)
+        report = check_pulse_properties(fake)
+        tail_min = next(c for c in report.checks if c.name == "unique_negative_min")
+        assert not tail_min.passed and tail_min.witness == math.inf
+
+
 class TestInequalitySuite:
     def test_worked_pair_seed7(self):
         # 100 samples, seed 7, at the (0.4, 0.3) reference pair

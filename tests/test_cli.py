@@ -199,6 +199,15 @@ class TestAnalyze:
     def test_missing_run_exits_1(self, tmp_path):
         assert main(["analyze", "--run", str(tmp_path / "nope")]) == 1
 
+    def test_empty_tail_window_exits_3(self, tmp_path, capsys):
+        # complex far-field eigenvalues and a state pinned all the way out:
+        # the zero crossing lands so close to x_max that no tail is left
+        run = tmp_path / "pinned"
+        args = ["--beta", "0.4", "--gamma", "0.1", "--d", "1.0", "--x-max", "20"]
+        assert main(["solve", *args, "--n", "256", "--out", str(run)]) == 2
+        assert main(["analyze", "--run", str(run)]) == 3
+        assert "[FAIL] unique_negative_min: witness=inf" in capsys.readouterr().out
+
 
 class TestLoadSolveRun:
     def test_load_round_trip(self, solve_run, tmp_path):

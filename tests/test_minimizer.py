@@ -1,6 +1,8 @@
 """Projected descent: fixed-point behavior, monotonicity, initialization,
 and grid-refinement stability."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,12 @@ class TestConvergedPulse:
     def test_inhibitor_positive(self, cheap_pulse):
         # drop the last two nodes: the Dirichlet truncation pins v = 0 there
         assert np.all(cheap_pulse.v0.values[:-2] > 0.0)
+
+    def test_is_pulse(self, cheap_pulse):
+        assert cheap_pulse.is_pulse
+        pinned = dataclasses.replace(cheap_pulse, active_constraint_count=3)
+        assert pinned.converged and not pinned.is_pulse
+        assert "is_pulse" not in cheap_pulse.to_dict()
 
 
 class TestRefinementStability:

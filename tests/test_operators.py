@@ -1,5 +1,10 @@
 """Screened resolvents, the nonlinear inhibitor solve, and its derivative."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -212,3 +217,19 @@ class TestInhibitorDerivative:
             )
         order = np.log10(rems[0] / rems[1])
         assert order >= 1.8
+
+
+def test_cli_import_skips_scipy_integrate():
+    # the quadrature path is numpy; scipy.integrate would drag in
+    # scipy.special, scipy.optimize and scipy.sparse at start-up
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, fhn_pulse.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
