@@ -46,7 +46,7 @@ def main() -> int:
 
     print(
         f"solve: {dt:.1f}s iterations={res.iterations} converged={res.converged} "
-        f"termination={res.termination}"
+        f"termination={res.termination} polish={res.polish}"
     )
     print(
         f"energy J={res.energy.total:+.6e} (gradient {res.energy.gradient_term:.3e}, "

@@ -6,8 +6,8 @@ accepts flags plus an optional --config JSON file holding the same keys;
 explicit flags win. Every run directory receives a manifest echoing the
 effective configuration. Exit codes: 0 success, 1 usage or configuration
 error, 2 solver non-convergence, a constraint-pinned solve (active
-constraints at the end, so no standing pulse) or blow-up, 3 verification
-failures.
+constraints at the end, so no standing pulse; analyze refuses such a run
+too) or blow-up, 3 verification failures.
 
 Numbers are written with 17 significant digits and JSON keys are sorted,
 so identical configurations produce byte-identical data files (the
@@ -264,7 +264,7 @@ def _cmd_solve(cfg: dict) -> int:
         f"solve: converged={result.converged} iterations={result.iterations} "
         f"energy={result.energy.total:.10g} gradient_norm="
         f"{result.final_gradient_norm:.3e} "
-        f"active={result.active_constraint_count} -> {out}"
+        f"active={result.active_constraint_count} polish={result.polish} -> {out}"
     )
     return 0 if result.is_pulse else 2
 
@@ -327,8 +327,12 @@ def load_solve_run(run_dir: str | pathlib.Path) -> SolveResult:
 def _cmd_analyze(cfg: dict) -> int:
     t0 = time.monotonic()
     result = load_solve_run(cfg["run"])
-    if not result.converged:
-        print("analyze: stored run did not converge", file=sys.stderr)
+    if not result.is_pulse:
+        print(
+            f"analyze: stored run is no standing pulse: converged={result.converged} "
+            f"active={result.active_constraint_count}",
+            file=sys.stderr,
+        )
         return 2
     lin = linearize(result.params)
     props = check_pulse_properties(result)

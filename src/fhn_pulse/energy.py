@@ -23,8 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Profile
-from .model import Params, potential_F, reaction_f
-from .operators import InhibitorError, InhibitorSolution, solve_inhibitor
+from .model import Params, potential_F
+from .operators import (
+    InhibitorError,
+    InhibitorSolution,
+    _gradient_values,
+    solve_inhibitor,
+)
 from .records import Record
 
 
@@ -36,18 +41,6 @@ class EnergyReport(Record):
     nonlocal_term: float
     alt_total: float
     form_gap: float
-
-
-def _gradient_values(
-    w: np.ndarray, v: np.ndarray, d: float, beta: float, h: float
-) -> np.ndarray:
-    g = np.empty_like(w)
-    g[0] = 2.0 * d * (w[0] - w[1]) / h**2
-    g[1:-1] = d * (2.0 * w[1:-1] - w[:-2] - w[2:]) / h**2
-    g[-1] = 2.0 * d * (w[-1] - w[-2]) / h**2
-    g -= reaction_f(w, beta)
-    g += v
-    return g
 
 
 def evaluate_energy(

@@ -1,16 +1,29 @@
-"""Projected steepest descent on the reduced energy over the admissible set.
+"""Projected steepest descent on the reduced energy over the admissible
+set, with a coupled Newton polish once no constraint is active.
 
-Each iteration takes a gradient trial step, re-detects the band crossing
-indices from the pre-projection iterate, projects onto the resulting bands,
-and accepts by Armijo backtracking. The Armijo test allows a slack of the
-roundoff of the energy sum (the approximate Armijo condition of Hager and
-Zhang), so a step that moves J by single ULPs near a minimum is not a
-line-search failure and the verdict does not hang on the last bits. The
-initial step is a Barzilai-Borwein estimate clamped to [1e-6, 1e2].
-Line-search comparisons use the variational form of the energy
-(alt_total), which is stationary in the inner inhibitor iterate and
+Each descent iteration takes a gradient trial step, re-detects the band
+crossing indices from the pre-projection iterate, projects onto the
+resulting bands, and accepts by Armijo backtracking. The Armijo test
+allows a slack of the roundoff of the energy sum (the approximate Armijo
+condition of Hager and Zhang), so a step that moves J by single ULPs near
+a minimum is not a line-search failure and the verdict does not hang on
+the last bits. The initial step is a Barzilai-Borwein estimate clamped to
+[1e-6, 1e2]. Line-search comparisons use the variational form of the
+energy (alt_total), which is stationary in the inner inhibitor iterate and
 therefore robust to its solver tolerance; the two energy forms agree to
 the reported form_gap.
+
+With no constraint active, the pulse is a root of the two discrete steady
+equations, so descent is only needed to find its basin. The polish runs
+damped Newton on the coupled (u, v) system (operators.solve_steady) at
+entry and again after descent ends by gtol, and keeps the root only when
+it is admissible, leaves no constraint active, meets gtol, does not raise
+J beyond roundoff and has a positive Jacobian determinant (a negative one
+marks a saddle of odd index, not a minimizer). Otherwise descent goes on
+from where it was. A kept root counts as one accepted step; SolveResult
+records the outcome in `polish` (newton, fallback or skipped) and the
+coupled Newton steps taken in `polish_steps`. Cold, warm-started and
+refined solves that polish reach the same discrete pulse to roundoff.
 
 The far-end node is pinned at zero (Dirichlet truncation); the anchor band
 [beta, 1] at the origin prevents translation and collapse to the rest
@@ -35,7 +48,7 @@ from .model import (
     nullcline_branch,
     predicted_head_length,
 )
-from .operators import InhibitorError, InhibitorSolution
+from .operators import InhibitorError, InhibitorSolution, solve_steady
 from .records import Record
 
 
@@ -84,6 +97,9 @@ class SolveResult(Record):
     collapse_warnings: int
     newton_iters_total: int
     init_info: dict
+    # defaults keep runs written before the polish existed loadable
+    polish: str = "skipped"
+    polish_steps: int = 0
     energy_history: list[float] = field(repr=False, default_factory=list)
 
     # bulk fields: the profiles are exported as CSV, the history not at all
@@ -216,6 +232,74 @@ def _weighted_norm(values: np.ndarray, weights: np.ndarray) -> float:
     return math.sqrt(max(float(np.dot(weights, values * values)), 0.0))
 
 
+def _stationarity(
+    grid: Grid, w: np.ndarray, g: np.ndarray, i1: int, i2: int | None,
+    beta: float, M: float,
+) -> tuple[float, int]:
+    """Weighted norm of the projected gradient and the active constraint
+    count. A node at a band bound has its gradient component dropped when
+    the gradient pushes past the bound, and is active when it pushes by
+    more than ACTIVE_GRADIENT_TOL; the pinned truncation node carries no
+    multiplier."""
+    lower, upper = band_bounds(grid, i1, i2, beta, M)
+    at_lower = np.abs(w - lower) <= BAND_TOL
+    at_upper = np.abs(w - upper) <= BAND_TOL
+    pg = np.where((at_lower & (g > 0.0)) | (at_upper & (g < 0.0)), 0.0, g)
+    active = (at_lower & (g > ACTIVE_GRADIENT_TOL)) | (
+        at_upper & (g < -ACTIVE_GRADIENT_TOL)
+    )
+    active[-1] = False
+    return _weighted_norm(pg, grid.weights()), int(np.count_nonzero(active))
+
+
+def _energy_floor(report: EnergyReport) -> float:
+    """Roundoff of the energy sum: changes of J below it are neither a
+    decrease nor a rise."""
+    return ENERGY_ROUNDOFF * (
+        abs(report.gradient_term)
+        + abs(report.potential_term)
+        + abs(report.nonlocal_term)
+        + abs(report.alt_total)
+    )
+
+
+def _newton_polish(
+    params: Params, grid: Grid, w: np.ndarray, v: Profile,
+    report: EnergyReport, M: float, gtol: float,
+):
+    """Coupled Newton from (w, v) and the acceptance test of its root.
+
+    Returns the Newton step count and, when the root is kept, the state
+    (w, i1, i2, report, g, sol, gnorm) that replaces the iterate, else
+    None."""
+    st = solve_steady(w, v.values, params.d, params.beta, params.gamma, grid.h)
+    if st.det_sign <= 0:
+        return st.steps, None
+    root = Profile(grid, st.u)
+    i1, i2 = _band_assignment(root, params.beta)
+    if i1 is None:
+        return st.steps, None
+    projected = project(root, i1, i2, params.beta, M).profile.values
+    if not np.array_equal(projected, st.u):
+        return st.steps, None
+    try:
+        report_n, grad_n, sol_n = evaluate_energy(
+            root, params, v_init=Profile(grid, st.v), inhibitor_tol=INHIBITOR_TOL
+        )
+    except InhibitorError:
+        return st.steps, None
+    g = grad_n.values.copy()
+    g[-1] = 0.0
+    gnorm, active = _stationarity(grid, st.u, g, i1, i2, params.beta, M)
+    if (
+        active
+        or gnorm > gtol
+        or report_n.alt_total > report.alt_total + _energy_floor(report)
+    ):
+        return st.steps, None
+    return st.steps, (st.u, i1, i2, report_n, g, sol_n, gnorm)
+
+
 def _interp_crossing(u: Profile, level: float, i: int) -> float:
     try:
         return crossing_location(u, level, i)
@@ -229,11 +313,14 @@ def minimize(
     init: Profile | None = None,
     options: MinimizeOptions | None = None,
 ) -> SolveResult:
-    """Run projected descent from init (default start scan when None).
+    """Run projected descent from init (default start scan when None),
+    with the coupled Newton polish at entry and after a gtol stop whenever
+    no constraint is active.
 
     Deterministic for a given config. Termination is "gtol" when the
-    weighted L2 norm of the projected gradient drops to options.gtol,
-    "max_iters" or "line_search" otherwise (converged=False for both).
+    weighted L2 norm of the projected gradient drops to options.gtol (by
+    descent or by a kept Newton root), "max_iters" or "line_search"
+    otherwise (converged=False for both).
     """
     opts = options or MinimizeOptions()
     M = negative_tail_cutoff(params.beta, params.gamma)
@@ -264,6 +351,7 @@ def minimize(
     g = grad.values.copy()
     g[-1] = 0.0
     newton_total = sol.newton_iters
+    gnorm, active_count = _stationarity(grid, w, g, i1, i2, params.beta, M)
 
     history = [J]
     collapse_warnings = 0
@@ -274,12 +362,14 @@ def minimize(
     prev_dw: np.ndarray | None = None
     prev_g = g
 
-    for _ in range(opts.max_iters):
-        lower, upper = band_bounds(grid, i1, i2, params.beta, M)
-        pg = g.copy()
-        pg[(np.abs(w - lower) <= 1e-12) & (g > 0.0)] = 0.0
-        pg[(np.abs(w - upper) <= 1e-12) & (g < 0.0)] = 0.0
-        gnorm = _weighted_norm(pg, weights)
+    polish, polish_steps, polished = "skipped", 0, None
+    if active_count == 0 and opts.max_iters > 0:
+        polish = "fallback"
+        polish_steps, polished = _newton_polish(
+            params, grid, w, sol.v, report, M, opts.gtol
+        )
+
+    while polished is None and iterations < opts.max_iters:
         if gnorm <= opts.gtol:
             termination = "gtol"
             converged = True
@@ -293,12 +383,7 @@ def minimize(
                 step = num / den
         step = min(max(step, STEP_MIN), STEP_MAX)
 
-        floor = ENERGY_ROUNDOFF * (
-            abs(report.gradient_term)
-            + abs(report.potential_term)
-            + abs(report.nonlocal_term)
-            + abs(J)
-        )
+        floor = _energy_floor(report)
         t = step
         accepted = False
         for _ in range(LS_MAX):
@@ -343,21 +428,20 @@ def minimize(
         newton_total += sol_t.newton_iters
         iterations += 1
         history.append(J)
+        gnorm, active_count = _stationarity(grid, w, g, i1, i2, params.beta, M)
+
+    if polished is None and converged and active_count == 0:
+        polish = "fallback"
+        steps, polished = _newton_polish(params, grid, w, sol.v, report, M, opts.gtol)
+        polish_steps += steps
+    if polished is not None:
+        w, i1, i2, report, g, sol, gnorm = polished
+        newton_total += sol.newton_iters
+        iterations += 1
+        history.append(report.alt_total)
+        converged, termination, polish, active_count = True, "gtol", "newton", 0
 
     u0 = Profile(grid, w)
-    lower, upper = band_bounds(grid, i1, i2, params.beta, M)
-    agt = ACTIVE_GRADIENT_TOL
-    active = ((np.abs(w - lower) <= 1e-12) & (g > agt)) | (
-        (np.abs(w - upper) <= 1e-12) & (g < -agt)
-    )
-    active[-1] = False  # pinned truncation node carries no multiplier
-    active_count = int(np.count_nonzero(active))
-
-    pg = g.copy()
-    pg[(np.abs(w - lower) <= 1e-12) & (g > 0.0)] = 0.0
-    pg[(np.abs(w - upper) <= 1e-12) & (g < 0.0)] = 0.0
-    gnorm = _weighted_norm(pg, weights)
-
     x1 = _interp_crossing(u0, params.beta, min(i1, grid.n - 1))
     x2 = None
     if i2 is not None:
@@ -388,5 +472,7 @@ def minimize(
         collapse_warnings=collapse_warnings,
         newton_iters_total=newton_total,
         init_info=init_info,
+        polish=polish,
+        polish_steps=polish_steps,
         energy_history=history,
     )

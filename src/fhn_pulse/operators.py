@@ -1,6 +1,7 @@
-"""Inhibitor response operators on the half-line grid.
+"""Inhibitor response operators and the discrete steady system on the
+half-line grid.
 
-Every linear solve in the package reduces to one discrete form,
+Every linear solve of the inhibitor reduces to one discrete form,
 
     (-D2 + c) V = rhs   on nodes 0..n-1,   V(n) = 0,
 
@@ -8,18 +9,26 @@ where D2 is the second-difference operator with a ghost-node Neumann row at
 x = 0 (V_{-1} = V_1) and c > 0 is a scalar or per-node coefficient. Halving
 the first row makes the system symmetric positive definite, which is the
 banded layout scipy.linalg.solveh_banded consumes.
+
+The coupled steady system for (u, v) interleaves the unknowns as
+(u_0, v_0, u_1, v_1, ...), which makes its Jacobian a (2, 2)-banded
+general matrix; steady_jacobian assembles it in LAPACK's gbsv storage and
+solve_steady runs damped Newton on it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
+from scipy.linalg.lapack import dgbsv
 
 from .grid import Grid, Profile
+from .model import reaction_f
 
 
 class InhibitorError(RuntimeError):
@@ -119,6 +128,21 @@ def apply_green(
     raise ValueError(f"unknown Green method {method!r}")
 
 
+def _gradient_values(
+    w: np.ndarray, v: np.ndarray, d: float, beta: float, h: float
+) -> np.ndarray:
+    """Activator residual d (-D2) w - f(w) + v on every node, with the
+    Neumann ghost row at x = 0 and a one-sided row at x_max: the
+    mass-normalized gradient of the discrete energy at w when v = N(w)."""
+    g = np.empty_like(w)
+    g[0] = 2.0 * d * (w[0] - w[1]) / h**2
+    g[1:-1] = d * (2.0 * w[1:-1] - w[:-2] - w[2:]) / h**2
+    g[-1] = 2.0 * d * (w[-1] - w[-2]) / h**2
+    g -= reaction_f(w, beta)
+    g += v
+    return g
+
+
 def _fd_residual(
     v: np.ndarray, u: np.ndarray, gamma: float, h: float
 ) -> np.ndarray:
@@ -134,6 +158,17 @@ def _fd_residual(
         - u[1:m]
     )
     return r
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _inhibitor_floor(v: np.ndarray, u: np.ndarray, gamma: float, h: float) -> float:
+    """Roundoff floor of _fd_residual: 8 ulps of its largest terms, led by
+    the 1/h^2 difference stencil."""
+    vmax = float(np.max(np.abs(v)))
+    umax = float(np.max(np.abs(u))) if len(u) else 0.0
+    return 8.0 * _EPS * (4.0 * vmax / h**2 + gamma * vmax + vmax**3 + umax)
 
 
 @dataclass(frozen=True)
@@ -182,12 +217,8 @@ def solve_inhibitor(
     else:
         v = solve_shifted(gamma, uu, h)
 
-    eps = float(np.finfo(float).eps)
-
     def tol_floor(vv: np.ndarray) -> float:
-        vmax = float(np.max(np.abs(vv)))
-        umax = float(np.max(np.abs(uu))) if len(uu) else 0.0
-        return max(tol, 8.0 * eps * (4.0 * vmax / h**2 + gamma * vmax + vmax**3 + umax))
+        return max(tol, _inhibitor_floor(vv, uu, gamma, h))
 
     iters = 0
     r = _fd_residual(v, uu, gamma, h)
@@ -235,3 +266,156 @@ def inhibitor_derivative(
     c = gamma + 3.0 * v.values[:-1] ** 2
     vh = solve_shifted(c, w_hat.values[:-1], h)
     return Profile(w.grid, vh)
+
+
+def steady_residual(
+    u: np.ndarray, v: np.ndarray, d: float, beta: float, gamma: float, h: float
+) -> np.ndarray:
+    """Residual of the discrete steady system on nodes 0..n-1, interleaved
+    as (activator row i, inhibitor row i):
+
+        d (-D2) u - f(u) + v,      (-D2 + gamma) v + v^3 - u,
+
+    with the Neumann ghost rows at x = 0. u and v have n + 1 entries and
+    node n holds the Dirichlet zero. The activator rows are the energy
+    gradient and the inhibitor rows the inhibitor residual, so a root is a
+    stationary point of J with v = N(u)."""
+    m = len(u) - 1
+    r = np.empty(2 * m)
+    r[0::2] = _gradient_values(u, v, d, beta, h)[:-1]
+    r[1::2] = _fd_residual(v, u, gamma, h)
+    return r
+
+
+#: Sub- and superdiagonal counts of the interleaved steady Jacobian.
+STEADY_KL = STEADY_KU = 2
+
+
+def _mapped_zeros(shape: tuple[int, int]) -> np.ndarray:
+    """Zeroed Fortran-ordered float array in its own anonymous memory map.
+
+    The banded factors are by far the largest array of a Newton step. Freed
+    through malloc, a block that size raises glibc's dynamic mmap
+    threshold, after which every vector of the run is served from the heap
+    and the process keeps several MiB it no longer uses. A private mapping
+    is returned to the system as soon as the array is released."""
+    rows, cols = shape
+    buf = mmap.mmap(-1, 8 * rows * cols)
+    return np.frombuffer(buf, dtype=float).reshape(shape, order="F")
+
+
+def steady_jacobian(
+    u: np.ndarray, v: np.ndarray, d: float, beta: float, gamma: float, h: float
+) -> np.ndarray:
+    """Jacobian of steady_residual in LAPACK general-band storage: a
+    Fortran-ordered (2 kl + ku + 1, 2n) array holding entry (i, j) at row
+    kl + ku + i - j, with kl = ku = 2. The top kl rows are left free for
+    the fill-in of the LU factorization, so dgbsv can factor in place."""
+    m = len(u) - 1
+    uu = u[:-1]
+    vv = v[:-1]
+    a = d / h**2
+    c = 1.0 / h**2
+    diag = STEADY_KL + STEADY_KU
+    ab = _mapped_zeros((2 * STEADY_KL + STEADY_KU + 1, 2 * m))
+    # diagonal: 2 d / h^2 - f'(u) and 2 / h^2 + gamma + 3 v^2
+    ab[diag, 0::2] = 2.0 * a - uu * (2.0 * (1.0 + beta) - 3.0 * uu) + beta
+    ab[diag, 1::2] = 2.0 * c + gamma + 3.0 * vv * vv
+    # the +v coupling of activator row i and the -u coupling of inhibitor row i
+    ab[diag - 1, 1::2] = 1.0
+    ab[diag + 1, 0::2] = -1.0
+    # stencil neighbours sit two columns away; the ghost rows double the
+    # first superdiagonal pair
+    ab[diag - 2, 2::2] = -a
+    ab[diag - 2, 3::2] = -c
+    ab[diag - 2, 2:4] *= 2.0
+    ab[diag + 2, 0 : 2 * m - 2 : 2] = -a
+    ab[diag + 2, 1 : 2 * m - 2 : 2] = -c
+    return ab
+
+
+def _band_lu_det_sign(lub: np.ndarray, piv: np.ndarray) -> int:
+    """Sign of the determinant from a banded LU: the signs of U's diagonal
+    times one flip per row interchange (piv is 0-based)."""
+    swaps = np.count_nonzero(piv != np.arange(len(piv)))
+    negatives = np.count_nonzero(lub[STEADY_KL + STEADY_KU] < 0.0)
+    return -1 if (swaps + negatives) % 2 else 1
+
+
+@dataclass(frozen=True)
+class SteadySolution:
+    """Result of one coupled Newton solve of the steady system. det_sign is
+    the sign of the Jacobian determinant at (u, v), 0 when it is singular."""
+
+    u: np.ndarray
+    v: np.ndarray
+    steps: int
+    det_sign: int
+
+
+def solve_steady(
+    u: np.ndarray, v: np.ndarray, d: float, beta: float, gamma: float, h: float
+) -> SteadySolution:
+    """Damped Newton on steady_residual from (u, v), node n held at zero.
+
+    Each step assembles the banded Jacobian, factors and solves it in
+    place with LAPACK dgbsv, releases the factors, and backtracks on
+    ||R||^2 by the Armijo test of solve_inhibitor. The iteration stops
+    when each block of rows is at the roundoff floor of its 1/h^2 stencil,
+    or when no step along the Newton direction lowers ||R||^2 (a singular
+    Jacobian counts as such). The determinant sign comes from the LU of
+    the Jacobian at the returned state; with v = N(u) it equals the sign
+    of the reduced Hessian's determinant, so -1 marks a saddle of odd
+    index.
+    """
+    u = np.array(u, dtype=float)
+    v = np.array(v, dtype=float)
+    u[-1] = 0.0
+    v[-1] = 0.0
+
+    def at_floor(r: np.ndarray) -> bool:
+        umax = float(np.max(np.abs(u)))
+        vmax = float(np.max(np.abs(v)))
+        f_bound = umax * (1.0 + umax) * (umax + beta)
+        u_floor = 8.0 * _EPS * (4.0 * d * umax / h**2 + f_bound + vmax)
+        return (
+            float(np.max(np.abs(r[0::2]))) <= u_floor
+            and float(np.max(np.abs(r[1::2]))) <= _inhibitor_floor(v, u[:-1], gamma, h)
+        )
+
+    r = steady_residual(u, v, d, beta, gamma, h)
+    rn2 = float(np.dot(r, r))
+    steps = 0
+    while True:
+        floor_met = at_floor(r)
+        ab = steady_jacobian(u, v, d, beta, gamma, h)
+        # factor and solve in place: the Newton step overwrites -r
+        np.negative(r, out=r)
+        lub, piv, delta, info = dgbsv(
+            STEADY_KL, STEADY_KU, ab, r, overwrite_ab=1, overwrite_b=1
+        )
+        det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
+        del ab, lub  # the factors are the largest buffer; free them first
+        if info != 0 or floor_met:
+            break
+        t = 1.0
+        accepted = False
+        for _ in range(40):
+            u_try = u.copy()
+            v_try = v.copy()
+            u_try[:-1] += t * delta[0::2]
+            v_try[:-1] += t * delta[1::2]
+            r_try = steady_residual(u_try, v_try, d, beta, gamma, h)
+            rn2_try = float(np.dot(r_try, r_try))
+            # the target equals rn2 only when rn2 is zero or subnormal: a
+            # root to the last representable bit, where no step can help
+            target = (1.0 - 2e-4 * t) * rn2
+            if rn2_try <= target < rn2:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+        u, v, r, rn2 = u_try, v_try, r_try, rn2_try
+        steps += 1
+    return SteadySolution(u=u, v=v, steps=steps, det_sign=det_sign)

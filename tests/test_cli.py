@@ -32,6 +32,7 @@ class TestSolve:
         data = json.loads((solve_run / "solve_result.json").read_text())
         assert data["converged"] is True
         assert data["termination"] == "gtol"
+        assert data["polish"] == "newton" and data["polish_steps"] > 0
         energy = json.loads((solve_run / "energy.json").read_text())
         assert energy["total"] == data["energy"]["total"]
 
@@ -57,12 +58,23 @@ class TestSolve:
             assert lines[1].startswith("-12,")
 
     def test_max_iters_exhaustion_exits_2_but_writes(self, tmp_path):
+        # the default start polishes straight to the pulse in one step; the
+        # wide q0 start has active constraints, so no polish runs and one
+        # descent step cannot converge
         out = tmp_path / "short"
-        rc = main(SOLVE_ARGS + ["--max-iters", "1", "--out", str(out)])
+        rc = main(SOLVE_ARGS + ["--a", "1.0", "--b", "1.8", "--max-iters", "1",
+                                "--out", str(out)])
         assert rc == 2
         data = json.loads((out / "solve_result.json").read_text())
         assert data["converged"] is False
         assert data["termination"] == "max_iters"
+
+    def test_solve_line_reports_polish(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert main(SOLVE_ARGS + ["--out", str(out)]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("solve: converged=True ")
+        assert line.endswith(f" active=0 polish=newton -> {out}")
 
     def test_constraint_pinned_state_exits_2(self, tmp_path, capsys):
         # a unit-scale q0 start is far wider than the ~0.028 head: the descent
@@ -199,14 +211,21 @@ class TestAnalyze:
     def test_missing_run_exits_1(self, tmp_path):
         assert main(["analyze", "--run", str(tmp_path / "nope")]) == 1
 
-    def test_empty_tail_window_exits_3(self, tmp_path, capsys):
-        # complex far-field eigenvalues and a state pinned all the way out:
-        # the zero crossing lands so close to x_max that no tail is left
+    def test_pinned_run_exits_2(self, tmp_path, capsys):
+        # complex far-field eigenvalues and a state pinned all the way out
+        # (the zero crossing lands so close to x_max that no tail is left):
+        # a converged run with active constraints is no pulse to analyze
         run = tmp_path / "pinned"
         args = ["--beta", "0.4", "--gamma", "0.1", "--d", "1.0", "--x-max", "20"]
         assert main(["solve", *args, "--n", "256", "--out", str(run)]) == 2
-        assert main(["analyze", "--run", str(run)]) == 3
-        assert "[FAIL] unique_negative_min: witness=inf" in capsys.readouterr().out
+        data = json.loads((run / "solve_result.json").read_text())
+        assert data["converged"] and data["active_constraint_count"] > 0
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "no standing pulse" in err
+        assert f"active={data['active_constraint_count']}" in err
+        assert not (run / "analyze_report.json").exists()
 
 
 class TestLoadSolveRun:
@@ -219,6 +238,18 @@ class TestLoadSolveRun:
             assert np.array_equal(prof.values, profile_from_csv(stored_csv).values)
             profile_to_csv(prof, tmp_path / f"{name}.csv")
             assert (tmp_path / f"{name}.csv").read_bytes() == stored_csv.read_bytes()
+
+    def test_run_without_polish_keys_loads(self, solve_run, tmp_path):
+        # runs written before the Newton polish existed lack both keys
+        old = tmp_path / "old"
+        shutil.copytree(solve_run, old)
+        meta = json.loads((old / "solve_result.json").read_text())
+        assert meta.pop("polish") == "newton"
+        meta.pop("polish_steps")
+        (old / "solve_result.json").write_text(json.dumps(meta))
+        result = load_solve_run(old)
+        assert result.polish == "skipped" and result.polish_steps == 0
+        assert main(["analyze", "--run", str(old), "--out", str(tmp_path / "a")]) == 0
 
     @pytest.mark.parametrize("command", ["analyze", "evolve"])
     @pytest.mark.parametrize(

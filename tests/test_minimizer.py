@@ -1,5 +1,5 @@
 """Projected descent: fixed-point behavior, monotonicity, initialization,
-and grid-refinement stability."""
+grid-refinement stability and the coupled Newton polish."""
 
 import dataclasses
 
@@ -15,10 +15,15 @@ from fhn_pulse import (
     build_q0,
     default_initial_profile,
     detect_crossings,
+    energy,
+    evaluate_energy,
     minimize,
+    negative_tail_cutoff,
+    project,
 )
-from fhn_pulse.minimizer import _band_assignment
-from tests.conftest import CHEAP_GRID, CHEAP_PARAMS, refine_onto
+from fhn_pulse.minimizer import _band_assignment, _newton_polish
+from fhn_pulse.operators import solve_steady
+from tests.conftest import CHEAP_GRID, CHEAP_PARAMS, FINE_PARAMS, refine_onto
 
 
 class TestConvergedPulse:
@@ -194,4 +199,94 @@ class TestOptions:
         )
         assert not res.converged
         assert res.termination == "max_iters"
+        assert res.iterations == 3
+
+
+class TestNewtonPolish:
+    def test_cold_and_warm_solves_agree(self, fine_chain):
+        # the cold solve polishes from the default start, the chain level
+        # from the interpolated n = 4096 pulse: one discrete pulse
+        warm = fine_chain[8192]
+        cold = minimize(FINE_PARAMS, warm.grid, options=MinimizeOptions(gtol=1e-8))
+        for res in (cold, warm):
+            assert res.polish == "newton" and res.termination == "gtol"
+            assert res.is_pulse
+        assert np.max(np.abs(cold.u0.values - warm.u0.values)) <= 1e-9
+        assert np.max(np.abs(cold.v0.values - warm.v0.values)) <= 1e-9
+
+    def test_odd_index_root_rejected(self, fine_chain):
+        # from the cold n = 4096 start Newton lands on an admissible saddle
+        # root with a negative Jacobian determinant. Descent must go on past
+        # it to the minimizer, which the second polish then keeps.
+        res = fine_chain[4096]
+        p = FINE_PARAMS
+        start, _ = default_initial_profile(p, res.grid)
+        _, _, sol = evaluate_energy(start, p)
+        h = res.grid.h
+        saddle = solve_steady(start.values, sol.v.values, p.d, p.beta, p.gamma, h)
+        assert saddle.det_sign == -1
+        u = Profile(res.grid, saddle.u)
+        i1, i2 = _band_assignment(u, p.beta)
+        M = negative_tail_cutoff(p.beta, p.gamma)
+        assert np.array_equal(project(u, i1, i2, p.beta, M).profile.values, u.values)
+        j_saddle = energy(u, p).alt_total
+        assert j_saddle == pytest.approx(-1.0178e-4, abs=1e-8)
+        # started on the saddle, J cannot rise and the gradient is zero:
+        # only the determinant test stands between it and a kept root
+        on_saddle = minimize(p, res.grid, init=u)
+        assert on_saddle.polish == "fallback"
+        assert on_saddle.energy.alt_total == pytest.approx(j_saddle, abs=1e-15)
+
+        assert res.polish == "newton" and res.termination == "gtol"
+        assert res.iterations > 1  # descent ran between the two polishes
+        assert res.energy.alt_total == pytest.approx(-1.0900e-4, abs=1e-8)
+        assert res.energy.alt_total < j_saddle
+
+    def test_polish_counts_as_one_step(self, fine_chain):
+        for res in fine_chain.values():
+            assert res.polish == "newton" and res.polish_steps > 0
+            assert len(res.energy_history) == res.iterations + 1
+            assert np.all(np.diff(res.energy_history) <= 1e-14)
+        # warm-started levels need no descent at all
+        for n in (8192, 16384, 32768):
+            assert fine_chain[n].iterations == 1
+
+    def test_rejected_root_falls_back(self):
+        # the saddle is rejected at entry; descent then runs out of steps
+        res = minimize(
+            FINE_PARAMS, Grid(12.0, 4096), options=MinimizeOptions(max_iters=5)
+        )
+        assert res.polish == "fallback" and res.polish_steps > 0
+        assert res.termination == "max_iters" and res.iterations == 5
+
+    def test_rest_state_root_rejected(self):
+        # past the fold the entry polish runs down to the rest state u = v = 0,
+        # an exact root whose residual ends subnormal; it must stop there and
+        # be refused, leaving descent its constraint-pinned verdict
+        params = Params(d=0.005, tau=1.0, gamma=0.1, beta=0.4)
+        res = minimize(params, Grid(20.0, 1024))
+        assert res.polish == "fallback" and res.polish_steps > 0
+        assert res.converged and res.active_constraint_count > 0
+
+    def test_acceptance_guards(self, cheap_pulse):
+        res = cheap_pulse
+        p, grid, w = res.params, res.grid, res.u0.values
+        M = negative_tail_cutoff(p.beta, p.gamma)
+        _, kept = _newton_polish(p, grid, w, res.v0, res.energy, M, 1e-8)
+        assert kept is not None
+        # a root that would raise J beyond roundoff is refused
+        higher = dataclasses.replace(res.energy, alt_total=res.energy.alt_total - 1e-12)
+        assert _newton_polish(p, grid, w, res.v0, higher, M, 1e-8)[1] is None
+        # so is a root outside the bands: a tail band [-0.01, 0] cuts the tail
+        assert w.min() < -0.01
+        assert _newton_polish(p, grid, w, res.v0, res.energy, -0.99, 1e-8)[1] is None
+
+    def test_active_start_skips_polish(self):
+        res = minimize(
+            CHEAP_PARAMS,
+            CHEAP_GRID,
+            init=build_q0(1.0, 1.8, CHEAP_GRID),
+            options=MinimizeOptions(max_iters=3),
+        )
+        assert res.polish == "skipped" and res.polish_steps == 0
         assert res.iterations == 3

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbsv
 
 from fhn_pulse import (
     GreenKind,
@@ -16,7 +17,18 @@ from fhn_pulse import (
     negative_tail_cutoff,
     solve_inhibitor,
 )
-from fhn_pulse.operators import inhibitor_derivative, solve_shifted
+from fhn_pulse.operators import (
+    STEADY_KL,
+    STEADY_KU,
+    _band_lu_det_sign,
+    _fd_residual,
+    _gradient_values,
+    inhibitor_derivative,
+    solve_shifted,
+    solve_steady,
+    steady_jacobian,
+    steady_residual,
+)
 
 GAMMA = 0.3
 GRID = Grid(30.0, 2048)
@@ -217,6 +229,90 @@ class TestInhibitorDerivative:
             )
         order = np.log10(rems[0] / rems[1])
         assert order >= 1.8
+
+
+class TestSteadySystem:
+    """Residual, banded Jacobian and coupled Newton of the steady system."""
+
+    D, BETA, GAMMA_S, H = 0.07, 0.4, 0.1, 0.3
+
+    def state(self, seed: int, m: int = 12):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=m + 1)
+        v = rng.normal(size=m + 1)
+        u[-1] = v[-1] = 0.0
+        return u, v
+
+    def dense(self, u, v, d=D):
+        ab = steady_jacobian(u, v, d, self.BETA, self.GAMMA_S, self.H)
+        size = ab.shape[1]
+        a = np.zeros((size, size))
+        for j in range(size):
+            for i in range(max(0, j - STEADY_KU), min(size, j + STEADY_KL + 1)):
+                a[i, j] = ab[STEADY_KL + STEADY_KU + i - j, j]
+        return ab, a
+
+    def residual(self, x):
+        u = np.append(x[0::2], 0.0)
+        v = np.append(x[1::2], 0.0)
+        return steady_residual(u, v, self.D, self.BETA, self.GAMMA_S, self.H)
+
+    def test_residual_interleaves_the_two_stencils(self):
+        u, v = self.state(0)
+        r = steady_residual(u, v, self.D, self.BETA, self.GAMMA_S, self.H)
+        g = _gradient_values(u, v, self.D, self.BETA, self.H)
+        assert np.array_equal(r[0::2], g[:-1])
+        assert np.array_equal(r[1::2], _fd_residual(v, u, self.GAMMA_S, self.H))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_jacobian_matches_central_differences(self, seed):
+        u, v = self.state(seed)
+        ab, a = self.dense(u, v)
+        assert ab.shape == (2 * STEADY_KL + STEADY_KU + 1, 2 * (len(u) - 1))
+        assert ab.flags.f_contiguous
+        assert not ab[:STEADY_KL].any()  # LU fill-in rows start empty
+        x = np.empty(a.shape[0])
+        x[0::2], x[1::2] = u[:-1], v[:-1]
+        fd = np.empty_like(a)
+        for j in range(len(x)):
+            e = np.zeros_like(x)
+            e[j] = 1e-6
+            fd[:, j] = (self.residual(x + e) - self.residual(x - e)) / 2e-6
+        assert np.max(np.abs(fd - a)) <= 1e-7 * np.max(np.abs(a))
+
+    def test_det_sign_matches_dense_determinant(self):
+        # with weak diffusion, f'(u) > 2 d / h^2 on the middle branch makes
+        # diagonal entries negative, so both signs occur
+        signs = set()
+        for seed in range(20):
+            u, v = self.state(seed, m=10)
+            u[:-1] = np.random.default_rng(seed).uniform(0.2, 0.8, size=10)
+            ab, a = self.dense(u, v, d=1e-3)
+            lub, piv, _, info = dgbsv(STEADY_KL, STEADY_KU, ab, np.ones(len(a)))
+            assert info == 0
+            sign = int(np.linalg.slogdet(a)[0])
+            assert _band_lu_det_sign(lub, piv) == sign
+            signs.add(sign)
+        assert signs == {-1, 1}
+
+    def test_newton_reaches_the_pulse_root(self, cheap_pulse):
+        res = cheap_pulse
+        p = res.params
+        h = res.grid.h
+        st = solve_steady(res.u0.values, res.v0.values, p.d, p.beta, p.gamma, h)
+        r = steady_residual(st.u, st.v, p.d, p.beta, p.gamma, h)
+        assert st.det_sign == 1
+        assert np.max(np.abs(r[0::2])) < 1e-12
+        assert np.max(np.abs(r[1::2])) < 1e-9
+        assert st.u[-1] == 0.0 and st.v[-1] == 0.0
+        assert np.max(np.abs(st.u - res.u0.values)) < 1e-9
+
+    def test_exact_root_stops_at_once(self):
+        # the rest state is an exact root: no step can lower ||R||^2 = 0
+        z = np.zeros(33)
+        st = solve_steady(z, z, self.D, self.BETA, self.GAMMA_S, self.H)
+        assert st.steps == 0 and st.det_sign == 1
+        assert not st.u.any() and not st.v.any()
 
 
 def test_cli_import_skips_scipy_integrate():

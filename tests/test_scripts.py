@@ -14,18 +14,28 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINNED_ARGS = ["--d", "0.005", "--x-max", "20", "--n", "1024"]
 
 
-@pytest.mark.parametrize("script", ["run_pulse.py", "relax_perturbed_pulse.py"])
-def test_constraint_pinned_state_exits_2(script):
+def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *PINNED_ARGS],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", ["run_pulse.py", "relax_perturbed_pulse.py"])
+def test_constraint_pinned_state_exits_2(script):
+    proc = run_script(script, *PINNED_ARGS)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "active=" in proc.stdout
+
+
+def test_run_pulse_reports_polish():
+    proc = run_script("run_pulse.py", "--n", "2048")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[0].endswith(" polish=newton")
