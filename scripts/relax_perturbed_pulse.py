@@ -43,7 +43,7 @@ def main() -> int:
     if not res.is_pulse:
         print(
             f"no standing pulse ({res.termination}, "
-            f"active={res.active_constraint_count}); aborting"
+            f"active={res.active_constraint_count}, polish={res.polish}); aborting"
         )
         return 2
     print(f"pulse: {time.time() - t0:.1f}s, J={res.energy.total:+.3e}")

@@ -330,7 +330,7 @@ def _cmd_analyze(cfg: dict) -> int:
     if not result.is_pulse:
         print(
             f"analyze: stored run is no standing pulse: converged={result.converged} "
-            f"active={result.active_constraint_count}",
+            f"active={result.active_constraint_count} polish={result.polish}",
             file=sys.stderr,
         )
         return 2

@@ -21,9 +21,12 @@ it is admissible, leaves no constraint active, meets gtol, does not raise
 J beyond roundoff and has a positive Jacobian determinant (a negative one
 marks a saddle of odd index, not a minimizer). Otherwise descent goes on
 from where it was. A kept root counts as one accepted step; SolveResult
-records the outcome in `polish` (newton, fallback or skipped) and the
-coupled Newton steps taken in `polish_steps`. Cold, warm-started and
-refined solves that polish reach the same discrete pulse to roundoff.
+records the outcome in `polish` and the coupled Newton steps taken in
+`polish_steps`. The outcome is newton (a root was kept), skipped (a
+constraint stayed active), saddle (descent stopped by gtol on a root with
+a negative determinant, which is then no pulse) or fallback (any other
+refusal). Cold, warm-started and refined solves that polish reach the
+same discrete pulse to roundoff.
 
 The far-end node is pinned at zero (Dirichlet truncation); the anchor band
 [beta, 1] at the origin prevents translation and collapse to the rest
@@ -107,10 +110,15 @@ class SolveResult(Record):
 
     @property
     def is_pulse(self) -> bool:
-        """A standing pulse: converged with no active constraint. A
-        stationary point that still leans on the constraint bands is not a
-        pulse, however small its projected gradient."""
-        return self.converged and self.active_constraint_count == 0
+        """A standing pulse: converged with no active constraint, and not
+        stopped on a saddle. A stationary point that still leans on the
+        constraint bands, or whose steady Jacobian has a negative
+        determinant, is not a pulse, however small its projected gradient."""
+        return (
+            self.converged
+            and self.active_constraint_count == 0
+            and self.polish != "saddle"
+        )
 
 
 def _branch_values(v: np.ndarray, beta: float, u_start: float) -> np.ndarray:
@@ -269,25 +277,25 @@ def _newton_polish(
 ):
     """Coupled Newton from (w, v) and the acceptance test of its root.
 
-    Returns the Newton step count and, when the root is kept, the state
-    (w, i1, i2, report, g, sol, gnorm) that replaces the iterate, else
-    None."""
+    Returns the Newton solution (its step count and determinant sign) and,
+    when the root is kept, the state (w, i1, i2, report, g, sol, gnorm)
+    that replaces the iterate, else None."""
     st = solve_steady(w, v.values, params.d, params.beta, params.gamma, grid.h)
     if st.det_sign <= 0:
-        return st.steps, None
+        return st, None
     root = Profile(grid, st.u)
     i1, i2 = _band_assignment(root, params.beta)
     if i1 is None:
-        return st.steps, None
+        return st, None
     projected = project(root, i1, i2, params.beta, M).profile.values
     if not np.array_equal(projected, st.u):
-        return st.steps, None
+        return st, None
     try:
         report_n, grad_n, sol_n = evaluate_energy(
             root, params, v_init=Profile(grid, st.v), inhibitor_tol=INHIBITOR_TOL
         )
     except InhibitorError:
-        return st.steps, None
+        return st, None
     g = grad_n.values.copy()
     g[-1] = 0.0
     gnorm, active = _stationarity(grid, st.u, g, i1, i2, params.beta, M)
@@ -296,8 +304,8 @@ def _newton_polish(
         or gnorm > gtol
         or report_n.alt_total > report.alt_total + _energy_floor(report)
     ):
-        return st.steps, None
-    return st.steps, (st.u, i1, i2, report_n, g, sol_n, gnorm)
+        return st, None
+    return st, (st.u, i1, i2, report_n, g, sol_n, gnorm)
 
 
 def _interp_crossing(u: Profile, level: float, i: int) -> float:
@@ -365,9 +373,8 @@ def minimize(
     polish, polish_steps, polished = "skipped", 0, None
     if active_count == 0 and opts.max_iters > 0:
         polish = "fallback"
-        polish_steps, polished = _newton_polish(
-            params, grid, w, sol.v, report, M, opts.gtol
-        )
+        st, polished = _newton_polish(params, grid, w, sol.v, report, M, opts.gtol)
+        polish_steps = st.steps
 
     while polished is None and iterations < opts.max_iters:
         if gnorm <= opts.gtol:
@@ -431,9 +438,11 @@ def minimize(
         gnorm, active_count = _stationarity(grid, w, g, i1, i2, params.beta, M)
 
     if polished is None and converged and active_count == 0:
-        polish = "fallback"
-        steps, polished = _newton_polish(params, grid, w, sol.v, report, M, opts.gtol)
-        polish_steps += steps
+        st, polished = _newton_polish(params, grid, w, sol.v, report, M, opts.gtol)
+        polish_steps += st.steps
+        # descent cannot leave a stationary point, so a root refused for
+        # its negative determinant means descent stopped on the saddle
+        polish = "saddle" if st.det_sign < 0 else "fallback"
     if polished is not None:
         w, i1, i2, report, g, sol, gnorm = polished
         newton_total += sol.newton_iters

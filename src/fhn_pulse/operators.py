@@ -7,8 +7,10 @@ Every linear solve of the inhibitor reduces to one discrete form,
 
 where D2 is the second-difference operator with a ghost-node Neumann row at
 x = 0 (V_{-1} = V_1) and c > 0 is a scalar or per-node coefficient. Halving
-the first row makes the system symmetric positive definite, which is the
-banded layout scipy.linalg.solveh_banded consumes.
+the first row makes the system symmetric positive definite and
+tridiagonal: one-off solves go through scipy.linalg.solveh_banded, and the
+fixed operators of time stepping are factored once as L D L^T by LAPACK
+dpttrf and solved by dpttrs (Golub & Van Loan, section 4.3.6).
 
 The coupled steady system for (u, v) interleaves the unknowns as
 (u_0, v_0, u_1, v_1, ...), which makes its Jacobian a (2, 2)-banded
@@ -24,8 +26,8 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solveh_banded
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dgbsv, dpttrf, dpttrs
 
 from .grid import Grid, Profile
 from .model import reaction_f
@@ -74,17 +76,36 @@ def solve_shifted(c: np.ndarray | float, rhs: np.ndarray, h: float) -> np.ndarra
     return np.append(v, 0.0)
 
 
-def factor_shifted(c: float, h: float, m: int):
-    """Cholesky factorization of the shifted operator for repeated solves
-    with a fixed coefficient (time stepping)."""
-    return cholesky_banded(spd_banded(c, h, m), lower=False)
+def factor_shifted(c: float, h: float, m: int) -> np.ndarray:
+    """LDL^T factorization (LAPACK dpttrf) of the symmetrized shifted
+    operator, for repeated solves with a fixed coefficient (time stepping).
+
+    Returns one C-ordered (2, m) array: row 0 holds the diagonal D, row 1
+    the off-diagonal E of the unit bidiagonal factor followed by one unused
+    pad entry, so each row is a contiguous vector for dpttrs."""
+    ab = spd_banded(c, h, m)
+    diag, off, info = dpttrf(ab[1], ab[0, 1:])
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"shifted operator is not positive definite (dpttrf info = {info})"
+        )
+    factor = np.zeros((2, m))
+    factor[0] = diag
+    factor[1, :-1] = off
+    return factor
 
 
-def solve_factored(factor, rhs: np.ndarray) -> np.ndarray:
-    b = np.array(rhs, dtype=float)
-    b[0] *= 0.5
-    v = cho_solve_banded((factor, False), b)
-    return np.append(v, 0.0)
+def solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (-D2 + c) V = rhs with a factor_shifted factorization; rhs has
+    one entry per unknown and is left unmodified, the returned array has the
+    Dirichlet zero appended. dpttrs solves in place in the output buffer."""
+    m = len(rhs)
+    out = np.empty(m + 1)
+    out[:m] = rhs
+    out[0] *= 0.5
+    out[m] = 0.0
+    dpttrs(factor[0], factor[1, :-1], out[:m], overwrite_b=1)
+    return out
 
 
 def _cumulative_trapezoid(y: np.ndarray, h: float) -> np.ndarray:

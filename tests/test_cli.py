@@ -227,6 +227,20 @@ class TestAnalyze:
         assert f"active={data['active_constraint_count']}" in err
         assert not (run / "analyze_report.json").exists()
 
+    def test_saddle_run_exits_2(self, solve_run, tmp_path, capsys):
+        # a run whose descent stopped on an odd-index saddle is no pulse
+        run = tmp_path / "saddle"
+        shutil.copytree(
+            solve_run, run, ignore=shutil.ignore_patterns("analyze_report.json", "evolve")
+        )
+        meta = json.loads((run / "solve_result.json").read_text())
+        meta["polish"] = "saddle"
+        (run / "solve_result.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(run)]) == 2
+        assert "polish=saddle" in capsys.readouterr().err
+        assert not (run / "analyze_report.json").exists()
+
 
 class TestLoadSolveRun:
     def test_load_round_trip(self, solve_run, tmp_path):
@@ -290,3 +304,18 @@ class TestEvolve:
         assert index["tau"] == 2.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "evolve"
+
+    def test_rerun_byte_identical(self, solve_run, tmp_path):
+        args = ["evolve", "--run", str(solve_run), "--dt", "1e-2",
+                "--t-final", "0.2", "--snapshot-every", "5"]
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(args + ["--out", str(out)]) == 0
+        names = [
+            sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            for out in runs
+        ]
+        assert names[0] == names[1]
+        assert len(names[0]) == 11  # trajectory.json and 5 snapshot pairs
+        for name in names[0]:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()

@@ -111,6 +111,19 @@ class TestStepping:
             evolve(Params(d=0.01, tau=1.0, gamma=0.1, beta=0.4), big, z, 0.01, 1.0)
         assert exc.value.time == pytest.approx(0.01)
 
+    def test_non_finite_state_detected(self):
+        # Profile refuses a non-finite start, so make the first step NaN:
+        # the cubic overflows to +inf and -inf on neighbouring nodes, and
+        # the solve's forward sweep adds them, spreading NaN over every node
+        g = Grid(10.0, 64)
+        vals = np.zeros(65)
+        vals[10:12] = (-1e200, 1e200)
+        z = Profile(g, np.zeros(65))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as exc:
+                evolve(PARAMS, Profile(g, vals), z, 0.01, 1.0)
+        assert exc.value.time == pytest.approx(0.01)
+
 
 class TestExport:
     def test_layout_and_roundtrip(self, tmp_path):

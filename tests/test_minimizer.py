@@ -234,7 +234,8 @@ class TestNewtonPolish:
         # started on the saddle, J cannot rise and the gradient is zero:
         # only the determinant test stands between it and a kept root
         on_saddle = minimize(p, res.grid, init=u)
-        assert on_saddle.polish == "fallback"
+        assert on_saddle.polish == "saddle"
+        assert not on_saddle.is_pulse
         assert on_saddle.energy.alt_total == pytest.approx(j_saddle, abs=1e-15)
 
         assert res.polish == "newton" and res.termination == "gtol"

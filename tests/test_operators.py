@@ -23,7 +23,9 @@ from fhn_pulse.operators import (
     _band_lu_det_sign,
     _fd_residual,
     _gradient_values,
+    factor_shifted,
     inhibitor_derivative,
+    solve_factored,
     solve_shifted,
     solve_steady,
     steady_jacobian,
@@ -70,6 +72,34 @@ class TestSolveShifted:
         v = solve_shifted(c, rhs, h)
         assert v[-1] == 0.0
         assert np.allclose(v[:-1], v_dense, rtol=1e-10, atol=1e-12)
+
+
+class TestSolveFactored:
+    # the time-stepping coefficients 1/(dt d) and tau/dt + gamma at the
+    # criterion-7 run (dt = 1e-3, d = 1e-6, gamma = 0.1), and a weak shift
+    @pytest.mark.parametrize("c", [1e9, 1000.1, 0.1])
+    @pytest.mark.parametrize("m", [64, 4096, 32768])
+    def test_matches_unfactored_solve(self, m, c):
+        h = 12.0 / m
+        rhs = np.random.default_rng(m).standard_normal(m)
+        before = rhs.copy()
+        v = solve_factored(factor_shifted(c, h, m), rhs)
+        ref = solve_shifted(c, rhs, h)
+        assert v.shape == (m + 1,)
+        assert v[-1] == 0.0
+        assert np.array_equal(rhs, before)
+        # a silently copied right-hand side would leave v unsolved
+        assert np.max(np.abs(v - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_factor_layout(self):
+        factor = factor_shifted(0.5, 0.1, 16)
+        assert factor.shape == (2, 16) and factor.dtype == np.float64
+        assert factor.flags.c_contiguous
+        assert factor[1, -1] == 0.0
+
+    def test_indefinite_operator_rejected(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            factor_shifted(-1e3, 0.1, 16)
 
 
 class TestApplyGreen:
