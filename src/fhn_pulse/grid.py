@@ -46,7 +46,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class Profile:
-    """Nodal values of a function on a Grid. Treated as immutable."""
+    """Nodal values of a function on a Grid. values is a read-only view."""
 
     grid: Grid
     values: np.ndarray
@@ -60,6 +60,10 @@ class Profile:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("profile contains non-finite values")
+        # a read-only view: the profile cannot be written through, and the
+        # caller's array stays writable
+        vals = vals.view()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def with_values(self, values: np.ndarray) -> "Profile":

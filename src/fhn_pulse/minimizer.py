@@ -399,7 +399,7 @@ def minimize(
             if i1_t is None:
                 collapse_warnings += 1
                 i1_t, i2_t = i1, i2
-            w_try = project(z, i1_t, i2_t, params.beta, M).profile.values
+            w_try = project(z, i1_t, i2_t, params.beta, M).profile.values.copy()
             w_try[-1] = 0.0
             try:
                 report_t, grad_t, sol_t = evaluate_energy(

@@ -8,9 +8,9 @@ Every linear solve of the inhibitor reduces to one discrete form,
 where D2 is the second-difference operator with a ghost-node Neumann row at
 x = 0 (V_{-1} = V_1) and c > 0 is a scalar or per-node coefficient. Halving
 the first row makes the system symmetric positive definite and
-tridiagonal: one-off solves go through scipy.linalg.solveh_banded, and the
-fixed operators of time stepping are factored once as L D L^T by LAPACK
-dpttrf and solved by dpttrs (Golub & Van Loan, section 4.3.6).
+tridiagonal: one-off solves run LAPACK dptsv in place on the diagonal and
+off-diagonal, and the fixed operators of time stepping are factored once as
+L D L^T by dpttrf and solved by dpttrs (Golub & Van Loan, section 4.3.6).
 
 The coupled steady system for (u, v) interleaves the unknowns as
 (u_0, v_0, u_1, v_1, ...), which makes its Jacobian a (2, 2)-banded
@@ -26,8 +26,7 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.linalg.lapack import dgbsv, dpttrf, dpttrs
+from scipy.linalg.lapack import dgbsv, dptsv, dpttrf, dpttrs
 
 from .grid import Grid, Profile
 from .model import reaction_f
@@ -50,30 +49,45 @@ class GreenKind(enum.Enum):
         return 0.0 if self is GreenKind.L else 1.0
 
 
-def spd_banded(c: np.ndarray | float, h: float, m: int) -> np.ndarray:
-    """Upper-diagonal banded storage of the symmetrized (-D2 + c) matrix on
-    m unknowns. Row 0 carries the halved Neumann ghost row."""
-    ab = np.zeros((2, m))
-    ab[0, 1:] = -1.0 / h**2
-    cc = np.broadcast_to(np.asarray(c, dtype=float), (m,)).copy()
+def _shifted_tridiagonal(
+    c: np.ndarray | float, h: float, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the symmetrized (-D2 + c) matrix on m
+    unknowns. Row 0 carries the halved Neumann ghost row."""
+    cc = np.broadcast_to(np.asarray(c, dtype=float), (m,))
     diag = 2.0 / h**2 + cc
     diag[0] = 1.0 / h**2 + 0.5 * cc[0]
-    ab[1, :] = diag
-    return ab
+    return diag, np.full(m - 1, -1.0 / h**2)
+
+
+def _rhs_buffer(rhs: np.ndarray) -> np.ndarray:
+    """Output buffer of a shifted solve: rhs with its ghost row halved as
+    the symmetrized matrix's row 0 is, then the Dirichlet zero. The solvers
+    overwrite the first len(rhs) entries in place; rhs is left unmodified."""
+    m = len(rhs)
+    out = np.empty(m + 1)
+    out[:m] = rhs
+    out[0] *= 0.5
+    out[m] = 0.0
+    return out
 
 
 def solve_shifted(c: np.ndarray | float, rhs: np.ndarray, h: float) -> np.ndarray:
     """Solve (-D2 + c) V = rhs with Neumann at 0 and V = 0 at the last node.
 
-    rhs has one entry per unknown (nodes 0..n-1); the returned array has the
-    Dirichlet zero appended, length n + 1.
+    rhs has one entry per unknown (nodes 0..n-1) and is left unmodified; the
+    returned array has the Dirichlet zero appended, length n + 1. dptsv
+    factors and solves in place in the output buffer.
     """
     m = len(rhs)
-    ab = spd_banded(c, h, m)
-    b = np.array(rhs, dtype=float)
-    b[0] *= 0.5
-    v = solveh_banded(ab, b, lower=False)
-    return np.append(v, 0.0)
+    diag, off = _shifted_tridiagonal(c, h, m)
+    out = _rhs_buffer(rhs)
+    info = dptsv(diag, off, out[:m], overwrite_d=1, overwrite_e=1, overwrite_b=1)[3]
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"shifted operator is not positive definite (dptsv info = {info})"
+        )
+    return out
 
 
 def factor_shifted(c: float, h: float, m: int) -> np.ndarray:
@@ -83,8 +97,7 @@ def factor_shifted(c: float, h: float, m: int) -> np.ndarray:
     Returns one C-ordered (2, m) array: row 0 holds the diagonal D, row 1
     the off-diagonal E of the unit bidiagonal factor followed by one unused
     pad entry, so each row is a contiguous vector for dpttrs."""
-    ab = spd_banded(c, h, m)
-    diag, off, info = dpttrf(ab[1], ab[0, 1:])
+    diag, off, info = dpttrf(*_shifted_tridiagonal(c, h, m))
     if info != 0:
         raise np.linalg.LinAlgError(
             f"shifted operator is not positive definite (dpttrf info = {info})"
@@ -99,12 +112,8 @@ def solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (-D2 + c) V = rhs with a factor_shifted factorization; rhs has
     one entry per unknown and is left unmodified, the returned array has the
     Dirichlet zero appended. dpttrs solves in place in the output buffer."""
-    m = len(rhs)
-    out = np.empty(m + 1)
-    out[:m] = rhs
-    out[0] *= 0.5
-    out[m] = 0.0
-    dpttrs(factor[0], factor[1, :-1], out[:m], overwrite_b=1)
+    out = _rhs_buffer(rhs)
+    dpttrs(factor[0], factor[1, :-1], out[:-1], overwrite_b=1)
     return out
 
 
@@ -167,28 +176,34 @@ def _gradient_values(
 def _fd_residual(
     v: np.ndarray, u: np.ndarray, gamma: float, h: float
 ) -> np.ndarray:
-    """Residual of (-D2 + gamma) v + v^3 - u on the solved rows 0..n-1."""
+    """Residual of (-D2 + gamma) v + v^3 - u on the solved rows 0..n-1.
+
+    The interior rows are written in place, term by term in the order of
+    the formula ((-v_{i-1} + 2 v_i - v_{i+1}) / h^2 + gamma v_i + v_i^3 -
+    u_i), so they round exactly as the formula does."""
     m = len(v) - 1
     r = np.empty(m)
     r[0] = (2.0 * v[0] - 2.0 * v[1]) / h**2 + gamma * v[0] + v[0] * v[0] * v[0] - u[0]
     vi = v[1:m]
-    r[1:m] = (
-        (-v[0 : m - 1] + 2.0 * vi - v[2 : m + 1]) / h**2
-        + gamma * vi
-        + vi * vi * vi
-        - u[1:m]
-    )
+    ri = r[1:m]
+    t = np.empty(m - 1)
+    np.negative(v[0 : m - 1], out=ri)
+    ri += np.multiply(2.0, vi, out=t)
+    ri -= v[2 : m + 1]
+    ri /= h**2
+    ri += np.multiply(gamma, vi, out=t)
+    np.multiply(vi, vi, out=t)
+    ri += np.multiply(t, vi, out=t)
+    ri -= u[1:m]
     return r
 
 
 _EPS = float(np.finfo(float).eps)
 
 
-def _inhibitor_floor(v: np.ndarray, u: np.ndarray, gamma: float, h: float) -> float:
-    """Roundoff floor of _fd_residual: 8 ulps of its largest terms, led by
-    the 1/h^2 difference stencil."""
-    vmax = float(np.max(np.abs(v)))
-    umax = float(np.max(np.abs(u))) if len(u) else 0.0
+def _inhibitor_floor(vmax: float, umax: float, gamma: float, h: float) -> float:
+    """Roundoff floor of _fd_residual from max |v| and max |u|: 8 ulps of
+    its largest terms, led by the 1/h^2 difference stencil."""
     return 8.0 * _EPS * (4.0 * vmax / h**2 + gamma * vmax + vmax**3 + umax)
 
 
@@ -238,8 +253,10 @@ def solve_inhibitor(
     else:
         v = solve_shifted(gamma, uu, h)
 
+    umax = float(np.max(np.abs(uu)))
+
     def tol_floor(vv: np.ndarray) -> float:
-        return max(tol, _inhibitor_floor(vv, uu, gamma, h))
+        return max(tol, _inhibitor_floor(float(np.max(np.abs(vv))), umax, gamma, h))
 
     iters = 0
     r = _fd_residual(v, uu, gamma, h)
@@ -252,7 +269,8 @@ def solve_inhibitor(
         t = 1.0
         accepted = False
         for _ in range(40):
-            r_try = _fd_residual(v + t * delta, uu, gamma, h)
+            v_try = v + t * delta
+            r_try = _fd_residual(v_try, uu, gamma, h)
             rn2_try = float(np.dot(r_try, r_try))
             if rn2_try <= (1.0 - 2e-4 * t) * rn2:
                 accepted = True
@@ -260,8 +278,7 @@ def solve_inhibitor(
             t *= 0.5
         if not accepted:
             break
-        v = v + t * delta
-        r, rn2 = r_try, rn2_try
+        v, r, rn2 = v_try, r_try, rn2_try
         iters += 1
         res = float(np.max(np.abs(r)))
         converged = res <= tol_floor(v)
@@ -401,7 +418,7 @@ def solve_steady(
         u_floor = 8.0 * _EPS * (4.0 * d * umax / h**2 + f_bound + vmax)
         return (
             float(np.max(np.abs(r[0::2]))) <= u_floor
-            and float(np.max(np.abs(r[1::2]))) <= _inhibitor_floor(v, u[:-1], gamma, h)
+            and float(np.max(np.abs(r[1::2]))) <= _inhibitor_floor(vmax, umax, gamma, h)
         )
 
     r = steady_residual(u, v, d, beta, gamma, h)

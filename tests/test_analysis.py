@@ -2,6 +2,7 @@
 pulse property verification, and the randomized inequality suite."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from fhn_pulse import (
     linearize,
     verify_inequality_suite,
 )
+from fhn_pulse import analysis
 from fhn_pulse.analysis import default_decay_window, random_admissible_profile
 from fhn_pulse.model import negative_tail_cutoff
 
@@ -277,6 +279,51 @@ class TestInequalitySuite:
             assert 0 <= c.n_pass <= c.n_total
         assert report.to_text().splitlines()[-1] in ("overall: pass", "overall: FAIL")
         assert report.all_passed
+
+    def test_each_distinct_input_solved_once(self, monkeypatch):
+        calls = {"suite": 0, "energy": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            analysis, "solve_inhibitor", counted("suite", analysis.solve_inhibitor)
+        )
+        # the package's `energy` attribute is the function, not the module
+        energy = importlib.import_module("fhn_pulse.energy")
+        monkeypatch.setattr(
+            energy, "solve_inhibitor", counted("energy", energy.solve_inhibitor)
+        )
+        params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
+        samples = 10
+        report = verify_inequality_suite(params, Grid(30.0, 512), samples, seed=0)
+        # each admissible and smooth sample, half the admissible ones minus
+        # a bump (monotonicity), and each admissible sample's positive and
+        # negative parts: the sandwich reuses the positive parts' responses
+        assert calls["suite"] == 4.5 * samples
+        # one energy per admissible sample and the competitor on the grid
+        assert calls["suite"] + calls["energy"] == 5.5 * samples + 1
+        assert [c.name for c in report.checks] == [
+            "response_h1_bound",
+            "response_lipschitz",
+            "response_monotone",
+            "resolvent_sandwich",
+            "response_bounds",
+            "resolvent_self_adjoint",
+            "nonlocal_positive",
+            "nonlocal_difference_positive",
+            "decomposition_lower_bound",
+            "energy_two_form_gap",
+            "response_energy_identity",
+            "competitor_gap_closed_form",
+            "competitor_gap_on_grid",
+            "energy_lower_bound",
+            "green_methods_order_h2",
+        ]
 
     def test_seeded_samples_reproducible(self):
         g = Grid(20.0, 512)

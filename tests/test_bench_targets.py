@@ -1,25 +1,31 @@
 """Every function the benchmark's tracer wraps still exists in the
-package, so a rename fails here rather than inside a traced benchmark
+package, and its kernel size hooks read the right arguments, so a rename
+or a signature change fails here rather than skewing a traced benchmark
 run."""
 
 import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
+
+from fhn_pulse.model import potential_F
+from fhn_pulse.operators import factor_shifted, solve_factored, solve_shifted
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _trace_targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_trace_target_resolves():
-    targets = _trace_targets()
+    targets = _tracing().TARGETS
     assert targets
     for name, module_name, attr in targets:
         owner = importlib.import_module(module_name)
@@ -29,3 +35,24 @@ def test_every_trace_target_resolves():
             assert meth in vars(getattr(owner, cls_name)), name
         else:
             assert callable(getattr(owner, attr, None)), name
+
+
+def test_kernel_size_hooks_on_real_calls():
+    # computed bytes per call (perfbench/NOTES.md): every input array read
+    # once plus the output written once, float64, a scalar counting 8 B
+    sizes = _tracing()._KERNEL_SIZES
+    m, h = 256, 0.05
+    rhs = np.random.default_rng(0).standard_normal(m)
+    cases = [
+        ("operators.solve_factored", solve_factored, (factor_shifted(1.0, h, m), rhs),
+         m, 8 * (2 * m + m + (m + 1))),
+        ("operators.solve_shifted", solve_shifted, (0.3, rhs, h),
+         m, 8 * (1 + m + (m + 1))),
+        ("operators.solve_shifted", solve_shifted, (np.full(m, 0.3), rhs, h),
+         m, 8 * (m + m + (m + 1))),
+        ("model.potential_F", potential_F, (rhs, 0.4), m, 8 * (m + m)),
+    ]
+    assert set(sizes) == {name for name, *_ in cases}
+    for name, fn, args, elems, nbytes in cases:
+        result = fn(*args)
+        assert sizes[name](args, {}, result) == (elems, nbytes), name

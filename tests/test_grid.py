@@ -55,6 +55,16 @@ class TestGrid:
             Profile(g, vals)
 
 
+    def test_profile_values_read_only(self):
+        src = np.linspace(0.0, 1.0, 17)
+        p = Profile(Grid(10.0, 16), src)
+        with pytest.raises(ValueError):
+            p.values[0] = 1.0
+        # the profile holds a read-only view; the caller's array stays writable
+        src[0] = 2.0
+        assert p.values[0] == 2.0
+
+
 class TestQuadrature:
     def test_constant_exact(self):
         p = make(lambda x: np.ones_like(x))

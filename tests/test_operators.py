@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dgbsv
 
 from fhn_pulse import (
@@ -52,7 +53,101 @@ def bump_profile(
     return Profile(grid, vals)
 
 
+def banded_solve(c, rhs: np.ndarray, h: float) -> np.ndarray:
+    """Reference for solve_shifted: the symmetrized (-D2 + c) matrix in
+    upper banded storage, solved by scipy.linalg.solveh_banded."""
+    m = len(rhs)
+    ab = np.zeros((2, m))
+    ab[0, 1:] = -1.0 / h**2
+    cc = np.broadcast_to(np.asarray(c, dtype=float), (m,)).copy()
+    diag = 2.0 / h**2 + cc
+    diag[0] = 1.0 / h**2 + 0.5 * cc[0]
+    ab[1, :] = diag
+    b = np.array(rhs, dtype=float)
+    b[0] *= 0.5
+    return np.append(solveh_banded(ab, b, lower=False), 0.0)
+
+
+def expression_residual(v, u, gamma, h):
+    """Reference for _fd_residual: its rows written as one expression."""
+    m = len(v) - 1
+    r = np.empty(m)
+    r[0] = (2.0 * v[0] - 2.0 * v[1]) / h**2 + gamma * v[0] + v[0] * v[0] * v[0] - u[0]
+    vi = v[1:m]
+    r[1:m] = (
+        (-v[0 : m - 1] + 2.0 * vi - v[2 : m + 1]) / h**2
+        + gamma * vi
+        + vi * vi * vi
+        - u[1:m]
+    )
+    return r
+
+
+def reference_inhibitor_newton(
+    u: Profile, gamma: float, tol=1e-11, max_iters=50, v_init=None
+):
+    """Reference for solve_inhibitor: the same damped Newton on banded
+    solves and the expression residual, with the roundoff floor recomputed
+    from v and u on every iteration. Returns (v, interior residual, Newton
+    steps, converged)."""
+    h = u.grid.h
+    uu = u.values[:-1]
+    if v_init is None:
+        v = banded_solve(gamma, uu, h)
+    else:
+        v = v_init.values.copy()
+        v[-1] = 0.0
+
+    def tol_floor(vv):
+        vmax = float(np.max(np.abs(vv)))
+        umax = float(np.max(np.abs(uu)))
+        eps = float(np.finfo(float).eps)
+        return max(tol, 8.0 * eps * (4.0 * vmax / h**2 + gamma * vmax + vmax**3 + umax))
+
+    iters = 0
+    r = expression_residual(v, uu, gamma, h)
+    rn2 = float(np.dot(r, r))
+    converged = float(np.max(np.abs(r))) <= tol_floor(v)
+    while not converged and iters < max_iters:
+        delta = banded_solve(gamma + 3.0 * v[:-1] ** 2, -r, h)
+        t = 1.0
+        accepted = False
+        for _ in range(40):
+            r_try = expression_residual(v + t * delta, uu, gamma, h)
+            rn2_try = float(np.dot(r_try, r_try))
+            if rn2_try <= (1.0 - 2e-4 * t) * rn2:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+        v = v + t * delta
+        r, rn2 = r_try, rn2_try
+        iters += 1
+        converged = float(np.max(np.abs(r))) <= tol_floor(v)
+    return v, float(np.max(np.abs(r[1:]))), iters, converged
+
+
 class TestSolveShifted:
+    # a scalar shift and a per-node Newton coefficient gamma + 3 v^2
+    @pytest.mark.parametrize("per_node", [False, True])
+    @pytest.mark.parametrize("m", [64, 4096, 32768])
+    def test_matches_banded_solve(self, m, per_node):
+        h = 12.0 / m
+        rng = np.random.default_rng(m)
+        rhs = rng.standard_normal(m)
+        c = 0.1 + 3.0 * rng.standard_normal(m) ** 2 if per_node else 0.3
+        before = rhs.copy()
+        v = solve_shifted(c, rhs, h)
+        assert v.shape == (m + 1,)
+        assert v[-1] == 0.0
+        assert np.array_equal(rhs, before)
+        assert np.array_equal(v, banded_solve(c, rhs, h))
+
+    def test_indefinite_operator_rejected(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_shifted(-1e3, np.ones(16), 0.1)
+
     def test_matches_dense_solve(self):
         # cross-check the banded path against a dense assembly of the same
         # Neumann/Dirichlet finite-difference matrix
@@ -226,6 +321,48 @@ class TestSolveInhibitor:
         w = bump_profile(GRID, 0)
         with pytest.raises(ValueError):
             solve_inhibitor(w, 0.0)
+
+
+class TestInhibitorNewtonBits:
+    """solve_inhibitor reproduces the reference Newton loop bit for bit:
+    its in-place residual, one max |u| per call and the dptsv solves change
+    no rounding."""
+
+    @staticmethod
+    def assert_same_bits(u: Profile, gamma: float, v_init=None):
+        sol = solve_inhibitor(u, gamma, v_init=v_init)
+        v, res, iters, converged = reference_inhibitor_newton(u, gamma, v_init=v_init)
+        assert iters >= 1  # the Newton loop ran
+        assert np.array_equal(sol.v.values, v)
+        assert sol.residual_max == res
+        assert sol.newton_iters == iters
+        assert sol.converged == converged
+
+    @staticmethod
+    def warm_start(u: Profile, gamma: float) -> Profile:
+        # the response to a nearby input, as a descent step supplies it
+        nearby = Profile(u.grid, 0.9 * u.values)
+        return Profile(u.grid, reference_inhibitor_newton(nearby, gamma)[0])
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_bump_profiles(self, seed, warm):
+        u = bump_profile(GRID, seed, lo=-1.5, hi=1.5)
+        self.assert_same_bits(u, GAMMA, self.warm_start(u, GAMMA) if warm else None)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_pulse_with_negative_tail(self, cheap_pulse, warm):
+        u, gamma = cheap_pulse.u0, cheap_pulse.params.gamma
+        assert u.values.min() < 0.0
+        self.assert_same_bits(u, gamma, self.warm_start(u, gamma) if warm else None)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_residual_matches_expression(self, seed):
+        u = bump_profile(GRID, seed, lo=-1.5, hi=1.5).values
+        v = bump_profile(GRID, seed + 10, lo=-2.0, hi=1.0).values
+        assert np.array_equal(
+            _fd_residual(v, u, GAMMA, GRID.h), expression_residual(v, u, GAMMA, GRID.h)
+        )
 
 
 class TestInhibitorDerivative:
