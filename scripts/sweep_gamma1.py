@@ -24,8 +24,11 @@ def main() -> int:
     ap.add_argument("--out", default="gamma1_sweep.csv")
     args = ap.parse_args()
 
-    if not (0.0 < args.beta_min < args.beta_max < 0.5):
-        ap.error("need 0 < beta-min < beta-max < 1/2")
+    # the working window of gamma1, as `fhn-pulse sweep-gamma1` checks it
+    if not (1.0 / 3.0 < args.beta_min < args.beta_max < 0.5):
+        ap.error("need 1/3 < beta-min < beta-max < 1/2")
+    if args.steps < 1:
+        ap.error("need steps >= 1")
 
     rows = []
     for k in range(args.steps):

@@ -10,7 +10,6 @@ dynamical stability that characterize the minimizer.
 __version__ = "0.1.0"
 
 from .admissible import (
-    AdmissibleState,
     band_bounds,
     build_q0,
     detect_crossings,
@@ -66,7 +65,6 @@ from .operators import (
 )
 
 __all__ = [
-    "AdmissibleState",
     "BlowUpError",
     "ConstantsReport",
     "EnergyReport",

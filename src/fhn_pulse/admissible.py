@@ -10,12 +10,9 @@ encodes a middle band that extends to x_max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import Grid, Profile
-from .records import Record
 
 #: Tolerance on band-bound comparisons.
 BAND_TOL = 1e-12
@@ -50,27 +47,6 @@ def detect_crossings(
     return i1, i2
 
 
-@dataclass(frozen=True)
-class AdmissibleState(Record):
-    """A profile together with its band indices and a membership flag."""
-
-    profile: Profile
-    i1: int
-    i2: int | None
-    bounds_ok: bool
-
-    _exclude = ("profile",)
-    _derived = ("x1", "x2")
-
-    @property
-    def x1(self) -> float:
-        return self.i1 * self.profile.grid.h
-
-    @property
-    def x2(self) -> float | None:
-        return None if self.i2 is None else self.i2 * self.profile.grid.h
-
-
 def band_bounds(
     grid: Grid, i1: int, i2: int | None, beta: float, M: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +74,7 @@ def is_admissible(
     )
 
 
-def project(
-    w: Profile, i1: int, i2: int | None, beta: float, M: float
-) -> AdmissibleState:
+def project(w: Profile, i1: int, i2: int | None, beta: float, M: float) -> Profile:
     """Clamp w onto the admissible bands determined by (i1, i2).
 
     Idempotent, and optimal per node: each value moves to the nearest point
@@ -112,10 +86,7 @@ def project(
     if i2 is not None and not i1 < i2 <= n:
         raise ValueError(f"need i1 < i2 <= n, got i1 = {i1}, i2 = {i2}")
     lower, upper = band_bounds(w.grid, i1, i2, beta, M)
-    clipped = np.clip(w.values, lower, upper)
-    return AdmissibleState(
-        profile=Profile(w.grid, clipped), i1=i1, i2=i2, bounds_ok=True
-    )
+    return Profile(w.grid, np.clip(w.values, lower, upper))
 
 
 def build_q0(a: float, b: float, grid: Grid) -> Profile:

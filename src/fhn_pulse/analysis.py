@@ -440,8 +440,7 @@ def random_admissible_profile(
     i2 = int(rng.integers(i1 + max(4, n // 40), n // 3))
     raw = random_bumps(rng, grid, span=grid.x_max / 2.0)
     raw[: i1 + 1] += 1.0  # bias the head into [beta, 1]
-    state = project(Profile(grid, raw), i1, i2, beta, M)
-    return state.profile
+    return project(Profile(grid, raw), i1, i2, beta, M)
 
 
 def verify_inequality_suite(

@@ -1,13 +1,17 @@
 """Command-line interface: configuration loading, subcommand dispatch, and
 result emission.
 
-Subcommands: constants, solve, sweep-gamma1, verify, analyze, evolve. Each
-accepts flags plus an optional --config JSON file holding the same keys;
-explicit flags win. Every run directory receives a manifest echoing the
-effective configuration. Exit codes: 0 success, 1 usage or configuration
-error, 2 solver non-convergence, a constraint-pinned solve (active
-constraints at the end, so no standing pulse; analyze refuses such a run
-too) or blow-up, 3 verification failures.
+Subcommands: constants, solve, sweep-gamma1, verify, analyze, evolve. The
+SUBCOMMANDS table declares each key once, with its type and default, and
+the flags are made from it. An optional --config JSON file holds the same
+keys, typed as the flags: an int for a float key becomes a float; a bool
+for a number, a float for an int, a non-string path, or a null where the
+default is not None is a configuration error. Explicit flags win. Every
+run directory receives a manifest echoing the effective configuration.
+Exit codes: 0 success, 1 usage or configuration error, 2 solver
+non-convergence, a constraint-pinned solve (active constraints at the
+end, so no standing pulse; analyze refuses such a run too) or blow-up,
+3 verification failures.
 
 Numbers are written with 17 significant digits and JSON keys are sorted,
 so identical configurations produce byte-identical data files (the
@@ -22,17 +26,13 @@ import os
 import pathlib
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .admissible import build_q0
-from .analysis import (
-    check_pulse_properties,
-    hamiltonian_residual,
-    linearize,
-    verify_inequality_suite,
-)
+from .analysis import check_pulse_properties, linearize, verify_inequality_suite
 from .dynamics import BlowUpError, evolve, export_trajectory
 from .energy import EnergyReport
 from .grid import Grid, mirror, profile_from_csv, profile_to_csv
@@ -59,122 +59,105 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Mergeable keys and defaults per subcommand; _REQUIRED marks keys that must
-# come from either a flag or the config file.
-_DEFAULTS: dict[str, dict] = {
-    "constants": {"beta": _REQUIRED, "gamma": _REQUIRED, "out": None, "seed": 0},
-    "solve": {
-        "beta": _REQUIRED,
-        "gamma": _REQUIRED,
-        "d": _REQUIRED,
-        "tau": 1.0,
-        "x_max": 20.0,
-        "n": 4096,
-        "a": None,
-        "b": None,
-        "gtol": 1e-8,
-        "max_iters": 50_000,
-        "mirror": False,
-        "out": _REQUIRED,
-        "seed": 0,
-    },
-    "sweep-gamma1": {
-        "beta_min": _REQUIRED,
-        "beta_max": _REQUIRED,
-        "steps": _REQUIRED,
-        "out": _REQUIRED,
-        "seed": 0,
-    },
-    "verify": {
-        "beta": _REQUIRED,
-        "gamma": _REQUIRED,
-        "d": _REQUIRED,
-        "tau": 1.0,
-        "x_max": 30.0,
-        "n": 4096,
-        "samples": 100,
-        "seed": 0,
-        "tol": 1e-6,
-        "out": None,
-    },
-    "analyze": {"run": _REQUIRED, "out": None, "seed": 0},
-    "evolve": {
-        "run": _REQUIRED,
-        "dt": 1e-3,
-        "t_final": 10.0,
-        "snapshot_every": 0,
-        "tau": None,
-        "out": None,
-        "seed": 0,
-    },
+class _Key(NamedTuple):
+    """One configuration key: its flag and config-file type, its default
+    (_REQUIRED: a flag or the config file must supply it) and its help."""
+
+    type: type
+    default: object = _REQUIRED
+    help: str | None = None
+
+
+_RUN = _Key(str, help="directory written by the solve subcommand")
+
+# The subcommands' keys, each declared once: build_parser makes a flag of
+# every key (x_max becomes --x-max) and merge_config takes the defaults and
+# the config-file types from here. Every subcommand also takes --out, whose
+# default the row gives, and --seed.
+SUBCOMMANDS: dict[str, tuple[str, object, dict[str, _Key]]] = {
+    "constants": ("evaluate the derived constants at (beta, gamma)", None, {
+        "beta": _Key(float), "gamma": _Key(float),
+    }),
+    "solve": ("minimize the energy and emit the pulse profiles", _REQUIRED, {
+        "beta": _Key(float), "gamma": _Key(float), "d": _Key(float),
+        "tau": _Key(float, 1.0),
+        "x_max": _Key(float, 20.0),
+        "n": _Key(int, 4096),
+        "a": _Key(float, None, "initial profile plateau end"),
+        "b": _Key(float, None, "initial profile support end"),
+        "gtol": _Key(float, 1e-8),
+        "max_iters": _Key(int, 50_000),
+        "mirror": _Key(bool, False, "also write even reflections onto [-x_max, x_max]"),
+    }),
+    "sweep-gamma1": ("tabulate gamma0 and gamma1 over a beta range", _REQUIRED, {
+        "beta_min": _Key(float), "beta_max": _Key(float), "steps": _Key(int),
+    }),
+    "verify": ("run the randomized operator and energy inequality suite", None, {
+        "beta": _Key(float), "gamma": _Key(float), "d": _Key(float),
+        "tau": _Key(float, 1.0),
+        "x_max": _Key(float, 30.0),
+        "n": _Key(int, 4096),
+        "samples": _Key(int, 100),
+        "tol": _Key(float, 1e-6),
+    }),
+    "analyze": ("check pulse properties of a stored solve run", None, {"run": _RUN}),
+    "evolve": ("time-integrate the evolution from a stored solve run", None, {
+        "run": _RUN,
+        "dt": _Key(float, 1e-3),
+        "t_final": _Key(float, 10.0),
+        "snapshot_every": _Key(int, 0),
+        "tau": _Key(float, None, "override the stored tau"),
+    }),
 }
+
+
+def command_keys(command: str) -> dict[str, _Key]:
+    """Every key of a subcommand: its row of SUBCOMMANDS, then out and seed."""
+    _, out_default, keys = SUBCOMMANDS[command]
+    return {
+        **keys,
+        "out": _Key(str, out_default, "output directory (default: $%s)" % OUTDIR_ENV),
+        "seed": _Key(int, 0, "random seed echoed in the manifest"),
+    }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fhn-pulse", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, (help_text, _, _) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with the same keys as the flags")
-        p.add_argument("--out", help="output directory (default: $%s)" % OUTDIR_ENV)
-        p.add_argument("--seed", type=int, help="random seed echoed in the manifest")
-        return p
-
-    p = add("constants", "evaluate the derived constants at (beta, gamma)")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-
-    p = add("solve", "minimize the energy and emit the pulse profiles")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=float, help="initial profile plateau end")
-    p.add_argument("--b", type=float, help="initial profile support end")
-    p.add_argument("--gtol", type=float)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument(
-        "--mirror", action="store_true", default=None,
-        help="also write even reflections onto [-x_max, x_max]",
-    )
-
-    p = add("sweep-gamma1", "tabulate gamma0 and gamma1 over a beta range")
-    p.add_argument("--beta-min", type=float)
-    p.add_argument("--beta-max", type=float)
-    p.add_argument("--steps", type=int)
-
-    p = add("verify", "run the randomized operator and energy inequality suite")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--tol", type=float)
-
-    p = add("analyze", "check pulse properties of a stored solve run")
-    p.add_argument("--run", help="directory written by the solve subcommand")
-
-    p = add("evolve", "time-integrate the evolution from a stored solve run")
-    p.add_argument("--run", help="directory written by the solve subcommand")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--snapshot-every", type=int)
-    p.add_argument("--tau", type=float, help="override the stored tau")
-
+        for key, spec in command_keys(command).items():
+            flag = "--" + key.replace("_", "-")
+            if spec.type is bool:
+                p.add_argument(flag, action="store_true", default=None, help=spec.help)
+            else:
+                p.add_argument(flag, type=spec.type, help=spec.help)
     return parser
+
+
+def _typed(key: str, value, spec: _Key):
+    """A config-file value checked against its key's flag type. An int for
+    a float key becomes a float, so a file run writes the bytes of a flag
+    run; null is accepted only where the default is None."""
+    if value is None and spec.default is None:
+        return None
+    if spec.type is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not spec.type:
+        raise ConfigError(
+            f"config key {key} must be {spec.type.__name__}, got {json.dumps(value)}"
+        )
+    return value
 
 
 def merge_config(args: argparse.Namespace) -> dict:
     """Effective configuration: defaults, overlaid by the --config file,
-    overlaid by explicitly passed flags. Unknown config keys are rejected."""
-    defaults = _DEFAULTS[args.command]
-    cfg = dict(defaults)
+    overlaid by explicitly passed flags. Unknown config keys and values of
+    the wrong type are rejected."""
+    keys = command_keys(args.command)
+    cfg = {key: spec.default for key, spec in keys.items()}
     if args.config:
         try:
             file_cfg = json.loads(pathlib.Path(args.config).read_text())
@@ -182,22 +165,18 @@ def merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {err}") from err
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(defaults))
+        unknown = sorted(set(file_cfg) - set(keys))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
+        cfg.update((k, _typed(k, v, keys[k])) for k, v in file_cfg.items())
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if cfg.get("out") is _REQUIRED or cfg.get("out") is None:
-        env = os.environ.get(OUTDIR_ENV)
-        if env:
-            cfg["out"] = env
-        elif cfg.get("out") is _REQUIRED:
-            raise ConfigError(f"--out is required (or set ${OUTDIR_ENV})")
-        else:
-            cfg["out"] = None
+    if cfg["out"] is None or cfg["out"] is _REQUIRED:
+        cfg["out"] = os.environ.get(OUTDIR_ENV) or cfg["out"]
+    if cfg["out"] is _REQUIRED:
+        raise ConfigError(f"--out is required (or set ${OUTDIR_ENV})")
     missing = sorted(k for k, v in cfg.items() if v is _REQUIRED)
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
@@ -336,8 +315,7 @@ def _cmd_analyze(cfg: dict) -> int:
         return 2
     lin = linearize(result.params)
     props = check_pulse_properties(result)
-    ham = hamiltonian_residual(result.u0, result.v0, result.params)
-    ham_max = float(np.max(np.abs(ham.values[1:-1])))
+    ham_max = next(c.witness for c in props.checks if c.name == "hamiltonian_identity")
     report = {
         "linearization": lin.to_dict(),
         "properties": props.to_dict(),

@@ -66,9 +66,6 @@ class Profile:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray) -> "Profile":
-        return Profile(self.grid, values)
-
 
 def integrate(p: Profile) -> float:
     """Trapezoid quadrature of p over [0, x_max]. Exact for piecewise-linear

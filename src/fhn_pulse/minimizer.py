@@ -161,9 +161,7 @@ def build_outer_profile(params: Params, grid: Grid) -> Profile:
     return Profile(grid, u)
 
 
-def default_initial_profile(
-    params: Params, grid: Grid, inhibitor_tol: float = INHIBITOR_TOL
-) -> tuple[Profile, dict]:
+def default_initial_profile(params: Params, grid: Grid) -> tuple[Profile, dict]:
     """Scan a short list of admissible starts and keep the first with
     negative energy, else the lowest found: the reduced-problem composite
     first, then competitor ramps q0(a, b) sized to the predicted head
@@ -174,7 +172,7 @@ def default_initial_profile(
     tried: list[tuple[float, str, Profile, dict]] = []
 
     def consider(label: str, prof: Profile, meta: dict) -> bool:
-        report, _, _ = evaluate_energy(prof, params, inhibitor_tol=inhibitor_tol)
+        report, _, _ = evaluate_energy(prof, params, inhibitor_tol=INHIBITOR_TOL)
         tried.append((report.alt_total, label, prof, meta))
         return report.alt_total < 0.0
 
@@ -287,7 +285,7 @@ def _newton_polish(
     i1, i2 = _band_assignment(root, params.beta)
     if i1 is None:
         return st, None
-    projected = project(root, i1, i2, params.beta, M).profile.values
+    projected = project(root, i1, i2, params.beta, M).values
     if not np.array_equal(projected, st.u):
         return st, None
     try:
@@ -335,7 +333,7 @@ def minimize(
     weights = grid.weights()
 
     if init is None:
-        start, init_info = default_initial_profile(params, grid, INHIBITOR_TOL)
+        start, init_info = default_initial_profile(params, grid)
     else:
         if init.grid != grid:
             raise ValueError("initial profile lives on a different grid")
@@ -347,7 +345,7 @@ def minimize(
             "initial profile has no leading excursion above beta; "
             "not admissible"
         )
-    w = project(start, i1, i2, params.beta, M).profile.values.copy()
+    w = project(start, i1, i2, params.beta, M).values.copy()
     w[-1] = 0.0
 
     report, grad, sol = evaluate_energy(
@@ -399,7 +397,7 @@ def minimize(
             if i1_t is None:
                 collapse_warnings += 1
                 i1_t, i2_t = i1, i2
-            w_try = project(z, i1_t, i2_t, params.beta, M).profile.values.copy()
+            w_try = project(z, i1_t, i2_t, params.beta, M).values.copy()
             w_try[-1] = 0.0
             try:
                 report_t, grad_t, sol_t = evaluate_energy(

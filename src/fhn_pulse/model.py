@@ -111,9 +111,9 @@ def gamma0(beta: float) -> float:
 def gamma1_direct(beta: float) -> float:
     """Pulse-existence threshold gamma1 = min{gamma0, 2 (beta + F(beta)) - 1/2},
     with F(beta) inlined as (2 beta^3 - beta^4) / 12."""
-    g0 = 3.0 * beta**2 / (1.0 - 2.0 * beta) - 1.0
     if not (1.0 / 3.0 < beta < 0.5):
         raise ValueError(f"gamma1 requires beta in (1/3, 1/2), got {beta}")
+    g0 = 3.0 * beta**2 / (1.0 - 2.0 * beta) - 1.0
     return min(g0, 2.0 * (beta + (2.0 * beta**3 - beta**4) / 12.0) - 0.5)
 
 

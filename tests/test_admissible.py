@@ -59,32 +59,31 @@ class TestProject:
     def test_already_admissible_unchanged(self):
         q0 = build_q0(2.0, 3.0, GRID_H01)
         i1, i2 = detect_crossings(q0, BETA)
-        state = project(q0, i1, i2, BETA, M)
-        assert state.bounds_ok
+        proj = project(q0, i1, i2, BETA, M)
         # nodes within the band tolerance of a bound may snap onto it
-        assert np.allclose(state.profile.values, q0.values, rtol=0.0, atol=1e-12)
+        assert np.allclose(proj.values, q0.values, rtol=0.0, atol=1e-12)
 
     def test_clamps_overshoot(self):
         q0 = build_q0(2.0, 3.0, GRID_H01)
         vals = q0.values.copy()
         vals[5] = 1.3
         i1, i2 = detect_crossings(q0, BETA)
-        state = project(Profile(GRID_H01, vals), i1, i2, BETA, M)
-        assert state.profile.values[5] == 1.0
+        proj = project(Profile(GRID_H01, vals), i1, i2, BETA, M)
+        assert proj.values[5] == 1.0
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         w = Profile(GRID_H01, rng.uniform(-3.0, 2.0, 101))
         once = project(w, 20, 40, BETA, M)
-        twice = project(once.profile, 20, 40, BETA, M)
-        assert np.array_equal(once.profile.values, twice.profile.values)
-        assert is_admissible(once.profile, 20, 40, BETA, M)
+        twice = project(once, 20, 40, BETA, M)
+        assert np.array_equal(once.values, twice.values)
+        assert is_admissible(once, 20, 40, BETA, M)
 
     def test_projection_is_nearest_point(self):
         rng = np.random.default_rng(1)
         w = Profile(GRID_H01, rng.uniform(-3.0, 2.0, 101))
         i1, i2 = 20, 40
-        proj = project(w, i1, i2, BETA, M).profile
+        proj = project(w, i1, i2, BETA, M)
         d_proj = float(np.sum((proj.values - w.values) ** 2))
         lower, upper = band_bounds(GRID_H01, i1, i2, BETA, M)
         for _ in range(100):
@@ -103,9 +102,9 @@ class TestProject:
     def test_open_tail(self):
         # i2 = None leaves the mid band running to the boundary
         w = Profile(GRID_H01, np.full(101, 0.7))
-        state = project(w, 50, None, BETA, M)
-        assert np.all(state.profile.values[51:] <= BETA)
-        assert np.all(state.profile.values[:51] >= BETA)
+        proj = project(w, 50, None, BETA, M)
+        assert np.all(proj.values[51:] <= BETA)
+        assert np.all(proj.values[:51] >= BETA)
 
 
 class TestBuildQ0:
@@ -139,12 +138,12 @@ class TestBuildQ0:
 def test_projection_properties(seed, i1, i2):
     rng = np.random.default_rng(seed)
     w = Profile(GRID_H01, rng.uniform(-(M + 2.0), 2.0, 101))
-    state = project(w, i1, i2, BETA, M)
-    assert is_admissible(state.profile, i1, i2, BETA, M)
+    proj = project(w, i1, i2, BETA, M)
+    assert is_admissible(proj, i1, i2, BETA, M)
     # idempotence
-    again = project(state.profile, i1, i2, BETA, M)
-    assert np.array_equal(again.profile.values, state.profile.values)
+    again = project(proj, i1, i2, BETA, M)
+    assert np.array_equal(again.values, proj.values)
     # clamping never moves a value past the nearer bound
     lower, upper = band_bounds(GRID_H01, i1, i2, BETA, M)
-    assert np.all(state.profile.values >= lower)
-    assert np.all(state.profile.values <= upper)
+    assert np.all(proj.values >= lower)
+    assert np.all(proj.values <= upper)

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from fhn_pulse import cli
 from fhn_pulse.cli import load_solve_run, main
 from fhn_pulse.grid import profile_from_csv, profile_to_csv
 
@@ -144,6 +145,167 @@ class TestConfigMerging:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip()
+
+
+REQ = "required"
+
+# the whole CLI surface: (subcommand, key, type, default or REQ)
+SURFACE = {
+    ("constants", "beta", float, REQ),
+    ("constants", "gamma", float, REQ),
+    ("constants", "out", str, None),
+    ("constants", "seed", int, 0),
+    ("solve", "beta", float, REQ),
+    ("solve", "gamma", float, REQ),
+    ("solve", "d", float, REQ),
+    ("solve", "tau", float, 1.0),
+    ("solve", "x_max", float, 20.0),
+    ("solve", "n", int, 4096),
+    ("solve", "a", float, None),
+    ("solve", "b", float, None),
+    ("solve", "gtol", float, 1e-8),
+    ("solve", "max_iters", int, 50_000),
+    ("solve", "mirror", bool, False),
+    ("solve", "out", str, REQ),
+    ("solve", "seed", int, 0),
+    ("sweep-gamma1", "beta_min", float, REQ),
+    ("sweep-gamma1", "beta_max", float, REQ),
+    ("sweep-gamma1", "steps", int, REQ),
+    ("sweep-gamma1", "out", str, REQ),
+    ("sweep-gamma1", "seed", int, 0),
+    ("verify", "beta", float, REQ),
+    ("verify", "gamma", float, REQ),
+    ("verify", "d", float, REQ),
+    ("verify", "tau", float, 1.0),
+    ("verify", "x_max", float, 30.0),
+    ("verify", "n", int, 4096),
+    ("verify", "samples", int, 100),
+    ("verify", "tol", float, 1e-6),
+    ("verify", "out", str, None),
+    ("verify", "seed", int, 0),
+    ("analyze", "run", str, REQ),
+    ("analyze", "out", str, None),
+    ("analyze", "seed", int, 0),
+    ("evolve", "run", str, REQ),
+    ("evolve", "dt", float, 1e-3),
+    ("evolve", "t_final", float, 10.0),
+    ("evolve", "snapshot_every", int, 0),
+    ("evolve", "tau", float, None),
+    ("evolve", "out", str, None),
+    ("evolve", "seed", int, 0),
+}
+
+
+def _flags(cfg: dict) -> list[str]:
+    """The flags that say what a config file says."""
+    args = []
+    for key, val in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        args += [flag] if val is True else [flag, str(val)]
+    return args
+
+
+def _outputs(out, stdout: str) -> dict:
+    files = {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    }
+    return {"stdout": stdout.replace(str(out), "<out>"), **files}
+
+
+class TestSurface:
+    def test_keys_defaults_and_required(self):
+        actual = set()
+        for command in cli.SUBCOMMANDS:
+            for key, spec in cli.command_keys(command).items():
+                default = REQ if spec.default is cli._REQUIRED else spec.default
+                actual.add((command, key, spec.type, default))
+        assert actual == SURFACE
+
+    def test_every_key_is_a_flag(self):
+        # each key parses from its flag, x_max from --x-max
+        parser = cli.build_parser()
+        for command, key, kind, _ in SURFACE:
+            value = {float: "0.5", int: "3", str: "p"}.get(kind)
+            flag = ["--" + key.replace("_", "-")] + ([value] if value else [])
+            args = parser.parse_args([command, *flag])
+            assert getattr(args, key) == (True if kind is bool else kind(value))
+
+
+class TestConfigTyping:
+    # one run per subcommand, int-valued float keys included
+    CONFIGS = {
+        "constants": {"beta": 0.4, "gamma": 1},
+        "solve": {"beta": 0.4, "gamma": 0.1, "d": 1e-5, "x_max": 12, "n": 2048,
+                  "tau": 1, "mirror": True},
+        "sweep-gamma1": {"beta_min": 0.35, "beta_max": 0.45, "steps": 5},
+        "verify": {"beta": 0.4, "gamma": 0.3, "d": 0.005, "x_max": 30, "n": 1024,
+                   "samples": 3, "seed": 1},
+        "analyze": {},
+        "evolve": {"dt": 0.01, "t_final": 1, "snapshot_every": 50, "tau": 2},
+    }
+
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_config_file_run_matches_flag_run(
+        self, command, solve_run, tmp_path, capsys
+    ):
+        cfg = dict(self.CONFIGS[command])
+        if command in ("analyze", "evolve"):
+            cfg["run"] = str(solve_run)
+        outputs, configs = [], []
+        for side in ("flags", "config"):
+            out = tmp_path / side
+            run = {**cfg, "out": str(out)}
+            if side == "flags":
+                rc = main([command, *_flags(run)])
+            else:
+                path = tmp_path / f"{side}.json"
+                path.write_text(json.dumps(run))
+                rc = main([command, "--config", str(path)])
+            assert rc == 0
+            outputs.append(_outputs(out, capsys.readouterr().out))
+            manifest = json.loads((out / "manifest.json").read_text())
+            configs.append({k: v for k, v in manifest["config"].items() if k != "out"})
+        assert outputs[0] == outputs[1]
+        assert configs[0] == configs[1]
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("gamma", True),
+            ("n", True),
+            ("n", 1024.0),
+            ("n", "4096"),
+            ("out", 5),
+            ("n", None),
+            ("beta", None),
+            ("mirror", None),
+            ("mirror", "no"),
+        ],
+        ids=["bool_for_float", "bool_for_int", "float_for_int", "str_for_int",
+             "int_for_path", "null_int", "null_required", "null_bool", "str_for_bool"],
+    )
+    def test_wrong_typed_config_value_exits_1(
+        self, key, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FHN_PULSE_OUTDIR", raising=False)
+        run = {"beta": 0.4, "gamma": 0.1, "d": 1e-5, "x_max": 12.0, "n": 1024,
+               "out": "never", key: value}
+        (tmp_path / "cfg.json").write_text(json.dumps(run))
+        assert main(["solve", "--config", "cfg.json"]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"fhn-pulse: error: config key {key} ")
+
+    def test_null_accepted_where_default_is_none(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("FHN_PULSE_OUTDIR", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": 0.4, "gamma": 0.3, "out": None}))
+        assert main(["constants", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma"] == 0.3
 
 
 class TestSweep:

@@ -49,7 +49,7 @@ def random_admissible(seed: int, grid: Grid = GRID) -> Profile:
     if i1 is None:
         return p
     M = negative_tail_cutoff(PARAMS.beta, PARAMS.gamma)
-    return project(p, i1, i2, PARAMS.beta, M).profile
+    return project(p, i1, i2, PARAMS.beta, M)
 
 
 class TestEnergyValues:

@@ -228,7 +228,7 @@ class TestNewtonPolish:
         u = Profile(res.grid, saddle.u)
         i1, i2 = _band_assignment(u, p.beta)
         M = negative_tail_cutoff(p.beta, p.gamma)
-        assert np.array_equal(project(u, i1, i2, p.beta, M).profile.values, u.values)
+        assert np.array_equal(project(u, i1, i2, p.beta, M).values, u.values)
         j_saddle = energy(u, p).alt_total
         assert j_saddle == pytest.approx(-1.0178e-4, abs=1e-8)
         # started on the saddle, J cannot rise and the gradient is zero:

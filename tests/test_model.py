@@ -124,6 +124,13 @@ class TestThresholds:
         with pytest.raises(ValueError):
             gamma0(0.5)
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5])
+    @pytest.mark.parametrize("path", [gamma1_direct, gamma1_via_potential])
+    def test_gamma1_domain(self, path, beta):
+        # beta = 1/2 is the pole of gamma0's formula: the range test comes first
+        with pytest.raises(ValueError):
+            path(beta)
+
     @pytest.mark.parametrize("beta,ref", sorted(GAMMA1_REF.items()))
     def test_gamma1_both_paths(self, beta, ref):
         assert gamma1_direct(beta) == pytest.approx(ref, abs=1e-12)

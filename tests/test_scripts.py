@@ -1,5 +1,6 @@
 """The example scripts agree with the CLI on what counts as a standing
-pulse: converged and no active constraint at the end."""
+pulse (converged and no active constraint at the end) and on the beta
+window of the gamma1 sweep."""
 
 import os
 import pathlib
@@ -39,3 +40,17 @@ def test_run_pulse_reports_polish():
     proc = run_script("run_pulse.py", "--n", "2048")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[0].endswith(" polish=newton")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--beta-min", "0.2"], ["--steps", "0"]],
+    ids=["beta_min_below_window", "no_steps"],
+)
+def test_sweep_gamma1_rejects_bad_arguments(tmp_path, args):
+    out = tmp_path / "sweep.csv"
+    proc = run_script("sweep_gamma1.py", *args, "--out", str(out))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+    assert not out.exists()
