@@ -38,10 +38,12 @@ def main() -> int:
 
     params = Params(d=args.d, tau=1.0, gamma=args.gamma, beta=args.beta)
     grid = Grid(args.x_max, args.n)
+    try:
+        options = MinimizeOptions(gtol=args.gtol, max_iters=args.max_iters)
+    except ValueError as err:
+        ap.error(str(err))
     t0 = time.time()
-    res = minimize(
-        params, grid, options=MinimizeOptions(gtol=args.gtol, max_iters=args.max_iters)
-    )
+    res = minimize(params, grid, options=options)
     dt = time.time() - t0
 
     print(

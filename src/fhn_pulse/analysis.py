@@ -381,7 +381,9 @@ class SuiteCheck(Record):
 
     @property
     def passed(self) -> bool:
-        return self.n_pass == self.n_total
+        """Every sample passed, and there was at least one: a check that
+        saw no sample verified nothing."""
+        return self.n_total > 0 and self.n_pass == self.n_total
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,10 @@ def _cmd_sweep(cfg: dict) -> int:
 
 def _cmd_verify(cfg: dict) -> int:
     t0 = time.monotonic()
+    # the pair checks compare consecutive samples, so fewer than two
+    # leaves them nothing to check
+    if cfg["samples"] < 2:
+        raise ConfigError("samples must be at least 2")
     params = Params(d=cfg["d"], tau=cfg["tau"], gamma=cfg["gamma"], beta=cfg["beta"])
     grid = Grid(x_max=cfg["x_max"], n=cfg["n"])
     report = verify_inequality_suite(

@@ -20,8 +20,15 @@ entry and again after descent ends by gtol, and keeps the root only when
 it is admissible, leaves no constraint active, meets gtol, does not raise
 J beyond roundoff and has a positive Jacobian determinant (a negative one
 marks a saddle of odd index, not a minimizer). Otherwise descent goes on
-from where it was. A kept root counts as one accepted step; SolveResult
-records the outcome in `polish` and the coupled Newton steps taken in
+from where it was. When the entry root is refused as a saddle, a few
+descent steps usually leave the saddle's basin, so the polish is retried
+after accepted steps 1, 2, 4, 8, ... at those with no constraint active;
+the retries end at the first kept root or at the first refusal for
+another reason. That bounds the polish attempts by 2 + log2(iterations),
+and a refusal other than a saddle (the rest state past the fold) costs no
+retry. A kept root counts as one accepted step, so a retry needs one
+left within max_iters. SolveResult records the outcome in `polish` and
+the coupled Newton steps of every attempt, refused ones included, in
 `polish_steps`. The outcome is newton (a root was kept), skipped (a
 constraint stayed active), saddle (descent stopped by gtol on a root with
 a negative determinant, which is then no pulse) or fallback (any other
@@ -71,10 +78,19 @@ ACTIVE_GRADIENT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Stopping controls; both are surfaced in the CLI config."""
+    """Stopping controls; both are surfaced in the CLI config. gtol must be
+    positive and finite (descent would otherwise spend every iteration on a
+    test only an exact zero gradient meets) and max_iters nonnegative;
+    max_iters = 0 only evaluates the projected start."""
 
     gtol: float = 1e-8
     max_iters: int = 50_000
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.gtol) and self.gtol > 0.0):
+            raise ValueError(f"gtol must be positive and finite, got {self.gtol}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -321,7 +337,10 @@ def minimize(
 ) -> SolveResult:
     """Run projected descent from init (default start scan when None),
     with the coupled Newton polish at entry and after a gtol stop whenever
-    no constraint is active.
+    no constraint is active. An entry root refused as a saddle is followed
+    by retries after accepted steps 1, 2, 4, 8, ... (those with no active
+    constraint and a step left), until a root is kept or one is refused
+    for another reason: at most 2 + log2(iterations) polish attempts.
 
     Deterministic for a given config. Termination is "gtol" when the
     weighted L2 norm of the projected gradient drops to options.gtol (by
@@ -368,11 +387,14 @@ def minimize(
     prev_dw: np.ndarray | None = None
     prev_g = g
 
-    polish, polish_steps, polished = "skipped", 0, None
+    # retry_at: the accepted descent step after which the polish is tried
+    # again; 0 stops retrying
+    polish, polish_steps, polished, retry_at = "skipped", 0, None, 0
     if active_count == 0 and opts.max_iters > 0:
         polish = "fallback"
         st, polished = _newton_polish(params, grid, w, sol.v, report, M, opts.gtol)
         polish_steps = st.steps
+        retry_at = 1 if st.det_sign < 0 else 0
 
     while polished is None and iterations < opts.max_iters:
         if gnorm <= opts.gtol:
@@ -434,6 +456,17 @@ def minimize(
         iterations += 1
         history.append(J)
         gnorm, active_count = _stationarity(grid, w, g, i1, i2, params.beta, M)
+
+        # a kept root counts as a step, so a retry needs one left
+        if iterations == retry_at and iterations < opts.max_iters:
+            retry_at *= 2
+            if active_count == 0:
+                st, polished = _newton_polish(
+                    params, grid, w, sol.v, report, M, opts.gtol
+                )
+                polish_steps += st.steps
+                if st.det_sign >= 0:
+                    retry_at = 0
 
     if polished is None and converged and active_count == 0:
         st, polished = _newton_polish(params, grid, w, sol.v, report, M, opts.gtol)

@@ -8,10 +8,11 @@ Two converged pulses are computed once per session:
   3.4e-6 at these (beta, gamma)), but every qualitative pulse property
   holds, so it backs the fast unit tests.
 * fine_chain / fine_pulse: d = 1e-6 solved on n = 4096..32768 by warm-started
-  refinement, about 0.3 s total: 110 descent iterations and the polish at
-  n = 4096, then one Newton polish per finer level. The finest level has
-  J < 0 and zero active constraints; the chain levels feed the h-halving
-  order checks.
+  refinement, about 0.25 s total. At n = 4096 the entry polish lands on an
+  odd-index saddle and is refused; one descent step later the retried
+  polish keeps the pulse. Each finer level is one Newton polish. The
+  finest level has J < 0 and zero active constraints; the chain levels
+  feed the h-halving order checks.
 """
 
 import numpy as np

@@ -325,6 +325,25 @@ class TestInequalitySuite:
             "green_methods_order_h2",
         ]
 
+    def test_check_without_samples_fails(self):
+        # a check that saw no sample verified nothing: one sample leaves the
+        # pair checks empty, and each of them must fail, not pass 0/0
+        assert not analysis.SuiteCheck("empty", 0, 0, 0.0, 1e-6).passed
+        assert analysis.SuiteCheck("one", 1, 1, 0.0, 1e-6).passed
+        params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
+        report = verify_inequality_suite(params, Grid(30.0, 256), 1, seed=0)
+        empty = [c for c in report.checks if c.n_total == 0]
+        assert [c.name for c in empty] == [
+            "response_lipschitz",
+            "response_monotone",
+            "resolvent_sandwich",
+            "resolvent_self_adjoint",
+            "nonlocal_difference_positive",
+        ]
+        assert not any(c.passed for c in empty)
+        assert not report.all_passed
+        assert "[FAIL] response_lipschitz: 0/0 " in report.to_text()
+
     def test_seeded_samples_reproducible(self):
         g = Grid(20.0, 512)
         M = negative_tail_cutoff(0.4, 0.3)

@@ -97,6 +97,21 @@ class TestSolve:
         assert rc == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--gtol", "-1", "--max-iters", "300"], ["--gtol", "inf"],
+         ["--max-iters", "-3"]],
+        ids=["negative_gtol", "infinite_gtol", "negative_max_iters"],
+    )
+    def test_bad_stopping_controls_exit_1_without_files(self, tmp_path, capsys, flags):
+        out = tmp_path / "never"
+        rc = main(SOLVE_ARGS + flags + ["--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("fhn-pulse: error: ")
+        assert "gtol" in err or "max_iters" in err
+
     def test_half_specified_init_rejected(self, tmp_path):
         out = tmp_path / "never2"
         rc = main(SOLVE_ARGS + ["--a", "1.0", "--out", str(out)])
@@ -347,6 +362,20 @@ class TestVerify:
         assert rc == 0
         assert "overall: pass" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("samples", ["0", "1", "-2"])
+    def test_too_few_samples_exit_1_without_files(self, tmp_path, capsys, samples):
+        # the pair checks need two samples; fewer would report checks that
+        # saw nothing
+        out = tmp_path / "never"
+        rc = main(["verify", "--beta", "0.4", "--gamma", "0.3", "--d", "0.005",
+                   "--n", "256", "--samples", samples, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fhn-pulse: error: samples must be at least 2\n"
 
 
 class TestAnalyze:

@@ -202,6 +202,24 @@ class TestOptions:
         assert res.iterations == 3
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"gtol": 0.0}, {"gtol": -1.0}, {"gtol": float("nan")},
+         {"gtol": float("inf")}, {"max_iters": -3}],
+        ids=["zero_gtol", "negative_gtol", "nan_gtol", "inf_gtol", "negative_max_iters"],
+    )
+    def test_invalid_options_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            MinimizeOptions(**kwargs)
+
+    def test_zero_max_iters_evaluates_start(self):
+        res = minimize(
+            CHEAP_PARAMS, CHEAP_GRID, options=MinimizeOptions(max_iters=0)
+        )
+        assert res.iterations == 0 and res.termination == "max_iters"
+        assert res.polish == "skipped" and res.polish_steps == 0
+
+
 class TestNewtonPolish:
     def test_cold_and_warm_solves_agree(self, fine_chain):
         # the cold solve polishes from the default start, the chain level
@@ -217,7 +235,7 @@ class TestNewtonPolish:
     def test_odd_index_root_rejected(self, fine_chain):
         # from the cold n = 4096 start Newton lands on an admissible saddle
         # root with a negative Jacobian determinant. Descent must go on past
-        # it to the minimizer, which the second polish then keeps.
+        # it, and a later polish keeps the minimizer.
         res = fine_chain[4096]
         p = FINE_PARAMS
         start, _ = default_initial_profile(p, res.grid)
@@ -253,12 +271,66 @@ class TestNewtonPolish:
             assert fine_chain[n].iterations == 1
 
     def test_rejected_root_falls_back(self):
-        # the saddle is rejected at entry; descent then runs out of steps
+        # the saddle is rejected at entry; the one descent step leaves no
+        # budget for a retry, whose kept root would count as a second step
         res = minimize(
-            FINE_PARAMS, Grid(12.0, 4096), options=MinimizeOptions(max_iters=5)
+            FINE_PARAMS, Grid(12.0, 4096), options=MinimizeOptions(max_iters=1)
         )
         assert res.polish == "fallback" and res.polish_steps > 0
-        assert res.termination == "max_iters" and res.iterations == 5
+        assert res.termination == "max_iters" and res.iterations == 1
+
+    def test_refused_saddle_retried(self, fine_chain):
+        # the entry polish lands on the saddle; the retry after the first
+        # descent step already reaches the minimizer
+        res = minimize(FINE_PARAMS, Grid(12.0, 4096), options=MinimizeOptions(gtol=1e-8))
+        assert res.polish == "newton" and res.termination == "gtol"
+        assert res.iterations <= 3
+        assert res.energy.alt_total == pytest.approx(-1.0900e-4, abs=1e-8)
+        assert np.array_equal(res.u0.values, fine_chain[4096].u0.values)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 4])
+    def test_retry_within_max_iters(self, max_iters):
+        res = minimize(
+            FINE_PARAMS, Grid(12.0, 4096), options=MinimizeOptions(max_iters=max_iters)
+        )
+        assert res.iterations <= max_iters
+        assert len(res.energy_history) == res.iterations + 1
+        assert res.polish == ("fallback" if max_iters == 1 else "newton")
+
+    def test_retries_end_at_other_refusal(self):
+        # with a gtol no root meets, the retry after the first descent step
+        # is refused for its gradient, not its determinant: the retries end
+        # there, and six more descent steps add no polish steps
+        runs = [
+            minimize(
+                FINE_PARAMS, Grid(12.0, 4096),
+                options=MinimizeOptions(gtol=1e-20, max_iters=m),
+            )
+            for m in (2, 8)
+        ]
+        for res, m in zip(runs, (2, 8)):
+            assert res.polish == "fallback" and res.iterations == m
+        assert runs[0].polish_steps == runs[1].polish_steps
+
+    def test_rest_state_refusal_not_retried(self):
+        # past the fold the entry polish is refused for its inadmissible
+        # rest-state root, not for a saddle: no retry may follow, so the
+        # polish steps are the entry attempt's alone. At n = 4096 (the
+        # criterion-4 grid) no constraint is active after the first descent
+        # step, so a retry there would run; at n = 1024 one always is.
+        params = Params(d=0.005, tau=1.0, gamma=0.1, beta=0.4)
+        grid = Grid(20.0, 4096)
+        res = minimize(params, grid)
+        start, _ = default_initial_profile(params, grid)
+        i1, i2 = _band_assignment(start, params.beta)
+        M = negative_tail_cutoff(params.beta, params.gamma)
+        w = project(start, i1, i2, params.beta, M).values.copy()
+        w[-1] = 0.0
+        report, _, sol = evaluate_energy(Profile(grid, w), params, inhibitor_tol=1e-11)
+        entry, kept = _newton_polish(params, grid, w, sol.v, report, M, 1e-8)
+        assert kept is None and entry.det_sign > 0
+        assert res.polish_steps == entry.steps > 0
+        assert res.active_constraint_count > 0 and not res.is_pulse
 
     def test_rest_state_root_rejected(self):
         # past the fold the entry polish runs down to the rest state u = v = 0,

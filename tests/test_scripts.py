@@ -54,3 +54,11 @@ def test_sweep_gamma1_rejects_bad_arguments(tmp_path, args):
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
     assert not out.exists()
+
+
+def test_run_pulse_rejects_bad_stopping_controls():
+    proc = run_script("run_pulse.py", "--n", "256", "--gtol", "-1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error: gtol must be positive and finite" in proc.stderr
+    assert proc.stdout == ""
