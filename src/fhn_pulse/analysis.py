@@ -461,9 +461,19 @@ def verify_inequality_suite(
     self-adjointness, positivity of the nonlocal quadratic form (both the
     plain and difference forms), the positive/negative-part decomposition
     lower bound, the two-form energy identity, the response-energy identity,
-    the closed-form competitor gap against -M0, and the energy lower bound
-    -M1. A grid-refinement order check for the two resolvent code paths
-    runs on three analytic bump profiles.
+    the competitor gap against -M0, and the energy lower bound -M1. A
+    grid-refinement order check for the two resolvent code paths runs on
+    three analytic bump profiles.
+
+    The competitor gap lemma is carried by competitor_gap_closed_form, the
+    closed-form bound chain. competitor_gap_on_grid evaluates the same
+    competitor q0(a_q0, b_q0) at d = d0 on the grid, as a cross-check that
+    depends on resolution: its ramp [a_q0, b_q0] is far narrower than any
+    grid spacing a run can afford (a ~ 8e-7 at the criterion-2 parameters,
+    against h = 7.3e-3 at n = 4096), so on the grid q0 is a one-node spike
+    whose energy scales with h, and the check fails on coarse grids (n =
+    256 there) where no inequality is violated. Its detail prints [a, b]
+    and h.
     """
     rng = np.random.default_rng(seed)
     beta, gamma = params.beta, params.gamma
@@ -658,14 +668,17 @@ def verify_inequality_suite(
         )
     )
 
-    # grid evaluation of the constructive competitor at d = d0
+    # grid evaluation of the constructive competitor at d = d0: a
+    # cross-check that depends on resolution, since on any affordable grid
+    # q0(a_q0, b_q0) is a one-node spike (see the docstring)
     params_d0 = Params(d=consts.d0, tau=params.tau, gamma=gamma, beta=beta)
     q_tiny = build_q0(consts.a_q0, consts.b_q0, grid)
     report_tiny, _, _ = evaluate_energy(q_tiny, params_d0)
     checks.append(
         margins_to_check(
             "competitor_gap_on_grid", [-consts.M0 - report_tiny.total], 0.0,
-            f"energy(q0(a_q0, b_q0)) at d=d0 is {report_tiny.total:.3e}",
+            f"energy(q0(a_q0, b_q0)) at d=d0 is {report_tiny.total:.3e}; "
+            f"[a, b] = [{consts.a_q0:.3e}, {consts.b_q0:.3e}], h = {grid.h:.3e}",
         )
     )
 

@@ -13,6 +13,7 @@ converged pulse a fixed point of the map up to its gradient tolerance.
 
 from __future__ import annotations
 
+import math
 import pathlib
 from dataclasses import dataclass
 
@@ -72,13 +73,18 @@ def evolve(
     Steps the activator implicitly in diffusion, then the inhibitor
     implicitly in diffusion and linear decay using the updated activator.
     Snapshots are recorded at t = 0, every `snapshot_every` steps when
-    positive, and at the final time. Raises BlowUpError when either field
-    exceeds ten times the a-priori bound or stops being finite.
+    positive, and at the final time. dt, t_final and their ratio must be
+    positive and finite and snapshot_every nonnegative (ValueError
+    otherwise). Raises BlowUpError when either field exceeds ten times the
+    a-priori bound or stops being finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_final <= 0.0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
+    for name, value in (("dt", dt), ("t_final", t_final)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be nonnegative, got {snapshot_every}")
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"t_final / dt must be finite, got {t_final} / {dt}")
     grid = u_init.grid
     if v_init.grid != grid:
         raise ValueError("activator and inhibitor live on different grids")

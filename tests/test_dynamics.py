@@ -2,6 +2,7 @@
 first-order accuracy in dt, blow-up detection, and trajectory export."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,23 @@ class TestStepping:
         other = Grid(10.0, 128)
         with pytest.raises(ValueError):
             evolve(PARAMS, u0, Profile(other, np.zeros(129)), dt=0.1, t_final=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"dt": float("nan")}, "dt"),
+            ({"dt": float("inf")}, "dt"),
+            ({"t_final": float("inf")}, "t_final"),
+            ({"t_final": float("nan")}, "t_final"),
+            ({"snapshot_every": -3}, "snapshot_every"),
+            ({"dt": 5e-324}, "t_final / dt"),
+        ],
+    )
+    def test_non_finite_or_negative_controls_rejected(self, kwargs, key):
+        u0, v0 = gaussian_state(Grid(10.0, 64))
+        args = {"dt": 0.1, "t_final": 1.0, "snapshot_every": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
+            evolve(PARAMS, u0, v0, **args)
 
     def test_blow_up_detected(self):
         g = Grid(10.0, 64)

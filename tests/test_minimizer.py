@@ -272,9 +272,12 @@ class TestNewtonPolish:
 
     def test_rejected_root_falls_back(self):
         # the saddle is rejected at entry; the one descent step leaves no
-        # budget for a retry, whose kept root would count as a second step
+        # budget for a retry, whose kept root would count as a second step.
+        # The start-scan profile is passed in, so the entry polish runs
+        grid = Grid(12.0, 4096)
         res = minimize(
-            FINE_PARAMS, Grid(12.0, 4096), options=MinimizeOptions(max_iters=1)
+            FINE_PARAMS, grid, init=default_initial_profile(FINE_PARAMS, grid)[0],
+            options=MinimizeOptions(max_iters=1),
         )
         assert res.polish == "fallback" and res.polish_steps > 0
         assert res.termination == "max_iters" and res.iterations == 1
@@ -288,10 +291,24 @@ class TestNewtonPolish:
         assert res.energy.alt_total == pytest.approx(-1.0900e-4, abs=1e-8)
         assert np.array_equal(res.u0.values, fine_chain[4096].u0.values)
 
+    def test_start_scan_defers_polish(self):
+        # from the start scan the first polish comes after one descent step:
+        # with no step left there is none, and the one after step 1 keeps
+        # the minimizer in a few Newton steps
+        grid = Grid(12.0, 4096)
+        first = minimize(FINE_PARAMS, grid, options=MinimizeOptions(max_iters=1))
+        assert first.polish == "skipped" and first.polish_steps == 0
+        res = minimize(FINE_PARAMS, grid)
+        assert res.polish == "newton" and res.iterations == 2
+        assert res.polish_steps <= 12
+        assert res.energy.alt_total == pytest.approx(-1.0900e-4, abs=1e-8)
+
     @pytest.mark.parametrize("max_iters", [1, 2, 3, 4])
     def test_retry_within_max_iters(self, max_iters):
+        grid = Grid(12.0, 4096)
         res = minimize(
-            FINE_PARAMS, Grid(12.0, 4096), options=MinimizeOptions(max_iters=max_iters)
+            FINE_PARAMS, grid, init=default_initial_profile(FINE_PARAMS, grid)[0],
+            options=MinimizeOptions(max_iters=max_iters),
         )
         assert res.iterations <= max_iters
         assert len(res.energy_history) == res.iterations + 1
@@ -320,8 +337,8 @@ class TestNewtonPolish:
         # step, so a retry there would run; at n = 1024 one always is.
         params = Params(d=0.005, tau=1.0, gamma=0.1, beta=0.4)
         grid = Grid(20.0, 4096)
-        res = minimize(params, grid)
         start, _ = default_initial_profile(params, grid)
+        res = minimize(params, grid, init=start)
         i1, i2 = _band_assignment(start, params.beta)
         M = negative_tail_cutoff(params.beta, params.gamma)
         w = project(start, i1, i2, params.beta, M).values.copy()
@@ -337,7 +354,8 @@ class TestNewtonPolish:
         # an exact root whose residual ends subnormal; it must stop there and
         # be refused, leaving descent its constraint-pinned verdict
         params = Params(d=0.005, tau=1.0, gamma=0.1, beta=0.4)
-        res = minimize(params, Grid(20.0, 1024))
+        grid = Grid(20.0, 1024)
+        res = minimize(params, grid, init=default_initial_profile(params, grid)[0])
         assert res.polish == "fallback" and res.polish_steps > 0
         assert res.converged and res.active_constraint_count > 0
 

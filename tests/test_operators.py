@@ -15,13 +15,16 @@ from fhn_pulse import (
     Grid,
     Profile,
     apply_green,
+    compute_constants,
     negative_tail_cutoff,
     solve_inhibitor,
 )
+from fhn_pulse.analysis import random_admissible_profile, random_bumps
 from fhn_pulse.operators import (
     STEADY_KL,
     STEADY_KU,
     _band_lu_det_sign,
+    _cubic_balance,
     _fd_residual,
     _gradient_values,
     factor_shifted,
@@ -88,12 +91,16 @@ def reference_inhibitor_newton(
 ):
     """Reference for solve_inhibitor: the same damped Newton on banded
     solves and the expression residual, with the roundoff floor recomputed
-    from v and u on every iteration. Returns (v, interior residual, Newton
-    steps, converged)."""
+    from v and u on every iteration. A cold start is the linear response
+    moved node by node to the real root of w^3 + gamma w = gamma v_L.
+    Returns (v, interior residual, Newton steps, converged)."""
     h = u.grid.h
     uu = u.values[:-1]
     if v_init is None:
-        v = banded_solve(gamma, uu, h)
+        vl = banded_solve(gamma, uu, h)
+        v = 2.0 * np.sqrt(gamma / 3.0) * np.sinh(
+            np.arcsinh(1.5 * np.sqrt(3.0 / gamma) * vl) / 3.0
+        )
     else:
         v = v_init.values.copy()
         v[-1] = 0.0
@@ -363,6 +370,45 @@ class TestInhibitorNewtonBits:
         assert np.array_equal(
             _fd_residual(v, u, GAMMA, GRID.h), expression_residual(v, u, GAMMA, GRID.h)
         )
+
+
+class TestColdStart:
+    """The cold inhibitor start: the linear response moved node by node to
+    the real root of the local cubic balance."""
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.1, 0.3, 10.0])
+    def test_closed_form_solves_local_cubic(self, gamma):
+        mag = np.logspace(-12, 3, 1000)
+        vl = np.concatenate((-mag, mag, np.linspace(-1e3, 1e3, 2001)))
+        w = _cubic_balance(vl, gamma)
+        assert np.all(
+            np.abs(w * w * w + gamma * w - gamma * vl) <= 1e-13 * gamma * np.abs(vl)
+        )
+        assert np.all(np.isfinite(_cubic_balance(np.array([-1e300, 1e300]), gamma)))
+        assert _cubic_balance(np.zeros(1), gamma)[0] == 0.0
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.3])
+    def test_fewer_newton_steps_than_linear_start(self, gamma):
+        # seeded admissible and smooth samples, as the inequality suite
+        # draws them, solved cold and from the linear response
+        grid = Grid(30.0, 1024)
+        rng = np.random.default_rng(1024)
+        M = compute_constants(0.4, gamma).M
+        samples = [random_admissible_profile(rng, grid, 0.4, M) for _ in range(10)]
+        samples += [
+            Profile(grid, random_bumps(rng, grid, span=grid.x_max / 2.0))
+            for _ in range(10)
+        ]
+        cold_steps = linear_steps = 0
+        for w in samples:
+            linear = Profile(grid, solve_shifted(gamma, w.values[:-1], grid.h))
+            cold = solve_inhibitor(w, gamma)
+            warm = solve_inhibitor(w, gamma, v_init=linear)
+            assert cold.converged and warm.converged
+            assert np.max(np.abs(cold.v.values - warm.v.values)) <= 1e-8
+            cold_steps += cold.newton_iters
+            linear_steps += warm.newton_iters
+        assert cold_steps <= 0.75 * linear_steps
 
 
 class TestInhibitorDerivative:
