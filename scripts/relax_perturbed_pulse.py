@@ -7,6 +7,7 @@ trend is the experiment.
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
@@ -34,6 +35,14 @@ def main() -> int:
     ap.add_argument("--t-final", type=float, default=10.0)
     ap.add_argument("--snapshots", type=int, default=10)
     args = ap.parse_args()
+    # checked before the pulse solve, which takes most of the run
+    for flag, value in (("--dt", args.dt), ("--t-final", args.t_final)):
+        if not (value > 0.0 and math.isfinite(value)):
+            ap.error(f"{flag} must be positive and finite, got {value}")
+    if not math.isfinite(args.t_final / args.dt):
+        ap.error(f"--t-final / --dt must be finite, got {args.t_final} / {args.dt}")
+    if args.snapshots < 1:
+        ap.error(f"--snapshots must be at least 1, got {args.snapshots}")
 
     params = Params(d=args.d, tau=args.tau, gamma=args.gamma, beta=args.beta)
     grid = Grid(args.x_max, args.n)

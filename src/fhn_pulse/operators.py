@@ -65,13 +65,20 @@ def _shifted_tridiagonal(
     return diag, np.full(m - 1, -1.0 / h**2)
 
 
-def _rhs_buffer(rhs: np.ndarray) -> np.ndarray:
+def _rhs_buffer(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Output buffer of a shifted solve: rhs with its ghost row halved as
-    the symmetrized matrix's row 0 is, then the Dirichlet zero. The solvers
-    overwrite the first len(rhs) entries in place; rhs is left unmodified."""
+    the symmetrized matrix's row 0 is, then the Dirichlet zero. It is
+    written into `out` when given (a contiguous float64 array of length
+    len(rhs) + 1; rhs may be out[:-1] itself), else into a fresh array. The
+    solvers overwrite the first len(rhs) entries in place; an rhs that is
+    not out[:-1] is left unmodified."""
     m = len(rhs)
-    out = np.empty(m + 1)
-    out[:m] = rhs
+    if out is None:
+        out = np.empty(m + 1)
+    elif not (out.shape == (m + 1,) and out.dtype == np.float64 and out.flags.c_contiguous):
+        # LAPACK would solve in a silent copy of any other buffer
+        raise ValueError("out must be a contiguous float64 array of length len(rhs) + 1")
+    out[:m] = rhs  # a no-op when rhs is out[:m]
     out[0] *= 0.5
     out[m] = 0.0
     return out
@@ -113,11 +120,16 @@ def factor_shifted(c: float, h: float, m: int) -> np.ndarray:
     return factor
 
 
-def solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_factored(
+    factor: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Solve (-D2 + c) V = rhs with a factor_shifted factorization; rhs has
-    one entry per unknown and is left unmodified, the returned array has the
-    Dirichlet zero appended. dpttrs solves in place in the output buffer."""
-    out = _rhs_buffer(rhs)
+    one entry per unknown, the returned array has the Dirichlet zero
+    appended. dpttrs solves in place in the output buffer: a fresh array by
+    default, else `out` (contiguous float64, length len(rhs) + 1), which is
+    returned. rhs may be out[:-1], so a right-hand side written into out is
+    solved where it stands; any other rhs is left unmodified."""
+    out = _rhs_buffer(rhs, out)
     dpttrs(factor[0], factor[1, :-1], out[:-1], overwrite_b=1)
     return out
 

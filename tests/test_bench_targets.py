@@ -9,7 +9,9 @@ import pathlib
 
 import numpy as np
 
-from fhn_pulse.model import potential_F
+from fhn_pulse import dynamics
+from fhn_pulse.grid import Grid, Profile
+from fhn_pulse.model import Params, potential_F
 from fhn_pulse.operators import factor_shifted, solve_factored, solve_shifted
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -56,3 +58,28 @@ def test_kernel_size_hooks_on_real_calls():
     for name, fn, args, elems, nbytes in cases:
         result = fn(*args)
         assert sizes[name](args, {}, result) == (elems, nbytes), name
+
+
+def test_evolve_calls_traced_kernels_through_its_bindings(monkeypatch):
+    # the tracer counts solve_factored and reaction_f calls on relax by
+    # replacing fhn_pulse.dynamics' bindings; an evolve that bound them
+    # elsewhere, or stopped calling them per step, would drop those counts
+    calls = {"solve_factored": 0, "reaction_f": 0}
+
+    def counted(name):
+        fn = getattr(dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counted(name))
+    g = Grid(10.0, 64)
+    u0 = Profile(g, 0.8 * np.exp(-((g.nodes() - 2.0) ** 2)))
+    z = Profile(g, np.zeros(65))
+    traj = dynamics.evolve(Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4), u0, z, 0.1, 0.5)
+    assert traj.n_steps == 5
+    assert calls == {"solve_factored": 10, "reaction_f": 5}

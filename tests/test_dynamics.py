@@ -1,5 +1,6 @@
 """Semi-implicit evolution: exact invariants, the pulse as a fixed point,
-first-order accuracy in dt, blow-up detection, and trajectory export."""
+first-order accuracy in dt, the in-place step against the step written
+as formulas, blow-up detection, and trajectory export."""
 
 import json
 import re
@@ -10,6 +11,8 @@ import pytest
 from fhn_pulse import Grid, Params, Profile, evolve
 from fhn_pulse.dynamics import BlowUpError, export_trajectory
 from fhn_pulse.grid import profile_from_csv
+from fhn_pulse.model import reaction_f
+from fhn_pulse.operators import factor_shifted, solve_factored
 
 PARAMS = Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4)
 
@@ -63,6 +66,54 @@ class TestAccuracy:
         e1 = np.max(np.abs(finals[1e-2] - finals[5e-3]))
         e2 = np.max(np.abs(finals[5e-3] - finals[2.5e-3]))
         assert 1.7 <= e1 / e2 <= 2.3  # measured 1.993
+
+
+def formula_snapshots(params, u0, v0, dt, n_steps, snapshot_every):
+    """evolve's schedule with each step written as formulas on fresh
+    arrays and copying solves: the reference the in-place step must
+    reproduce bit for bit."""
+    d, tau, gamma, beta = params.d, params.tau, params.gamma, params.beta
+    h, m = u0.grid.h, u0.grid.n
+    factor_u = factor_shifted(1.0 / (dt * d), h, m)
+    factor_v = factor_shifted(tau / dt + gamma, h, m)
+    u = np.array(u0.values)
+    v = np.array(v0.values)
+    u[-1] = v[-1] = 0.0
+    snaps = [(u, v)]
+    for step in range(1, n_steps + 1):
+        rhs_u = (u + dt * (reaction_f(u, beta) - v)) / (dt * d)
+        u = solve_factored(factor_u, rhs_u[:-1])
+        rhs_v = (tau / dt) * v + u - v * v * v
+        v = solve_factored(factor_v, rhs_v[:-1])
+        if step % snapshot_every == 0 or step == n_steps:
+            snaps.append((u, v))
+    return snaps
+
+
+class TestInPlaceStep:
+    # n = 32768 puts each field above numpy's 256 KiB temporary-elision
+    # threshold, so the formula reference reuses its temporaries there
+    @pytest.mark.parametrize("n", [1024, 32768])
+    def test_bit_equal_to_formula_step(self, n):
+        params = Params(d=0.01, tau=2.5, gamma=0.3, beta=0.4)
+        u0, v0 = gaussian_state(Grid(10.0, n))
+        traj = evolve(params, u0, v0, dt=1e-3, t_final=0.02, snapshot_every=3)
+        ref = formula_snapshots(params, u0, v0, 1e-3, 20, 3)
+        assert traj.times == pytest.approx([0.0, 0.003, 0.006, 0.009, 0.012,
+                                            0.015, 0.018, 0.02])
+        assert len(traj.snapshots) == len(ref)
+        for (u, v), (u_ref, v_ref) in zip(traj.snapshots, ref):
+            assert np.array_equal(u.values, u_ref)
+            assert np.array_equal(v.values, v_ref)
+        # the state moves between snapshots, and no snapshot shares memory
+        # with another, so a snapshot aliasing a swapped buffer (written
+        # by a later step) would have failed the comparisons above
+        arrays = [p.values for pair in traj.snapshots for p in pair]
+        for a, b in zip(ref, ref[1:]):
+            assert not np.array_equal(a[0], b[0])
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestStepping:
@@ -128,6 +179,33 @@ class TestStepping:
         with pytest.raises(BlowUpError) as exc:
             evolve(Params(d=0.01, tau=1.0, gamma=0.1, beta=0.4), big, z, 0.01, 1.0)
         assert exc.value.time == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+    @pytest.mark.parametrize("field", ["u", "v"])
+    def test_bound_checked_per_field_and_sign(self, field, sign):
+        # a start at +-100 in one field, 0 in the other: with dt = 1e-5 the
+        # explicit cubic pulls the field to about +-90 in one step, past the
+        # bound 10 (M + 2) = 32.1, while the other field moves by ~1e-3
+        g = Grid(10.0, 64)
+        big = Profile(g, np.full(65, sign * 100.0))
+        z = Profile(g, np.zeros(65))
+        u0, v0 = (big, z) if field == "u" else (z, big)
+        with pytest.raises(BlowUpError) as exc:
+            evolve(PARAMS, u0, v0, 1e-5, 1e-4)
+        assert exc.value.time == pytest.approx(1e-5)
+
+    def test_non_finite_inhibitor_alone_detected(self):
+        # v = -+1e103 on neighbouring nodes: v^3 overflows to +-inf there,
+        # and the solve's forward sweep adds the two, spreading NaN over v;
+        # dt = 1e-104 keeps the activator's step dt * v at 0.1
+        g = Grid(10.0, 64)
+        vals = np.zeros(65)
+        vals[10:12] = (-1e103, 1e103)
+        z = Profile(g, np.zeros(65))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as exc:
+                evolve(PARAMS, z, Profile(g, vals), 1e-104, 1e-104)
+        assert exc.value.time == pytest.approx(1e-104)
 
     def test_non_finite_state_detected(self):
         # Profile refuses a non-finite start, so make the first step NaN:

@@ -193,6 +193,34 @@ class TestSolveFactored:
         # a silently copied right-hand side would leave v unsolved
         assert np.max(np.abs(v - ref)) <= 1e-11 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("c", [1e9, 1000.1])
+    @pytest.mark.parametrize("m", [64, 32768])
+    def test_out_buffer_matches_copying_solve(self, m, c):
+        factor = factor_shifted(c, 12.0 / m, m)
+        rhs = np.random.default_rng(m).standard_normal(m)
+        before = rhs.copy()
+        ref = solve_factored(factor, rhs)
+        # the right-hand side written into the buffer, solved where it stands
+        buf = np.empty(m + 1)
+        buf[:-1] = rhs
+        assert solve_factored(factor, buf[:-1], out=buf) is buf
+        assert np.array_equal(buf, ref)
+        # a separate right-hand side is read, not written
+        out = np.full(m + 1, np.nan)
+        assert solve_factored(factor, rhs, out=out) is out
+        assert np.array_equal(out, ref)
+        assert np.array_equal(rhs, before)
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(17), np.empty(15), np.empty(16, dtype=np.float32), np.empty(32)[::2]],
+        ids=["long", "short", "float32", "strided"],
+    )
+    def test_out_buffer_validated(self, out):
+        # LAPACK would solve in a silent copy of such a buffer
+        with pytest.raises(ValueError, match="out must be"):
+            solve_factored(factor_shifted(0.5, 0.1, 15), np.ones(15), out=out)
+
     def test_factor_layout(self):
         factor = factor_shifted(0.5, 0.1, 16)
         assert factor.shape == (2, 16) and factor.dtype == np.float64

@@ -62,3 +62,27 @@ def test_run_pulse_rejects_bad_stopping_controls():
     assert "Traceback" not in proc.stderr
     assert "error: gtol must be positive and finite" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--snapshots", "0"], "--snapshots must be at least 1"),
+        (["--snapshots", "-2"], "--snapshots must be at least 1"),
+        (["--dt", "0"], "--dt must be positive and finite"),
+        (["--dt", "-0.001"], "--dt must be positive and finite"),
+        (["--dt", "nan"], "--dt must be positive and finite"),
+        (["--t-final", "0"], "--t-final must be positive and finite"),
+        (["--t-final", "inf"], "--t-final must be positive and finite"),
+        (["--dt", "5e-324"], "--t-final / --dt must be finite"),
+    ],
+    ids=["no_snapshots", "negative_snapshots", "zero_dt", "negative_dt", "nan_dt",
+         "zero_t_final", "inf_t_final", "overflowing_step_count"],
+)
+def test_relax_rejects_bad_time_controls_before_solving(args, message):
+    proc = run_script("relax_perturbed_pulse.py", *args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"error: {message}" in proc.stderr
+    # rejected before the pulse solve, which would print its "pulse:" line
+    assert proc.stdout == ""
