@@ -191,20 +191,15 @@ def _hysteresis_crossings(
     values: np.ndarray, level: float, delta: float
 ) -> tuple[int, int]:
     """Count downward and upward crossings of `level` with hysteresis band
-    +-delta; excursions that never leave the band are ignored."""
-    state = 0  # +1 above, -1 below, 0 undecided
-    down = up = 0
-    for val in values:
-        s = val - level
-        if s > delta:
-            if state == -1:
-                up += 1
-            state = 1
-        elif s < -delta:
-            if state == 1:
-                down += 1
-            state = -1
-    return down, up
+    +-delta; excursions that never leave the band are ignored.
+
+    Each node is +1 above the band, -1 below it and 0 inside it (NaN
+    included); with the 0s dropped, a crossing is a change of sign between
+    neighbours."""
+    s = values - level
+    side = (s > delta).astype(np.int8) - (s < -delta)
+    jumps = np.diff(side[side != 0])
+    return int(np.count_nonzero(jumps < 0)), int(np.count_nonzero(jumps > 0))
 
 
 # Inputs a property check may require. A check whose input is missing fails

@@ -21,27 +21,29 @@ leaves no constraint active, meets gtol, does not raise J beyond
 roundoff and has a positive Jacobian determinant (a negative one marks a
 saddle of odd index, not a minimizer). Otherwise descent goes on from
 where it was. A supplied start (a warm start, a refinement level, a q0
-ramp) is polished at entry. A start from the default scan is an
-asymptotic composite or a ramp, outside Newton's contraction region:
-polished from there, Newton wanders (at n = 4096 to a saddle) for a step
-count that hangs on the last bits of v, while one descent step later it
-converges in a few steps. So such a start is first polished after
-accepted step 1. When a root is refused as a saddle, a few descent steps
-usually leave the saddle's basin, so the polish is tried (again) after
-accepted steps 1, 2, 4, 8, ... at those with no constraint active; the
-tries end at the first kept root or at the first refusal for another
-reason, and a refusal other than a saddle (the rest state past the fold)
-costs no retry. The polish runs once more after descent ends by gtol.
-That bounds the attempts by 2 + log2(iterations) for a default-scan
-start and by one more, the entry polish, for a supplied one. A kept root
-counts as one accepted step, so a try after a descent step needs one
-left within max_iters. SolveResult records the outcome in `polish` and
-the coupled Newton steps of every attempt, refused ones included, in
+ramp) is polished at entry when no constraint is active there. A start
+from the default scan is an asymptotic composite or a ramp, outside
+Newton's contraction region: polished from there, Newton wanders (at
+n = 4096 to a saddle) for a step count that hangs on the last bits of v,
+while one descent step later it converges in a few steps. So such a
+start, and a supplied one with a constraint active at entry, is first
+polished after accepted step 1 (or, while a constraint stays active,
+after step 2, 4, 8, ...). When a root is refused as a saddle, a few
+descent steps usually leave the saddle's basin, so the polish is tried
+(again) after accepted steps 1, 2, 4, 8, ... at those with no constraint
+active; the tries end at the first kept root or at the first refusal for
+another reason, and a refusal other than a saddle (the rest state past
+the fold) costs no retry. The polish runs once more after descent ends
+by gtol. That bounds the attempts by 2 + log2(iterations), plus one, the
+entry polish, for a supplied start with no constraint active. A kept
+root counts as one accepted step, so a try after a descent step needs
+one left within max_iters. SolveResult records the outcome in `polish`
+and the coupled Newton steps of every attempt, refused ones included, in
 `polish_steps`. The outcome is newton (a root was kept), skipped (no
-attempt ran: a constraint stayed active, or a default-scan start had no
-step left), saddle (descent stopped by gtol on a root with a negative
-determinant, which is then no pulse) or fallback (any other refusal).
-Cold, warm-started and refined solves that polish reach the same
+attempt ran: a constraint stayed active, or a start first polished
+after step 1 had no step left), saddle (descent stopped by gtol on a
+root with a negative determinant, which is then no pulse) or fallback
+(any other refusal). Cold, warm-started and refined solves that polish reach the same
 discrete pulse to roundoff.
 
 The far-end node is pinned at zero (Dirichlet truncation); the anchor band
@@ -346,13 +348,15 @@ def minimize(
 ) -> SolveResult:
     """Run projected descent from init (default start scan when None),
     with the coupled Newton polish whenever no constraint is active: at
-    entry for a supplied init, first after accepted step 1 for a
-    default-scan start (Newton from the scan profile wanders), and after a
-    gtol stop. A root refused as a saddle is followed by retries after
+    entry for a supplied init with no constraint active there, and after
+    a gtol stop. Any other start (the default scan, whose profile Newton
+    wanders from, or an init with a constraint active) is first tried
+    after accepted step 1, then after steps 2, 4, 8, ... until an attempt
+    runs. A root refused as a saddle is followed by retries after
     accepted steps 2, 4, 8, ... (those with no active constraint and a
     step left), until a root is kept or one is refused for another reason:
-    at most 2 + log2(iterations) polish attempts from the default scan,
-    one more from a supplied init.
+    at most 2 + log2(iterations) polish attempts, one more from a supplied
+    init polished at entry.
 
     Deterministic for a given config. Termination is "gtol" when the
     weighted L2 norm of the projected gradient drops to options.gtol (by
@@ -401,11 +405,10 @@ def minimize(
 
     # retry_at: the accepted descent step after which the polish is tried
     # (again); 0 stops trying. Newton from a start-scan profile wanders
-    # (see the module docstring), so its first try comes after step 1.
-    polish, polish_steps, polished, retry_at = "skipped", 0, None, 0
-    if init is None:
-        retry_at = 1
-    elif active_count == 0 and opts.max_iters > 0:
+    # (see the module docstring), so its first try comes after step 1, as
+    # does that of a supplied start with a constraint active.
+    polish, polish_steps, polished, retry_at = "skipped", 0, None, 1
+    if init is not None and active_count == 0 and opts.max_iters > 0:
         polish = "fallback"
         st, polished = _newton_polish(params, grid, w, sol.v, report, M, opts.gtol)
         polish_steps = st.steps

@@ -20,7 +20,10 @@ local balance of the cubic term that v_L leaves out.
 The coupled steady system for (u, v) interleaves the unknowns as
 (u_0, v_0, u_1, v_1, ...), which makes its Jacobian a (2, 2)-banded
 general matrix; steady_jacobian assembles it in LAPACK's gbsv storage and
-solve_steady runs damped Newton on it.
+solve_steady runs damped Newton on it. A solve maps one band and refills
+it at every step, where dgbsv factors it and solves for the step in
+place; at a root that meets the roundoff floor only the determinant sign
+is needed, so the band is factored by dgbtrf alone.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dptsv, dpttrf, dpttrs
+from scipy.linalg.lapack import dgbsv, dgbtrf, dptsv, dpttrf, dpttrs
 
 from .grid import Grid, Profile
 from .model import reaction_f
@@ -374,32 +377,54 @@ def _mapped_zeros(shape: tuple[int, int]) -> np.ndarray:
 
 
 def steady_jacobian(
-    u: np.ndarray, v: np.ndarray, d: float, beta: float, gamma: float, h: float
+    u: np.ndarray,
+    v: np.ndarray,
+    d: float,
+    beta: float,
+    gamma: float,
+    h: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Jacobian of steady_residual in LAPACK general-band storage: a
     Fortran-ordered (2 kl + ku + 1, 2n) array holding entry (i, j) at row
     kl + ku + i - j, with kl = ku = 2. The top kl rows are left free for
-    the fill-in of the LU factorization, so dgbsv can factor in place."""
+    the fill-in of the LU factorization, so dgbsv can factor in place.
+
+    The band is written into `out` when given (a Fortran-ordered float64
+    array of that shape, such as the factors of a previous step; every
+    entry is overwritten), else into a fresh mapped array."""
     m = len(u) - 1
+    shape = (2 * STEADY_KL + STEADY_KU + 1, 2 * m)
+    if out is None:
+        ab = _mapped_zeros(shape)
+    elif out.shape == shape and out.dtype == np.float64 and out.flags.f_contiguous:
+        ab = out
+    else:
+        # the column view below would be a silent copy of any other buffer
+        raise ValueError(f"out must be a Fortran-ordered float64 array of shape {shape}")
     uu = u[:-1]
     vv = v[:-1]
     a = d / h**2
     c = 1.0 / h**2
     diag = STEADY_KL + STEADY_KU
-    ab = _mapped_zeros((2 * STEADY_KL + STEADY_KU + 1, 2 * m))
+    # Each band column is one contiguous 7-vector, and the columns of u_i
+    # and v_i repeat one pattern each: the stencil neighbours two columns
+    # away, the +v coupling of activator row i and the -u coupling of
+    # inhibitor row i, with zeros in the fill-in rows and on the diagonal,
+    # which is written last.
+    cols = ab.T.reshape(m, 2, shape[0])
+    cols[...] = (
+        (0.0, 0.0, -a, 0.0, 0.0, -1.0, -a),
+        (0.0, 0.0, -c, 1.0, 0.0, 0.0, -c),
+    )
+    # no row above the first node or below the last; the ghost rows
+    # double the first superdiagonal pair
+    cols[0, :, diag - 2] = 0.0
+    cols[1:2, :, diag - 2] *= 2.0
+    cols[-1, :, diag + 2] = 0.0
     # diagonal: 2 d / h^2 - f'(u) and 2 / h^2 + gamma + 3 v^2
     ab[diag, 0::2] = 2.0 * a - uu * (2.0 * (1.0 + beta) - 3.0 * uu) + beta
     ab[diag, 1::2] = 2.0 * c + gamma + 3.0 * vv * vv
-    # the +v coupling of activator row i and the -u coupling of inhibitor row i
-    ab[diag - 1, 1::2] = 1.0
-    ab[diag + 1, 0::2] = -1.0
-    # stencil neighbours sit two columns away; the ghost rows double the
-    # first superdiagonal pair
-    ab[diag - 2, 2::2] = -a
-    ab[diag - 2, 3::2] = -c
-    ab[diag - 2, 2:4] *= 2.0
-    ab[diag + 2, 0 : 2 * m - 2 : 2] = -a
-    ab[diag + 2, 1 : 2 * m - 2 : 2] = -c
     return ab
 
 
@@ -427,15 +452,16 @@ def solve_steady(
 ) -> SteadySolution:
     """Damped Newton on steady_residual from (u, v), node n held at zero.
 
-    Each step assembles the banded Jacobian, factors and solves it in
-    place with LAPACK dgbsv, releases the factors, and backtracks on
+    One band is mapped per call. Each step refills it with the Jacobian,
+    factors and solves it in place with LAPACK dgbsv, and backtracks on
     ||R||^2 by the Armijo test of solve_inhibitor. The iteration stops
     when each block of rows is at the roundoff floor of its 1/h^2 stencil,
     or when no step along the Newton direction lowers ||R||^2 (a singular
     Jacobian counts as such). The determinant sign comes from the LU of
     the Jacobian at the returned state; with v = N(u) it equals the sign
     of the reduced Hessian's determinant, so -1 marks a saddle of odd
-    index.
+    index. At a state that meets the floor no step follows, so the band
+    is factored by dgbtrf alone, which gives the LU and pivots of dgbsv.
     """
     u = np.array(u, dtype=float)
     v = np.array(v, dtype=float)
@@ -455,17 +481,21 @@ def solve_steady(
     r = steady_residual(u, v, d, beta, gamma, h)
     rn2 = float(np.dot(r, r))
     steps = 0
+    ab = _mapped_zeros((2 * STEADY_KL + STEADY_KU + 1, len(r)))
     while True:
-        floor_met = at_floor(r)
-        ab = steady_jacobian(u, v, d, beta, gamma, h)
+        steady_jacobian(u, v, d, beta, gamma, h, out=ab)
+        if at_floor(r):
+            # the returned state: only the determinant sign is needed
+            lub, piv, info = dgbtrf(ab, STEADY_KL, STEADY_KU, overwrite_ab=1)
+            det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
+            break
         # factor and solve in place: the Newton step overwrites -r
         np.negative(r, out=r)
         lub, piv, delta, info = dgbsv(
             STEADY_KL, STEADY_KU, ab, r, overwrite_ab=1, overwrite_b=1
         )
         det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
-        del ab, lub  # the factors are the largest buffer; free them first
-        if info != 0 or floor_met:
+        if info != 0:
             break
         t = 1.0
         accepted = False

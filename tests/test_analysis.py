@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fhn_pulse import (
     Grid,
@@ -195,6 +196,61 @@ class TestPulseProperties:
         lines = text.splitlines()
         assert lines[-1] == "overall: pass"
         assert all(l.startswith("[pass]") for l in lines[:-1])
+
+
+def loop_crossings(values, level, delta):
+    """Reference for analysis._hysteresis_crossings: a node-by-node state
+    machine over the values."""
+    state = 0  # +1 above, -1 below, 0 undecided
+    down = up = 0
+    for val in values:
+        s = val - level
+        if s > delta:
+            if state == -1:
+                up += 1
+            state = 1
+        elif s < -delta:
+            if state == 1:
+                down += 1
+            state = -1
+    return down, up
+
+
+# dyadic level and delta make level +- delta and val - level exact, so
+# values sit exactly on the band's edges
+DYADIC = st.integers(-64, 64).map(lambda k: k / 16.0)
+
+
+@st.composite
+def crossing_inputs(draw):
+    level = draw(st.one_of(DYADIC, st.floats(-1e3, 1e3)))
+    delta = draw(st.one_of(DYADIC.map(abs), st.floats(0.0, 10.0)))
+    edges = st.sampled_from([level + delta, level - delta, level, math.nan])
+    values = draw(
+        st.lists(st.one_of(edges, st.floats(), DYADIC), max_size=80)
+    )
+    return np.array(values, dtype=float), level, delta
+
+
+class TestHysteresisCrossings:
+    @settings(max_examples=300)
+    @given(crossing_inputs())
+    @example((np.array([0.0, 1.0, 0.5, math.nan, -1.0, 2.0, -2.0, 0.0]), 0.5, 0.1))
+    @example((np.array([0.75, 0.25, 0.75, 0.25]), 0.5, 0.25))  # on the edges
+    @example((np.array([], dtype=float), 0.0, 0.0))
+    def test_agrees_with_loop(self, case):
+        values, level, delta = case
+        assert analysis._hysteresis_crossings(values, level, delta) == loop_crossings(
+            values, level, delta
+        )
+
+    def test_agrees_with_loop_on_pulse(self, fine_pulse):
+        u = fine_pulse.u0.values
+        h = fine_pulse.grid.h
+        for level in (fine_pulse.params.beta, 0.0):
+            for delta in (max(1e-7, 10.0 * h**2), 0.0):
+                got = analysis._hysteresis_crossings(u, level, delta)
+                assert got == loop_crossings(u, level, delta) == (1, 0)
 
 
 class TestPropertyGuard:

@@ -372,6 +372,19 @@ class TestNewtonPolish:
         assert w.min() < -0.01
         assert _newton_polish(p, grid, w, res.v0, res.energy, -0.99, 1e-8)[1] is None
 
+    def test_active_start_polished_after_step_1(self):
+        # a constraint is active at this supplied start and none after one
+        # descent step: the polish is tried there, as for a start-scan
+        # profile, not first after a gtol stop
+        grid = Grid(12.0, 4096)
+        init = build_q0(0.03, 0.06, grid)
+        entry = minimize(FINE_PARAMS, grid, init=init, options=MinimizeOptions(max_iters=0))
+        assert entry.active_constraint_count > 0
+        first = minimize(FINE_PARAMS, grid, init=init, options=MinimizeOptions(max_iters=1))
+        assert first.polish == "skipped" and first.active_constraint_count == 0
+        res = minimize(FINE_PARAMS, grid, init=init, options=MinimizeOptions(max_iters=2))
+        assert res.polish == "fallback" and res.polish_steps > 0
+
     def test_active_start_skips_polish(self):
         res = minimize(
             CHEAP_PARAMS,

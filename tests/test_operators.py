@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgbtrf
 
 from fhn_pulse import (
     GreenKind,
@@ -16,9 +16,12 @@ from fhn_pulse import (
     Profile,
     apply_green,
     compute_constants,
+    default_initial_profile,
+    evaluate_energy,
     negative_tail_cutoff,
     solve_inhibitor,
 )
+from fhn_pulse import operators
 from fhn_pulse.analysis import random_admissible_profile, random_bumps
 from fhn_pulse.operators import (
     STEADY_KL,
@@ -35,6 +38,7 @@ from fhn_pulse.operators import (
     steady_jacobian,
     steady_residual,
 )
+from tests.conftest import FINE_PARAMS
 
 GAMMA = 0.3
 GRID = Grid(30.0, 2048)
@@ -548,6 +552,106 @@ class TestSteadySystem:
         assert st.u[-1] == 0.0 and st.v[-1] == 0.0
         assert np.max(np.abs(st.u - res.u0.values)) < 1e-9
 
+    def reference_band(self, u, v):
+        """Reference for steady_jacobian: each band row written by strided
+        assignments into a zeroed Fortran-ordered array."""
+        m = len(u) - 1
+        uu, vv = u[:-1], v[:-1]
+        beta, gamma = self.BETA, self.GAMMA_S
+        a, c = self.D / self.H**2, 1.0 / self.H**2
+        k = STEADY_KL + STEADY_KU
+        ab = np.zeros((2 * STEADY_KL + STEADY_KU + 1, 2 * m), order="F")
+        ab[k, 0::2] = 2.0 * a - uu * (2.0 * (1.0 + beta) - 3.0 * uu) + beta
+        ab[k, 1::2] = 2.0 * c + gamma + 3.0 * vv * vv
+        ab[k - 1, 1::2] = 1.0
+        ab[k + 1, 0::2] = -1.0
+        ab[k - 2, 2::2] = -a
+        ab[k - 2, 3::2] = -c
+        ab[k - 2, 2:4] *= 2.0
+        ab[k + 2, 0 : 2 * m - 2 : 2] = -a
+        ab[k + 2, 1 : 2 * m - 2 : 2] = -c
+        return ab
+
+    def band(self, u, v, out=None):
+        return steady_jacobian(u, v, self.D, self.BETA, self.GAMMA_S, self.H, out=out)
+
+    @pytest.mark.parametrize("m", [2, 3, 64, 4096])
+    def test_refilled_band_bit_equal(self, m):
+        u, v = self.state(m, m)
+        fresh = self.band(u, v)
+        assert np.array_equal(fresh, self.reference_band(u, v))
+        # every entry is overwritten: a NaN buffer and the LU factors of
+        # another state are refilled to the fresh band
+        nan_buf = np.full(fresh.shape, np.nan, order="F")
+        lu_buf = dgbtrf(self.band(*self.state(m + 1, m)), STEADY_KL, STEADY_KU)[0]
+        assert lu_buf.flags.f_contiguous and not np.array_equal(lu_buf, fresh)
+        for buf in (nan_buf, lu_buf):
+            assert self.band(u, v, out=buf) is buf
+            assert np.array_equal(buf, fresh)
+
+    @pytest.mark.parametrize(
+        "buf",
+        [
+            np.zeros((7, 24)),
+            np.zeros((7, 22), order="F"),
+            np.zeros((6, 24), order="F"),
+            np.zeros((7, 24), dtype=np.float32, order="F"),
+            np.zeros((7, 48), order="F")[:, ::2],
+        ],
+        ids=["c-order", "short", "rows", "float32", "strided"],
+    )
+    def test_band_buffer_validated(self, buf):
+        u, v = self.state(0)
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            self.band(u, v, out=buf)
+
+    def test_factor_only_matches_dgbsv(self):
+        # the factors and pivots of dgbtrf alone are those of dgbsv; weak
+        # diffusion on the middle branch makes the LU pivot
+        m = 512
+        u, v = self.state(7, m)
+        u[:-1] = np.random.default_rng(7).uniform(0.2, 0.8, size=m)
+        ab = steady_jacobian(u, v, 1e-3, self.BETA, self.GAMMA_S, self.H)
+        lub, piv, _, info = dgbsv(STEADY_KL, STEADY_KU, ab, np.ones(2 * m))
+        lu, ipiv, info_f = dgbtrf(ab, STEADY_KL, STEADY_KU)
+        assert info == info_f == 0
+        assert np.any(piv != np.arange(2 * m))
+        assert np.array_equal(lu, lub) and np.array_equal(ipiv, piv)
+
+    def test_factor_only_sign_on_saddle_and_pulse(self, fine_chain):
+        # the n = 4096 odd-index saddle and the pulse: the sign from dgbtrf
+        # alone, which solve_steady reports at a root, is the dgbsv sign
+        p = FINE_PARAMS
+        res = fine_chain[4096]
+        h = res.grid.h
+        start, _ = default_initial_profile(p, res.grid)
+        _, _, sol = evaluate_energy(start, p)
+        saddle = solve_steady(start.values, sol.v.values, p.d, p.beta, p.gamma, h)
+        for u, v, sign in ((saddle.u, saddle.v, -1), (res.u0.values, res.v0.values, 1)):
+            ab = steady_jacobian(u, v, p.d, p.beta, p.gamma, h)
+            lub, piv, _, info = dgbsv(STEADY_KL, STEADY_KU, ab, np.ones(ab.shape[1]))
+            assert info == 0 and _band_lu_det_sign(lub, piv) == sign
+            lu, ipiv, info = dgbtrf(ab, STEADY_KL, STEADY_KU)
+            assert info == 0 and _band_lu_det_sign(lu, ipiv) == sign
+        assert solve_steady(res.u0.values, res.v0.values, p.d, p.beta, p.gamma, h).det_sign == 1
+
+    def test_one_band_per_solve(self, cheap_pulse, monkeypatch):
+        # one band is mapped per call and refilled at every step; the root
+        # is factored by dgbtrf alone, with no solve thrown away
+        calls = []
+        for name in ("_mapped_zeros", "dgbsv", "dgbtrf"):
+            def counted(*args, _name=name, _fn=getattr(operators, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(operators, name, counted)
+        res = cheap_pulse
+        p = res.params
+        u = res.u0.values.copy()
+        u[:-1] *= 1.0 + 1e-6
+        st = solve_steady(u, res.v0.values, p.d, p.beta, p.gamma, res.grid.h)
+        assert st.steps >= 2 and st.det_sign == 1
+        assert calls == ["_mapped_zeros"] + ["dgbsv"] * st.steps + ["dgbtrf"]
+
     def test_exact_root_stops_at_once(self):
         # the rest state is an exact root: no step can lower ||R||^2 = 0
         z = np.zeros(33)
@@ -557,16 +661,24 @@ class TestSteadySystem:
 
 
 def test_cli_import_skips_scipy_integrate():
-    # the quadrature path is numpy; scipy.integrate would drag in
-    # scipy.special, scipy.optimize and scipy.sparse at start-up
+    # start-up imports scipy.linalg alone: the quadrature path is numpy, and
+    # scipy.integrate would drag in scipy.special, scipy.optimize and
+    # scipy.sparse; none of the other heavy subpackages is needed either
+    heavy = (
+        "scipy.integrate", "scipy.sparse", "scipy.special", "scipy.optimize",
+        "scipy.fft", "scipy.signal", "scipy.interpolate",
+    )
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p
     )
-    code = "import sys, fhn_pulse.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, fhn_pulse.cli; "
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == ""
