@@ -28,13 +28,14 @@ n = 4096 to a saddle) for a step count that hangs on the last bits of v,
 while one descent step later it converges in a few steps. So such a
 start, and a supplied one with a constraint active at entry, is first
 polished after accepted step 1 (or, while a constraint stays active,
-after step 2, 4, 8, ...). When a root is refused as a saddle, a few
-descent steps usually leave the saddle's basin, so the polish is tried
-(again) after accepted steps 1, 2, 4, 8, ... at those with no constraint
-active; the tries end at the first kept root or at the first refusal for
-another reason, and a refusal other than a saddle (the rest state past
-the fold) costs no retry. The polish runs once more after descent ends
-by gtol. That bounds the attempts by 2 + log2(iterations), plus one, the
+after step 2, 4, 8, ...). When a root is refused (a saddle, a root
+outside the bands, a stall short of a root), a few descent steps usually
+leave the basin Newton went to, so the polish is tried (again) after
+accepted steps 1, 2, 4, 8, ... at those with no constraint active; the
+tries end at the first kept root or at a refused rest state (no leading
+excursion above beta: past the fold, where no pulse is left to find),
+which costs no retry. The polish runs once more after descent ends by
+gtol. That bounds the attempts by 2 + log2(iterations), plus one, the
 entry polish, for a supplied start with no constraint active. A kept
 root counts as one accepted step, so a try after a descent step needs
 one left within max_iters. SolveResult records the outcome in `polish`
@@ -43,8 +44,11 @@ and the coupled Newton steps of every attempt, refused ones included, in
 attempt ran: a constraint stayed active, or a start first polished
 after step 1 had no step left), saddle (descent stopped by gtol on a
 root with a negative determinant, which is then no pulse) or fallback
-(any other refusal). Cold, warm-started and refined solves that polish reach the same
-discrete pulse to roundoff.
+(any other refusal). Cold, warm-started and refined solves that polish
+reach the same discrete pulse once the grid resolves the head (at
+d = 1e-6 on [0, 12], from n = 8192 on); on coarser grids different
+starts can keep neighbouring discrete pulses, whose head ends sit a node
+or two apart (see the README).
 
 The far-end node is pinned at zero (Dirichlet truncation); the anchor band
 [beta, 1] at the origin prevents translation and collapse to the rest
@@ -296,41 +300,61 @@ def _energy_floor(report: EnergyReport) -> float:
     )
 
 
+@dataclass(frozen=True)
+class PolishAttempt:
+    """One coupled Newton polish: its Newton steps, the Jacobian
+    determinant sign at its root and, when the root is refused, why: one of
+    "singular", "saddle" (negative determinant), "rest_state" (no leading
+    excursion above beta, the rest state past the fold), "outside_bands"
+    (projection moves it), "inhibitor" (the inhibitor solve at it fails),
+    "not_stationary" (a constraint active or gtol missed, as where Newton
+    stalled short of a root) or "energy_rise".
+    refusal is None for a kept root."""
+
+    steps: int
+    det_sign: int
+    refusal: str | None
+
+
 def _newton_polish(
     params: Params, grid: Grid, w: np.ndarray, v: Profile,
     report: EnergyReport, M: float, gtol: float,
-):
+) -> tuple[PolishAttempt, tuple | None]:
     """Coupled Newton from (w, v) and the acceptance test of its root.
 
-    Returns the Newton solution (its step count and determinant sign) and,
-    when the root is kept, the state (w, i1, i2, report, g, sol, gnorm)
-    that replaces the iterate, else None."""
+    Returns the attempt and, when the root is kept, the state (w, i1, i2,
+    report, g, sol, gnorm) that replaces the iterate, else None."""
     st = solve_steady(w, v.values, params.d, params.beta, params.gamma, grid.h)
-    if st.det_sign <= 0:
-        return st, None
+
+    def refused(reason: str) -> tuple[PolishAttempt, None]:
+        return PolishAttempt(st.steps, st.det_sign, reason), None
+
+    if st.det_sign == 0:
+        return refused("singular")
+    if st.det_sign < 0:
+        return refused("saddle")
     root = Profile(grid, st.u)
     i1, i2 = _band_assignment(root, params.beta)
     if i1 is None:
-        return st, None
+        return refused("rest_state")
     projected = project(root, i1, i2, params.beta, M).values
     if not np.array_equal(projected, st.u):
-        return st, None
+        return refused("outside_bands")
     try:
         report_n, grad_n, sol_n = evaluate_energy(
             root, params, v_init=Profile(grid, st.v), inhibitor_tol=INHIBITOR_TOL
         )
     except InhibitorError:
-        return st, None
+        return refused("inhibitor")
     g = grad_n.values.copy()
     g[-1] = 0.0
     gnorm, active = _stationarity(grid, st.u, g, i1, i2, params.beta, M)
-    if (
-        active
-        or gnorm > gtol
-        or report_n.alt_total > report.alt_total + _energy_floor(report)
-    ):
-        return st, None
-    return st, (st.u, i1, i2, report_n, g, sol_n, gnorm)
+    if active or gnorm > gtol:
+        return refused("not_stationary")
+    if report_n.alt_total > report.alt_total + _energy_floor(report):
+        return refused("energy_rise")
+    attempt = PolishAttempt(st.steps, st.det_sign, None)
+    return attempt, (st.u, i1, i2, report_n, g, sol_n, gnorm)
 
 
 def _interp_crossing(u: Profile, level: float, i: int) -> float:
@@ -352,11 +376,11 @@ def minimize(
     a gtol stop. Any other start (the default scan, whose profile Newton
     wanders from, or an init with a constraint active) is first tried
     after accepted step 1, then after steps 2, 4, 8, ... until an attempt
-    runs. A root refused as a saddle is followed by retries after
-    accepted steps 2, 4, 8, ... (those with no active constraint and a
-    step left), until a root is kept or one is refused for another reason:
-    at most 2 + log2(iterations) polish attempts, one more from a supplied
-    init polished at entry.
+    runs. A refused root is followed by retries after accepted steps
+    2, 4, 8, ... (those with no active constraint and a step left), until
+    a root is kept or the rest state is refused: at most
+    2 + log2(iterations) polish attempts, one more from a supplied init
+    polished at entry.
 
     Deterministic for a given config. Termination is "gtol" when the
     weighted L2 norm of the projected gradient drops to options.gtol (by
@@ -410,9 +434,12 @@ def minimize(
     polish, polish_steps, polished, retry_at = "skipped", 0, None, 1
     if init is not None and active_count == 0 and opts.max_iters > 0:
         polish = "fallback"
-        st, polished = _newton_polish(params, grid, w, sol.v, report, M, opts.gtol)
-        polish_steps = st.steps
-        retry_at = 1 if st.det_sign < 0 else 0
+        attempt, polished = _newton_polish(
+            params, grid, w, sol.v, report, M, opts.gtol
+        )
+        polish_steps = attempt.steps
+        if attempt.refusal == "rest_state":
+            retry_at = 0
 
     while polished is None and iterations < opts.max_iters:
         if gnorm <= opts.gtol:
@@ -480,19 +507,21 @@ def minimize(
             retry_at *= 2
             if active_count == 0:
                 polish = "fallback"
-                st, polished = _newton_polish(
+                attempt, polished = _newton_polish(
                     params, grid, w, sol.v, report, M, opts.gtol
                 )
-                polish_steps += st.steps
-                if st.det_sign >= 0:
+                polish_steps += attempt.steps
+                if attempt.refusal == "rest_state":
                     retry_at = 0
 
     if polished is None and converged and active_count == 0:
-        st, polished = _newton_polish(params, grid, w, sol.v, report, M, opts.gtol)
-        polish_steps += st.steps
+        attempt, polished = _newton_polish(
+            params, grid, w, sol.v, report, M, opts.gtol
+        )
+        polish_steps += attempt.steps
         # descent cannot leave a stationary point, so a root refused for
         # its negative determinant means descent stopped on the saddle
-        polish = "saddle" if st.det_sign < 0 else "fallback"
+        polish = "saddle" if attempt.refusal == "saddle" else "fallback"
     if polished is not None:
         w, i1, i2, report, g, sol, gnorm = polished
         newton_total += sol.newton_iters

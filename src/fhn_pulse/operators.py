@@ -17,13 +17,19 @@ tridiagonal systems. A cold solve starts from the linear response v_L
 with every node moved to the real root of w^3 + gamma w = gamma v_L, the
 local balance of the cubic term that v_L leaves out.
 
-The coupled steady system for (u, v) interleaves the unknowns as
-(u_0, v_0, u_1, v_1, ...), which makes its Jacobian a (2, 2)-banded
-general matrix; steady_jacobian assembles it in LAPACK's gbsv storage and
-solve_steady runs damped Newton on it. A solve maps one band and refills
-it at every step, where dgbsv factors it and solves for the step in
-place; at a root that meets the roundoff floor only the determinant sign
-is needed, so the band is factored by dgbtrf alone.
+steady_residual interleaves the rows of the coupled steady system for
+(u, v) as (u_0, v_0, u_1, v_1, ...), which makes its Jacobian a
+(2, 2)-banded general matrix; steady_jacobian assembles it in LAPACK's
+gbsv storage, the reference the tests hold the Newton step to.
+solve_steady runs damped Newton on the system through the Schur
+complement of the inhibitor block, P = J_uu J_vv + I: an n-row matrix,
+(2, 2)-banded too, with half the rows of the interleaved band. LAPACK's
+unblocked band LU spends its time per row, not per flop, on a band this
+narrow, so the step costs about half as much. A solve maps one band for P
+and refills it at every step, where dgbsv factors it and solves for the
+step in place; at a root that meets the roundoff floor only the
+determinant sign is needed (det J = det P), so the band is factored by
+dgbtrf alone.
 """
 
 from __future__ import annotations
@@ -436,6 +442,98 @@ def _band_lu_det_sign(lub: np.ndarray, piv: np.ndarray) -> int:
     return -1 if (swaps + negatives) % 2 else 1
 
 
+def _stencil_matvec(
+    diag: np.ndarray, off: float, x: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """out = T x for the tridiagonal T with diagonal `diag` and the constant
+    off-diagonal `off`, doubled in row 0 (the Neumann ghost row): a block
+    of the steady Jacobian. tmp is scratch of x's length."""
+    np.multiply(diag, x, out=out)
+    np.multiply(x[1:], off, out=tmp[:-1])
+    tmp[0] *= 2.0
+    out[:-1] += tmp[:-1]
+    np.multiply(x[:-1], off, out=tmp[1:])
+    out[1:] += tmp[1:]
+    return out
+
+
+def _fill_schur(
+    u: np.ndarray, v: np.ndarray, d: float, beta: float, gamma: float, h: float,
+    ab: np.ndarray, ja: np.ndarray, jb: np.ndarray, tmp: np.ndarray,
+) -> None:
+    """Write the diagonals of the steady Jacobian's blocks at (u, v) into
+    ja (J_uu: 2 d / h^2 - f'(u)) and jb (J_vv: 2 / h^2 + gamma + 3 v^2), and
+    P = J_uu J_vv + I into ab in LAPACK gbsv storage (entry (i, j) at row
+    kl + ku + i - j, kl = ku = 2). The blocks' off-diagonals are -a and
+    -c, a = d / h^2 and c = 1 / h^2, doubled in row 0, so P's second
+    off-diagonals are the constant a c and its other entries come from ja
+    and jb alone. The top kl rows, the LU's fill-in, need not be set on
+    entry to dgbsv or dgbtrf and are left as they are. tmp is scratch of
+    ja's length."""
+    a = d / h**2
+    c = 1.0 / h**2
+    uu = u[:-1]
+    vv = v[:-1]
+    np.multiply(uu, 3.0, out=ja)
+    np.subtract(2.0 * (1.0 + beta), ja, out=ja)
+    ja *= uu
+    np.subtract(2.0 * a, ja, out=ja)
+    ja += beta
+    np.multiply(vv, 3.0, out=jb)
+    jb *= vv
+    jb += 2.0 * c + gamma
+    k = STEADY_KL + STEADY_KU
+    ac = a * c
+    # second off-diagonals: the product of the two stencils' off-diagonals,
+    # doubled at (0, 2)
+    ab[k - 2, :2] = 0.0
+    ab[k - 2, 2:] = ac
+    ab[k - 2, 2:3] *= 2.0
+    ab[k + 2, :-2] = ac
+    ab[k + 2, -2:] = 0.0
+    # first superdiagonal, (j - 1, j): -c ja[j-1] - a jb[j], doubled at (0, 1)
+    ab[k - 1, 0] = 0.0
+    np.multiply(ja[:-1], -c, out=ab[k - 1, 1:])
+    np.multiply(jb[1:], a, out=tmp[1:])
+    ab[k - 1, 1:] -= tmp[1:]
+    ab[k - 1, 1:2] *= 2.0
+    # first subdiagonal, (j + 1, j): -a jb[j] - c ja[j+1]
+    np.multiply(jb[:-1], -a, out=ab[k + 1, :-1])
+    np.multiply(ja[1:], c, out=tmp[:-1])
+    ab[k + 1, :-1] -= tmp[:-1]
+    ab[k + 1, -1] = 0.0
+    # diagonal: ja jb + 1 plus an a c product from each neighbour; node 1
+    # meets node 0's doubled ghost coupling, the last node has no right one
+    np.multiply(ja, jb, out=ab[k])
+    ab[k] += 1.0 + 2.0 * ac
+    ab[k, 1] += ac
+    ab[k, -1] -= ac
+
+
+def _schur_step(
+    ab: np.ndarray, ja: np.ndarray, jb: np.ndarray, d: float, h: float,
+    r: np.ndarray, dv: np.ndarray, du: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Newton step of the steady system, J (du, dv) = -r, through the
+    Schur complement P of the inhibitor block, with ja, jb and P's band ab
+    as _fill_schur leaves them. dgbsv factors ab in place and solves
+    P dv = -(r_u + J_uu r_v) in dv; then du = J_vv dv + r_v. ja is
+    overwritten. Returns dgbsv's LU (ab itself), pivots and info; dv and du
+    hold the step when info is 0."""
+    ru, rv = r[0::2], r[1::2]
+    # du is the scratch until the step is formed in it
+    _stencil_matvec(ja, -d / h**2, rv, dv, du)
+    dv += ru
+    np.negative(dv, out=dv)
+    lub, piv, _, info = dgbsv(
+        STEADY_KL, STEADY_KU, ab, dv, overwrite_ab=1, overwrite_b=1
+    )
+    if info == 0:
+        _stencil_matvec(jb, -1.0 / h**2, dv, du, ja)
+        du += rv
+    return lub, piv, info
+
+
 @dataclass(frozen=True)
 class SteadySolution:
     """Result of one coupled Newton solve of the steady system. det_sign is
@@ -452,23 +550,40 @@ def solve_steady(
 ) -> SteadySolution:
     """Damped Newton on steady_residual from (u, v), node n held at zero.
 
-    One band is mapped per call. Each step refills it with the Jacobian,
-    factors and solves it in place with LAPACK dgbsv, and backtracks on
-    ||R||^2 by the Armijo test of solve_inhibitor. The iteration stops
-    when each block of rows is at the roundoff floor of its 1/h^2 stencil,
+    The Jacobian is J = [[J_uu, I], [-I, J_vv]] in activator and inhibitor
+    blocks, J_uu = d (-D2) - f'(u) and J_vv = -D2 + gamma + 3 v^2, both
+    tridiagonal with the ghost row at node 0 (steady_jacobian interleaves
+    the same matrix into one 2n-row band). Each step eliminates the
+    inhibitor block (Golub & Van Loan, section 4.5): with b = -R split into
+    its activator rows b_u and inhibitor rows b_v, it solves the n-row
+    pentadiagonal system
+
+        P dv = b_u + J_uu b_v,    P = J_uu J_vv + I,
+
+    and sets du = J_vv dv - b_v. One band for P is mapped per call and
+    refilled at every step from the two diagonals, in work vectors
+    allocated once; LAPACK dgbsv factors it and solves in place. Since
+    det J = det J_vv det(J_uu + J_vv^{-1}) = det P, and the interleaving
+    permutes rows and columns alike, the determinant sign comes from P's
+    LU. With v = N(u) it equals the sign of the reduced Hessian's
+    determinant, so -1 marks a saddle of odd index.
+
+    Each step backtracks on ||R||^2 by the Armijo test of solve_inhibitor,
+    and also keeps a trial at which each block of rows is at the roundoff
+    floor of its 1/h^2 stencil: there the inhibitor rows' rounding, which
+    sits below their floor but dominates ||R||^2, can refuse a step that
+    took the activator rows below theirs. The iteration stops at the floor,
     or when no step along the Newton direction lowers ||R||^2 (a singular
-    Jacobian counts as such). The determinant sign comes from the LU of
-    the Jacobian at the returned state; with v = N(u) it equals the sign
-    of the reduced Hessian's determinant, so -1 marks a saddle of odd
-    index. At a state that meets the floor no step follows, so the band
-    is factored by dgbtrf alone, which gives the LU and pivots of dgbsv.
+    P counts as such). At a state that meets the floor no step follows, so
+    P is factored by dgbtrf alone, which gives the LU and pivots of dgbsv.
     """
     u = np.array(u, dtype=float)
     v = np.array(v, dtype=float)
     u[-1] = 0.0
     v[-1] = 0.0
+    m = len(u) - 1
 
-    def at_floor(r: np.ndarray) -> bool:
+    def at_floor(r: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
         umax = float(np.max(np.abs(u)))
         vmax = float(np.max(np.abs(v)))
         f_bound = umax * (1.0 + umax) * (umax + beta)
@@ -481,19 +596,17 @@ def solve_steady(
     r = steady_residual(u, v, d, beta, gamma, h)
     rn2 = float(np.dot(r, r))
     steps = 0
-    ab = _mapped_zeros((2 * STEADY_KL + STEADY_KU + 1, len(r)))
+    ab = _mapped_zeros((2 * STEADY_KL + STEADY_KU + 1, m))
+    # the blocks' diagonals and the step, allocated once per solve
+    ja, jb, dv, du = (np.empty(m) for _ in range(4))
     while True:
-        steady_jacobian(u, v, d, beta, gamma, h, out=ab)
-        if at_floor(r):
+        _fill_schur(u, v, d, beta, gamma, h, ab, ja, jb, du)
+        if at_floor(r, u, v):
             # the returned state: only the determinant sign is needed
             lub, piv, info = dgbtrf(ab, STEADY_KL, STEADY_KU, overwrite_ab=1)
             det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
             break
-        # factor and solve in place: the Newton step overwrites -r
-        np.negative(r, out=r)
-        lub, piv, delta, info = dgbsv(
-            STEADY_KL, STEADY_KU, ab, r, overwrite_ab=1, overwrite_b=1
-        )
+        lub, piv, info = _schur_step(ab, ja, jb, d, h, r, dv, du)
         det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
         if info != 0:
             break
@@ -502,14 +615,14 @@ def solve_steady(
         for _ in range(40):
             u_try = u.copy()
             v_try = v.copy()
-            u_try[:-1] += t * delta[0::2]
-            v_try[:-1] += t * delta[1::2]
+            u_try[:-1] += t * du
+            v_try[:-1] += t * dv
             r_try = steady_residual(u_try, v_try, d, beta, gamma, h)
             rn2_try = float(np.dot(r_try, r_try))
             # the target equals rn2 only when rn2 is zero or subnormal: a
             # root to the last representable bit, where no step can help
             target = (1.0 - 2e-4 * t) * rn2
-            if rn2_try <= target < rn2:
+            if rn2_try <= target < rn2 or at_floor(r_try, u_try, v_try):
                 accepted = True
                 break
             t *= 0.5

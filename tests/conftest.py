@@ -2,18 +2,20 @@
 
 Two converged pulses are computed once per session:
 
-* cheap_pulse: d = 1e-5 on a 4096-node grid, about 0.04 s (one descent
+* cheap_pulse: d = 1e-5 on a 4096-node grid, about 0.03 s (one descent
   step from the default start, then the coupled Newton polish goes to the
-  pulse). Its energy is slightly positive (the d threshold for a negative
-  minimum sits near 3.4e-6 at these (beta, gamma)), but every qualitative
-  pulse property holds, so it backs the fast unit tests.
+  pulse in 6 Newton steps). Its energy is slightly positive (the d
+  threshold for a negative minimum sits near 3.4e-6 at these (beta,
+  gamma)), but every qualitative pulse property holds, so it backs the
+  fast unit tests.
 * fine_chain / fine_pulse: d = 1e-6 solved on n = 4096..32768 by warm-started
-  refinement, about 0.23 s total. At n = 4096 the default start is first
-  polished after one descent step, which keeps the pulse in 8 Newton steps
-  (polished at entry, Newton from the start lands on an odd-index saddle).
-  Each finer level is one Newton polish of its warm start. The
-  finest level has J < 0 and zero active constraints; the chain levels
-  feed the h-halving order checks.
+  refinement, about 0.11 s total in a warm process (the first solves of a
+  process take a few tenths of a second more). At n = 4096 the default
+  start is first polished after one descent step, which keeps the pulse in
+  8 Newton steps (polished at entry, Newton from the start lands on an
+  odd-index saddle). Each finer level is one Newton polish of its warm
+  start, in 9, 4 and 3 steps. The finest level has J < 0 and zero active
+  constraints; the chain levels feed the h-halving order checks.
 """
 
 import numpy as np

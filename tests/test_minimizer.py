@@ -21,6 +21,7 @@ from fhn_pulse import (
     negative_tail_cutoff,
     project,
 )
+from fhn_pulse import minimizer
 from fhn_pulse.minimizer import _band_assignment, _newton_polish
 from fhn_pulse.operators import solve_steady
 from tests.conftest import CHEAP_GRID, CHEAP_PARAMS, FINE_PARAMS, refine_onto
@@ -269,6 +270,9 @@ class TestNewtonPolish:
         # warm-started levels need no descent at all
         for n in (8192, 16384, 32768):
             assert fine_chain[n].iterations == 1
+        # Newton steps per level
+        for res, steps in zip(fine_chain.values(), (8, 9, 4, 3)):
+            assert res.polish_steps <= steps
 
     def test_rejected_root_falls_back(self):
         # the saddle is rejected at entry; the one descent step leaves no
@@ -314,20 +318,37 @@ class TestNewtonPolish:
         assert len(res.energy_history) == res.iterations + 1
         assert res.polish == ("fallback" if max_iters == 1 else "newton")
 
-    def test_retries_end_at_other_refusal(self):
-        # with a gtol no root meets, the retry after the first descent step
-        # is refused for its gradient, not its determinant: the retries end
-        # there, and six more descent steps add no polish steps
-        runs = [
-            minimize(
+    def test_retried_after_every_refusal(self, monkeypatch):
+        # with a gtol no root meets, every attempt is refused for its
+        # gradient; only a rest-state refusal ends the retries, so they run
+        # after steps 1, 2 and 4 of 8 (step 8 leaves none for a kept root)
+        refusals = []
+
+        def recorded(*args):
+            attempt, kept = _newton_polish(*args)
+            refusals.append(attempt.refusal)
+            return attempt, kept
+
+        monkeypatch.setattr(minimizer, "_newton_polish", recorded)
+        for m, tries in ((2, 1), (8, 3)):
+            refusals.clear()
+            res = minimize(
                 FINE_PARAMS, Grid(12.0, 4096),
                 options=MinimizeOptions(gtol=1e-20, max_iters=m),
             )
-            for m in (2, 8)
-        ]
-        for res, m in zip(runs, (2, 8)):
             assert res.polish == "fallback" and res.iterations == m
-        assert runs[0].polish_steps == runs[1].polish_steps
+            assert refusals == ["not_stationary"] * tries
+
+    def test_supplied_start_retried_past_other_refusals(self, fine_chain):
+        # from this start the attempts after descent steps 1 and 2 are
+        # refused (outside the bands, then a negative determinant), neither
+        # at the rest state, so the retries go on; the one after step 8
+        # keeps the chain's pulse
+        res = fine_chain[16384]
+        run = minimize(FINE_PARAMS, res.grid, init=build_q0(0.03, 0.06, res.grid))
+        assert run.polish == "newton" and run.is_pulse
+        assert run.iterations <= 9
+        assert np.max(np.abs(run.u0.values - res.u0.values)) <= 1e-12
 
     def test_rest_state_refusal_not_retried(self):
         # past the fold the entry polish is refused for its inadmissible

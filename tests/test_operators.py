@@ -29,7 +29,9 @@ from fhn_pulse.operators import (
     _band_lu_det_sign,
     _cubic_balance,
     _fd_residual,
+    _fill_schur,
     _gradient_values,
+    _schur_step,
     factor_shifted,
     inhibitor_derivative,
     solve_factored,
@@ -618,9 +620,93 @@ class TestSteadySystem:
         assert np.any(piv != np.arange(2 * m))
         assert np.array_equal(lu, lub) and np.array_equal(ipiv, piv)
 
+    @staticmethod
+    def schur_lu(u, v, d, beta, gamma, h):
+        """LU of the Schur complement P at (u, v), as solve_steady factors
+        it at a root."""
+        m = len(u) - 1
+        ab = np.empty((2 * STEADY_KL + STEADY_KU + 1, m), order="F")
+        ja, jb, tmp = np.empty(m), np.empty(m), np.empty(m)
+        _fill_schur(u, v, d, beta, gamma, h, ab, ja, jb, tmp)
+        return dgbtrf(ab, STEADY_KL, STEADY_KU)
+
+    @pytest.mark.parametrize("m", [2, 3, 12])
+    def test_schur_band_is_block_product(self, m):
+        # P's band holds J_uu J_vv + I, the blocks taken from the dense
+        # interleaved Jacobian, edges and ghost rows included
+        u, v = self.state(m, m)
+        _, a = self.dense(u, v)
+        p_dense = a[0::2, 0::2] @ a[1::2, 1::2] + np.eye(m)
+        k = STEADY_KL + STEADY_KU
+        ab = np.full((2 * STEADY_KL + STEADY_KU + 1, m), np.nan, order="F")
+        ja, jb, tmp = np.empty(m), np.empty(m), np.empty(m)
+        _fill_schur(u, v, self.D, self.BETA, self.GAMMA_S, self.H, ab, ja, jb, tmp)
+        assert np.array_equal(ja, np.diag(a[0::2, 0::2]))
+        assert np.array_equal(jb, np.diag(a[1::2, 1::2]))
+        band = np.zeros((m, m))
+        for j in range(m):
+            for i in range(max(0, j - STEADY_KU), min(m, j + STEADY_KL + 1)):
+                band[i, j] = ab[k + i - j, j]
+        assert np.all(np.isfinite(ab[STEADY_KL:]))
+        assert np.allclose(band, p_dense, rtol=0.0, atol=1e-13 * np.max(np.abs(p_dense)))
+
+    def test_schur_det_sign_matches_dense_determinant(self):
+        # det J = det P: the sign from P's n-row LU is that of the dense
+        # interleaved Jacobian, on states where both signs occur
+        signs = set()
+        for seed in range(20):
+            u, v = self.state(seed, m=10)
+            u[:-1] = np.random.default_rng(seed).uniform(0.2, 0.8, size=10)
+            _, a = self.dense(u, v, d=1e-3)
+            lu, ipiv, info = self.schur_lu(u, v, 1e-3, self.BETA, self.GAMMA_S, self.H)
+            assert info == 0
+            sign = int(np.linalg.slogdet(a)[0])
+            assert _band_lu_det_sign(lu, ipiv) == sign
+            signs.add(sign)
+        assert signs == {-1, 1}
+
+    @staticmethod
+    def band_matvec(ab, x):
+        """y = A x for A in general-band storage with kl = ku = 2."""
+        k = STEADY_KL + STEADY_KU
+        y = ab[k] * x
+        for off in (1, 2):
+            y[:-off] += ab[k - off, off:] * x[off:]
+            y[off:] += ab[k + off, :-off] * x[:-off]
+        return y
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3])
+    def test_schur_step_solves_the_interleaved_system(self, fine_pulse, scale):
+        # the step from P, mapped back to (u, v) rows, against
+        # steady_jacobian's band: normwise backward error (Rigal-Gaches)
+        # within one ulp (measured <= 5.4e-17, 2.5e-18 for the interleaved
+        # LU) and the interleaved LU's step to 1e-8 (measured 2.1e-9)
+        p = FINE_PARAMS
+        h = fine_pulse.grid.h
+        u = fine_pulse.u0.values.copy()
+        v = fine_pulse.v0.values
+        u[:-1] *= 1.0 + scale
+        m = len(u) - 1
+        r = steady_residual(u, v, p.d, p.beta, p.gamma, h)
+        ab = np.empty((2 * STEADY_KL + STEADY_KU + 1, m), order="F")
+        ja, jb, dv, du = (np.empty(m) for _ in range(4))
+        _fill_schur(u, v, p.d, p.beta, p.gamma, h, ab, ja, jb, du)
+        lub, _, info = _schur_step(ab, ja, jb, p.d, h, r, dv, du)
+        assert info == 0 and lub is ab
+        step = np.empty(2 * m)
+        step[0::2], step[1::2] = du, dv
+        jac = steady_jacobian(u, v, p.d, p.beta, p.gamma, h)
+        norm_j = np.max(self.band_matvec(np.abs(jac), np.ones(2 * m)))
+        backward = np.max(np.abs(self.band_matvec(jac, step) + r)) / (
+            norm_j * np.max(np.abs(step)) + np.max(np.abs(r))
+        )
+        assert backward <= np.finfo(float).eps
+        ref = dgbsv(STEADY_KL, STEADY_KU, jac, -r)[2]
+        assert np.max(np.abs(step - ref)) <= 1e-8 * np.max(np.abs(ref))
+
     def test_factor_only_sign_on_saddle_and_pulse(self, fine_chain):
-        # the n = 4096 odd-index saddle and the pulse: the sign from dgbtrf
-        # alone, which solve_steady reports at a root, is the dgbsv sign
+        # the n = 4096 odd-index saddle and the pulse: the sign from P's LU,
+        # which solve_steady reports at a root, is the interleaved band's
         p = FINE_PARAMS
         res = fine_chain[4096]
         h = res.grid.h
@@ -631,18 +717,22 @@ class TestSteadySystem:
             ab = steady_jacobian(u, v, p.d, p.beta, p.gamma, h)
             lub, piv, _, info = dgbsv(STEADY_KL, STEADY_KU, ab, np.ones(ab.shape[1]))
             assert info == 0 and _band_lu_det_sign(lub, piv) == sign
-            lu, ipiv, info = dgbtrf(ab, STEADY_KL, STEADY_KU)
+            lu, ipiv, info = self.schur_lu(u, v, p.d, p.beta, p.gamma, h)
             assert info == 0 and _band_lu_det_sign(lu, ipiv) == sign
+        assert saddle.det_sign == -1
         assert solve_steady(res.u0.values, res.v0.values, p.d, p.beta, p.gamma, h).det_sign == 1
 
     def test_one_band_per_solve(self, cheap_pulse, monkeypatch):
-        # one band is mapped per call and refilled at every step; the root
-        # is factored by dgbtrf alone, with no solve thrown away
-        calls = []
+        # one n-column band is mapped per call and refilled at every step;
+        # the root is factored by dgbtrf alone, with no solve thrown away
+        calls, shapes = [], []
         for name in ("_mapped_zeros", "dgbsv", "dgbtrf"):
             def counted(*args, _name=name, _fn=getattr(operators, name), **kwargs):
                 calls.append(_name)
-                return _fn(*args, **kwargs)
+                out = _fn(*args, **kwargs)
+                if _name == "_mapped_zeros":
+                    shapes.append(out.shape)
+                return out
             monkeypatch.setattr(operators, name, counted)
         res = cheap_pulse
         p = res.params
@@ -651,6 +741,27 @@ class TestSteadySystem:
         st = solve_steady(u, res.v0.values, p.d, p.beta, p.gamma, res.grid.h)
         assert st.steps >= 2 and st.det_sign == 1
         assert calls == ["_mapped_zeros"] + ["dgbsv"] * st.steps + ["dgbtrf"]
+        assert shapes == [(2 * STEADY_KL + STEADY_KU + 1, res.grid.n)]
+
+    def test_floor_trial_kept(self, fine_chain, monkeypatch):
+        # from a fine-chain root with u scaled by 1 + 1e-4, a full step takes
+        # the activator rows below their floor while the inhibitor rows'
+        # rounding, below theirs, keeps ||R||^2 from falling: such a trial
+        # is kept, so Newton ends in 3 steps, each on its first trial (on
+        # the Armijo test alone it takes 9 steps and 78 residuals)
+        evals = []
+        monkeypatch.setattr(
+            operators, "steady_residual",
+            lambda *args: evals.append(1) or steady_residual(*args),
+        )
+        res = fine_chain[8192]
+        p = res.params
+        u = res.u0.values.copy()
+        u[:-1] *= 1.0 + 1e-4
+        st = solve_steady(u, res.v0.values, p.d, p.beta, p.gamma, res.grid.h)
+        assert st.steps <= 3 and len(evals) == st.steps + 1
+        assert st.det_sign == 1
+        assert np.max(np.abs(st.u - res.u0.values)) <= 1e-12
 
     def test_exact_root_stops_at_once(self):
         # the rest state is an exact root: no step can lower ||R||^2 = 0
