@@ -54,7 +54,6 @@ from .model import (
     reaction_f,
     reaction_knees,
     regime_report,
-    slow_decay_rate,
 )
 from .operators import (
     GreenKind,
@@ -117,7 +116,6 @@ __all__ = [
     "reaction_f",
     "reaction_knees",
     "regime_report",
-    "slow_decay_rate",
     "solve_inhibitor",
     "verify_inequality_suite",
 ]

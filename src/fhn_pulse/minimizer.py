@@ -16,39 +16,35 @@ the reported form_gap.
 With no constraint active, the pulse is a root of the two discrete
 steady equations, so descent is only needed to find its basin. The
 polish runs damped Newton on the coupled (u, v) system
-(operators.solve_steady) and keeps the root only when it is admissible,
-leaves no constraint active, meets gtol, does not raise J beyond
-roundoff and has a positive Jacobian determinant (a negative one marks a
-saddle of odd index, not a minimizer). Otherwise descent goes on from
-where it was. A supplied start (a warm start, a refinement level, a q0
-ramp) is polished at entry when no constraint is active there. A start
-from the default scan is an asymptotic composite or a ramp, outside
-Newton's contraction region: polished from there, Newton wanders (at
-n = 4096 to a saddle) for a step count that hangs on the last bits of v,
-while one descent step later it converges in a few steps. So such a
-start, and a supplied one with a constraint active at entry, is first
-polished after accepted step 1 (or, while a constraint stays active,
-after step 2, 4, 8, ...). When a root is refused (a saddle, a root
-outside the bands, a stall short of a root), a few descent steps usually
-leave the basin Newton went to, so the polish is tried (again) after
-accepted steps 1, 2, 4, 8, ... at those with no constraint active; the
-tries end at the first kept root or at a refused rest state (no leading
-excursion above beta: past the fold, where no pulse is left to find),
-which costs no retry. The polish runs once more after descent ends by
-gtol. That bounds the attempts by 2 + log2(iterations), plus one, the
-entry polish, for a supplied start with no constraint active. A kept
-root counts as one accepted step, so a try after a descent step needs
-one left within max_iters. SolveResult records the outcome in `polish`
-and the coupled Newton steps of every attempt, refused ones included, in
+(operators.solve_steady) and keeps its root only when Newton converged
+to one (a stall is refused before anything else is asked of it) and the
+root is admissible, leaves no constraint active, meets gtol, does not
+raise J beyond roundoff and has a positive Jacobian determinant (a
+negative one marks a saddle of odd index, not a minimizer). Otherwise
+descent goes on from where it was.
+
+One rule schedules the polish. With no constraint active, it is due
+after accepted steps 1, 2, 4, 8, ... (and at step 0 for a supplied
+start) while a step is left, until a rest state is refused, and always
+at a gtol stop. A kept root ends the descent and counts as one step. A
+start from the default scan is not polished at step 0: it is an
+asymptotic composite or a ramp, outside Newton's contraction region, and
+polished from there Newton wanders (at n = 4096 to a saddle), while one
+descent step later it converges in a few steps. A refused root (a stall
+short of a root, a saddle, a root outside the bands) is usually left
+behind by a few descent steps; a refused rest state (no leading
+excursion above beta) lies past the fold, where no pulse is left to
+find. That bounds the attempts by 2 + log2(iterations), one more from a
+supplied start. SolveResult records the outcome in `polish` and the
+coupled Newton steps of every attempt, refused ones included, in
 `polish_steps`. The outcome is newton (a root was kept), skipped (no
-attempt ran: a constraint stayed active, or a start first polished
-after step 1 had no step left), saddle (descent stopped by gtol on a
-root with a negative determinant, which is then no pulse) or fallback
-(any other refusal). Cold, warm-started and refined solves that polish
-reach the same discrete pulse once the grid resolves the head (at
-d = 1e-6 on [0, 12], from n = 8192 on); on coarser grids different
-starts can keep neighbouring discrete pulses, whose head ends sit a node
-or two apart (see the README).
+attempt ran), saddle (descent stopped by gtol on a root with a negative
+determinant, which is then no pulse) or fallback (any other refusal).
+Cold, warm-started and refined solves that polish reach the same
+discrete pulse once the grid resolves the head (at d = 1e-6 on [0, 12],
+from n = 8192 on); on coarser grids different starts can keep
+neighbouring discrete pulses, whose head ends sit a node or two apart
+(see the README).
 
 The far-end node is pinned at zero (Dirichlet truncation); the anchor band
 [beta, 1] at the origin prevents translation and collapse to the rest
@@ -304,11 +300,11 @@ def _energy_floor(report: EnergyReport) -> float:
 class PolishAttempt:
     """One coupled Newton polish: its Newton steps, the Jacobian
     determinant sign at its root and, when the root is refused, why: one of
-    "singular", "saddle" (negative determinant), "rest_state" (no leading
-    excursion above beta, the rest state past the fold), "outside_bands"
-    (projection moves it), "inhibitor" (the inhibitor solve at it fails),
-    "not_stationary" (a constraint active or gtol missed, as where Newton
-    stalled short of a root) or "energy_rise".
+    "singular", "stalled" (Newton stopped short of a root), "saddle"
+    (negative determinant), "rest_state" (no leading excursion above beta,
+    the rest state past the fold), "outside_bands" (projection moves it),
+    "inhibitor" (the inhibitor solve at it fails), "not_stationary" (a
+    constraint active or gtol missed) or "energy_rise".
     refusal is None for a kept root."""
 
     steps: int
@@ -331,6 +327,8 @@ def _newton_polish(
 
     if st.det_sign == 0:
         return refused("singular")
+    if not st.converged:
+        return refused("stalled")
     if st.det_sign < 0:
         return refused("saddle")
     root = Profile(grid, st.u)
@@ -371,16 +369,10 @@ def minimize(
     options: MinimizeOptions | None = None,
 ) -> SolveResult:
     """Run projected descent from init (default start scan when None),
-    with the coupled Newton polish whenever no constraint is active: at
-    entry for a supplied init with no constraint active there, and after
-    a gtol stop. Any other start (the default scan, whose profile Newton
-    wanders from, or an init with a constraint active) is first tried
-    after accepted step 1, then after steps 2, 4, 8, ... until an attempt
-    runs. A refused root is followed by retries after accepted steps
-    2, 4, 8, ... (those with no active constraint and a step left), until
-    a root is kept or the rest state is refused: at most
-    2 + log2(iterations) polish attempts, one more from a supplied init
-    polished at entry.
+    with the coupled Newton polish on the module's one schedule: with no
+    constraint active, after accepted steps 1, 2, 4, ... (and at step 0
+    for a supplied init) while a step is left, until a rest state is
+    refused, and at a gtol stop.
 
     Deterministic for a given config. Termination is "gtol" when the
     weighted L2 norm of the projected gradient drops to options.gtol (by
@@ -427,22 +419,36 @@ def minimize(
     prev_dw: np.ndarray | None = None
     prev_g = g
 
-    # retry_at: the accepted descent step after which the polish is tried
-    # (again); 0 stops trying. Newton from a start-scan profile wanders
-    # (see the module docstring), so its first try comes after step 1, as
-    # does that of a supplied start with a constraint active.
-    polish, polish_steps, polished, retry_at = "skipped", 0, None, 1
-    if init is not None and active_count == 0 and opts.max_iters > 0:
-        polish = "fallback"
-        attempt, polished = _newton_polish(
-            params, grid, w, sol.v, report, M, opts.gtol
+    polish, polish_steps = "skipped", 0
+    scheduled = True  # until a rest state is refused
+    while iterations < opts.max_iters:
+        stop = gnorm <= opts.gtol
+        # iterations & (iterations - 1) is 0 at 0, 1, 2, 4, ...; a start
+        # from the default scan, which Newton wanders from, is not polished
+        due = (
+            scheduled
+            and iterations & (iterations - 1) == 0
+            and (iterations > 0 or init is not None)
         )
-        polish_steps = attempt.steps
-        if attempt.refusal == "rest_state":
-            retry_at = 0
-
-    while polished is None and iterations < opts.max_iters:
-        if gnorm <= opts.gtol:
+        if active_count == 0 and (stop or due):
+            attempt, kept = _newton_polish(
+                params, grid, w, sol.v, report, M, opts.gtol
+            )
+            polish_steps += attempt.steps
+            if kept is not None:
+                # the root replaces the iterate as one more step
+                w, i1, i2, report, g, sol, gnorm = kept
+                newton_total += sol.newton_iters
+                iterations += 1
+                history.append(report.alt_total)
+                converged, termination, polish, active_count = True, "gtol", "newton", 0
+                break
+            # descent cannot leave a stationary point, so a root refused at
+            # a stop for its negative determinant is where descent stopped
+            polish = "saddle" if stop and attempt.refusal == "saddle" else "fallback"
+            if attempt.refusal == "rest_state":
+                scheduled = False
+        if stop:
             termination = "gtol"
             converged = True
             break
@@ -501,33 +507,6 @@ def minimize(
         iterations += 1
         history.append(J)
         gnorm, active_count = _stationarity(grid, w, g, i1, i2, params.beta, M)
-
-        # a kept root counts as a step, so a retry needs one left
-        if iterations == retry_at and iterations < opts.max_iters:
-            retry_at *= 2
-            if active_count == 0:
-                polish = "fallback"
-                attempt, polished = _newton_polish(
-                    params, grid, w, sol.v, report, M, opts.gtol
-                )
-                polish_steps += attempt.steps
-                if attempt.refusal == "rest_state":
-                    retry_at = 0
-
-    if polished is None and converged and active_count == 0:
-        attempt, polished = _newton_polish(
-            params, grid, w, sol.v, report, M, opts.gtol
-        )
-        polish_steps += attempt.steps
-        # descent cannot leave a stationary point, so a root refused for
-        # its negative determinant means descent stopped on the saddle
-        polish = "saddle" if attempt.refusal == "saddle" else "fallback"
-    if polished is not None:
-        w, i1, i2, report, g, sol, gnorm = polished
-        newton_total += sol.newton_iters
-        iterations += 1
-        history.append(report.alt_total)
-        converged, termination, polish, active_count = True, "gtol", "newton", 0
 
     u0 = Profile(grid, w)
     x1 = _interp_crossing(u0, params.beta, min(i1, grid.n - 1))

@@ -253,24 +253,6 @@ def regime_report(params: Params) -> RegimeReport:
     )
 
 
-def slow_decay_rate(params: Params) -> float:
-    """sqrt(lambda1) for the linearization at the rest state; the far-field
-    decay rate of the pulse. Convenience wrapper used for grid sizing."""
-    trace = params.beta / params.d + params.gamma
-    det = (params.beta * params.gamma + 1.0) / params.d
-    disc = trace * trace - 4.0 * det
-    if disc <= 0.0:
-        raise ValueError("linearization has complex eigenvalues at these parameters")
-    lam2 = 0.5 * (trace + math.sqrt(disc))
-    lam1 = det / lam2
-    return math.sqrt(lam1)
-
-
-def suggested_x_max(params: Params) -> float:
-    """Default truncation: 12 slow-decay lengths, rounded up to an integer."""
-    return float(math.ceil(12.0 / slow_decay_rate(params)))
-
-
 def _bisect_root(g, lo: float, hi: float, tol: float = 1e-13) -> float:
     """Sign-change bisection; requires g(lo) and g(hi) of opposite sign."""
     glo, ghi = g(lo), g(hi)

@@ -225,6 +225,7 @@ def _fd_residual(
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _inhibitor_floor(vmax: float, umax: float, gamma: float, h: float) -> float:
@@ -389,25 +390,14 @@ def steady_jacobian(
     beta: float,
     gamma: float,
     h: float,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Jacobian of steady_residual in LAPACK general-band storage: a
+    """Jacobian of steady_residual in LAPACK general-band storage: a fresh
     Fortran-ordered (2 kl + ku + 1, 2n) array holding entry (i, j) at row
     kl + ku + i - j, with kl = ku = 2. The top kl rows are left free for
-    the fill-in of the LU factorization, so dgbsv can factor in place.
-
-    The band is written into `out` when given (a Fortran-ordered float64
-    array of that shape, such as the factors of a previous step; every
-    entry is overwritten), else into a fresh mapped array."""
+    the fill-in of the LU factorization, so dgbsv can factor in place."""
     m = len(u) - 1
     shape = (2 * STEADY_KL + STEADY_KU + 1, 2 * m)
-    if out is None:
-        ab = _mapped_zeros(shape)
-    elif out.shape == shape and out.dtype == np.float64 and out.flags.f_contiguous:
-        ab = out
-    else:
-        # the column view below would be a silent copy of any other buffer
-        raise ValueError(f"out must be a Fortran-ordered float64 array of shape {shape}")
+    ab = _mapped_zeros(shape)
     uu = u[:-1]
     vv = v[:-1]
     a = d / h**2
@@ -537,12 +527,15 @@ def _schur_step(
 @dataclass(frozen=True)
 class SteadySolution:
     """Result of one coupled Newton solve of the steady system. det_sign is
-    the sign of the Jacobian determinant at (u, v), 0 when it is singular."""
+    the sign of the Jacobian determinant at (u, v), 0 when it is singular.
+    converged is True when (u, v) meets both blocks' roundoff floors or
+    ||R||^2 underflows there, False when Newton stalled short of a root."""
 
     u: np.ndarray
     v: np.ndarray
     steps: int
     det_sign: int
+    converged: bool
 
 
 def solve_steady(
@@ -576,6 +569,9 @@ def solve_steady(
     or when no step along the Newton direction lowers ||R||^2 (a singular
     P counts as such). At a state that meets the floor no step follows, so
     P is factored by dgbtrf alone, which gives the LU and pivots of dgbsv.
+    The solve has converged when it stops at the floor, or where ||R||^2
+    is zero or subnormal: there the floors, which scale with max |u| and
+    max |v|, can sit below what the Armijo test resolves (the rest state).
     """
     u = np.array(u, dtype=float)
     v = np.array(v, dtype=float)
@@ -599,9 +595,11 @@ def solve_steady(
     ab = _mapped_zeros((2 * STEADY_KL + STEADY_KU + 1, m))
     # the blocks' diagonals and the step, allocated once per solve
     ja, jb, dv, du = (np.empty(m) for _ in range(4))
+    converged = False
     while True:
         _fill_schur(u, v, d, beta, gamma, h, ab, ja, jb, du)
         if at_floor(r, u, v):
+            converged = True
             # the returned state: only the determinant sign is needed
             lub, piv, info = dgbtrf(ab, STEADY_KL, STEADY_KU, overwrite_ab=1)
             det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
@@ -627,7 +625,8 @@ def solve_steady(
                 break
             t *= 0.5
         if not accepted:
+            converged = rn2 < _TINY
             break
         u, v, r, rn2 = u_try, v_try, r_try, rn2_try
         steps += 1
-    return SteadySolution(u=u, v=v, steps=steps, det_sign=det_sign)
+    return SteadySolution(u=u, v=v, steps=steps, det_sign=det_sign, converged=converged)

@@ -287,8 +287,8 @@ class TestNewtonPolish:
         assert res.termination == "max_iters" and res.iterations == 1
 
     def test_refused_saddle_retried(self, fine_chain):
-        # the entry polish lands on the saddle; the retry after the first
-        # descent step already reaches the minimizer
+        # the start-scan profile is first polished after one descent
+        # step, which already reaches the minimizer
         res = minimize(FINE_PARAMS, Grid(12.0, 4096), options=MinimizeOptions(gtol=1e-8))
         assert res.polish == "newton" and res.termination == "gtol"
         assert res.iterations <= 3
@@ -339,11 +339,55 @@ class TestNewtonPolish:
             assert res.polish == "fallback" and res.iterations == m
             assert refusals == ["not_stationary"] * tries
 
+    def test_saddle_start_polished_once(self, monkeypatch):
+        # started on the saddle root, descent stops by gtol at once: the
+        # one attempt there is the stop's, not an entry polish and then a
+        # second solve of the same state
+        p, grid = FINE_PARAMS, Grid(12.0, 4096)
+        start, _ = default_initial_profile(p, grid)
+        _, _, sol = evaluate_energy(start, p)
+        saddle = solve_steady(start.values, sol.v.values, p.d, p.beta, p.gamma, grid.h)
+        refusals = []
+
+        def recorded(*args):
+            attempt, kept = _newton_polish(*args)
+            refusals.append(attempt.refusal)
+            return attempt, kept
+
+        monkeypatch.setattr(minimizer, "_newton_polish", recorded)
+        res = minimize(p, grid, init=Profile(grid, saddle.u))
+        assert res.polish == "saddle" and res.iterations == 0
+        assert refusals == ["saddle"]
+
+    def test_stall_refused_before_energy(self, monkeypatch):
+        # one descent step from this start, coupled Newton stops short of a
+        # root: solve_steady flags it, and the polish refuses it as a stall
+        # without classifying the state or evaluating its energy
+        p, grid = FINE_PARAMS, Grid(12.0, 4096)
+        res = minimize(
+            p, grid, init=build_q0(0.03, 0.06, grid), options=MinimizeOptions(max_iters=1)
+        )
+        assert res.active_constraint_count == 0
+        w, v = res.u0.values, res.v0
+        st = solve_steady(w, v.values, p.d, p.beta, p.gamma, grid.h)
+        assert not st.converged
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate_energy(*args, **kwargs)
+
+        monkeypatch.setattr(minimizer, "evaluate_energy", counted)
+        M = negative_tail_cutoff(p.beta, p.gamma)
+        attempt, kept = _newton_polish(p, grid, w, v, res.energy, M, 1e-8)
+        assert kept is None and attempt.refusal == "stalled"
+        assert attempt.steps == st.steps
+        assert calls == []
+
     def test_supplied_start_retried_past_other_refusals(self, fine_chain):
-        # from this start the attempts after descent steps 1 and 2 are
-        # refused (outside the bands, then a negative determinant), neither
-        # at the rest state, so the retries go on; the one after step 8
-        # keeps the chain's pulse
+        # from this start the attempts after descent steps 1 and 2 stall
+        # short of a root, neither at the rest state, so the retries go on;
+        # the one after step 8 keeps the chain's pulse
         res = fine_chain[16384]
         run = minimize(FINE_PARAMS, res.grid, init=build_q0(0.03, 0.06, res.grid))
         assert run.polish == "newton" and run.is_pulse

@@ -18,15 +18,15 @@ from fhn_pulse import (
     gamma1_direct,
     gamma1_via_potential,
     interface_width,
+    linearize,
     negative_tail_cutoff,
     nullcline_branch,
     potential_F,
     predicted_head_length,
     reaction_f,
     reaction_knees,
-    slow_decay_rate,
 )
-from fhn_pulse.model import potential_roots, regime_report, suggested_x_max
+from fhn_pulse.model import potential_roots, regime_report
 
 # mpmath oracles at beta = 0.4, gamma = 0.3
 M_REF = 1.2134196146486691387
@@ -235,11 +235,7 @@ class TestRegime:
 class TestLinearRates:
     def test_slow_rate_frozen(self):
         p = Params(d=0.005, tau=1.0, gamma=0.1, beta=0.4)
-        assert slow_decay_rate(p) == pytest.approx(1.6391714858406963841, rel=1e-13)
-
-    def test_suggested_x_max(self):
-        p = Params(d=0.005, tau=1.0, gamma=0.1, beta=0.4)
-        assert suggested_x_max(p) == math.ceil(12.0 / 1.6391714858406963841)
+        assert linearize(p).slow_rate == pytest.approx(1.6391714858406963841, rel=1e-13)
 
 
 class TestSingularLimitGeometry:

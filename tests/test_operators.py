@@ -13,11 +13,15 @@ from scipy.linalg.lapack import dgbsv, dgbtrf
 from fhn_pulse import (
     GreenKind,
     Grid,
+    MinimizeOptions,
+    Params,
     Profile,
     apply_green,
+    build_q0,
     compute_constants,
     default_initial_profile,
     evaluate_energy,
+    minimize,
     negative_tail_cutoff,
     solve_inhibitor,
 )
@@ -554,6 +558,33 @@ class TestSteadySystem:
         assert st.u[-1] == 0.0 and st.v[-1] == 0.0
         assert np.max(np.abs(st.u - res.u0.values)) < 1e-9
 
+    @pytest.mark.parametrize("case", ["pulse", "rest_state", "stall"])
+    def test_converged_flag(self, case, cheap_pulse):
+        # a solve has converged at both blocks' roundoff floors (the pulse)
+        # or with ||R||^2 underflowed (the rest state past the fold, whose
+        # floors shrink with the state), not where it stalls short of a root
+        if case == "pulse":
+            res = cheap_pulse
+        elif case == "rest_state":
+            params = Params(d=0.005, tau=1.0, gamma=0.1, beta=0.4)
+            grid = Grid(20.0, 1024)
+            start = default_initial_profile(params, grid)[0]
+            res = minimize(params, grid, init=start, options=MinimizeOptions(max_iters=0))
+        else:
+            # one descent step from this ramp, Newton stalls
+            grid = Grid(12.0, 4096)
+            init = build_q0(0.03, 0.06, grid)
+            res = minimize(FINE_PARAMS, grid, init=init, options=MinimizeOptions(max_iters=1))
+        p, h = res.params, res.grid.h
+        st = solve_steady(res.u0.values, res.v0.values, p.d, p.beta, p.gamma, h)
+        r = steady_residual(st.u, st.v, p.d, p.beta, p.gamma, h)
+        assert st.converged == (case != "stall")
+        if case == "rest_state":
+            assert np.max(np.abs(st.u)) < 1e-150
+            assert float(np.dot(r, r)) < np.finfo(float).tiny
+        if case == "stall":
+            assert np.max(np.abs(r[0::2])) > 1e-6
+
     def reference_band(self, u, v):
         """Reference for steady_jacobian: each band row written by strided
         assignments into a zeroed Fortran-ordered array."""
@@ -574,38 +605,11 @@ class TestSteadySystem:
         ab[k + 2, 1 : 2 * m - 2 : 2] = -c
         return ab
 
-    def band(self, u, v, out=None):
-        return steady_jacobian(u, v, self.D, self.BETA, self.GAMMA_S, self.H, out=out)
-
     @pytest.mark.parametrize("m", [2, 3, 64, 4096])
     def test_refilled_band_bit_equal(self, m):
         u, v = self.state(m, m)
-        fresh = self.band(u, v)
+        fresh = steady_jacobian(u, v, self.D, self.BETA, self.GAMMA_S, self.H)
         assert np.array_equal(fresh, self.reference_band(u, v))
-        # every entry is overwritten: a NaN buffer and the LU factors of
-        # another state are refilled to the fresh band
-        nan_buf = np.full(fresh.shape, np.nan, order="F")
-        lu_buf = dgbtrf(self.band(*self.state(m + 1, m)), STEADY_KL, STEADY_KU)[0]
-        assert lu_buf.flags.f_contiguous and not np.array_equal(lu_buf, fresh)
-        for buf in (nan_buf, lu_buf):
-            assert self.band(u, v, out=buf) is buf
-            assert np.array_equal(buf, fresh)
-
-    @pytest.mark.parametrize(
-        "buf",
-        [
-            np.zeros((7, 24)),
-            np.zeros((7, 22), order="F"),
-            np.zeros((6, 24), order="F"),
-            np.zeros((7, 24), dtype=np.float32, order="F"),
-            np.zeros((7, 48), order="F")[:, ::2],
-        ],
-        ids=["c-order", "short", "rows", "float32", "strided"],
-    )
-    def test_band_buffer_validated(self, buf):
-        u, v = self.state(0)
-        with pytest.raises(ValueError, match="Fortran-ordered"):
-            self.band(u, v, out=buf)
 
     def test_factor_only_matches_dgbsv(self):
         # the factors and pivots of dgbtrf alone are those of dgbsv; weak
