@@ -43,9 +43,13 @@ def main() -> int:
         ap.error(f"--t-final / --dt must be finite, got {args.t_final} / {args.dt}")
     if args.snapshots < 1:
         ap.error(f"--snapshots must be at least 1, got {args.snapshots}")
-
-    params = Params(d=args.d, tau=args.tau, gamma=args.gamma, beta=args.beta)
-    grid = Grid(args.x_max, args.n)
+    if not math.isfinite(args.amplitude):
+        ap.error(f"--amplitude must be finite, got {args.amplitude}")
+    try:
+        params = Params(d=args.d, tau=args.tau, gamma=args.gamma, beta=args.beta)
+        grid = Grid(args.x_max, args.n)
+    except ValueError as err:
+        ap.error(str(err))
 
     t0 = time.time()
     res = minimize(params, grid, options=MinimizeOptions(gtol=1e-8))

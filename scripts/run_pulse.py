@@ -36,9 +36,9 @@ def main() -> int:
     ap.add_argument("--max-iters", type=int, default=50000)
     args = ap.parse_args()
 
-    params = Params(d=args.d, tau=1.0, gamma=args.gamma, beta=args.beta)
-    grid = Grid(args.x_max, args.n)
     try:
+        params = Params(d=args.d, tau=1.0, gamma=args.gamma, beta=args.beta)
+        grid = Grid(args.x_max, args.n)
         options = MinimizeOptions(gtol=args.gtol, max_iters=args.max_iters)
     except ValueError as err:
         ap.error(str(err))

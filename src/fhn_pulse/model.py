@@ -100,13 +100,7 @@ def negative_tail_cutoff(beta: float, gamma: float) -> float:
     lo, hi = _M_BRACKET
     if g(hi) <= 0.0:
         raise ValueError(f"tail cutoff bracket exhausted at gamma={gamma}")
-    while hi - lo > _M_TOL:
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_root(g, lo, hi, tol=_M_TOL)
 
 
 def gamma0(beta: float) -> float:

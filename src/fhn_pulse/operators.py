@@ -25,9 +25,9 @@ solve_steady runs damped Newton on the system through the Schur
 complement of the inhibitor block, P = J_uu J_vv + I: an n-row matrix,
 (2, 2)-banded too, with half the rows of the interleaved band. LAPACK's
 unblocked band LU spends its time per row, not per flop, on a band this
-narrow, so the step costs about half as much. A solve maps one band for P
-and refills it at every step, where dgbsv factors it and solves for the
-step in place; at a root that meets the roundoff floor only the
+narrow, so the step costs about half as much. A solve allocates one band
+for P and refills it at every step, where dgbsv factors it and solves for
+the step in place; at a root that meets the roundoff floor only the
 determinant sign is needed (det J = det P), so the band is factored by
 dgbtrf alone.
 """
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,61 +365,36 @@ def steady_residual(
     return r
 
 
-#: Sub- and superdiagonal counts of the interleaved steady Jacobian.
+#: Sub- and superdiagonal counts of the interleaved steady Jacobian J and of
+#: its Schur complement P: both are (2, 2)-banded.
 STEADY_KL = STEADY_KU = 2
 
 
-def _mapped_zeros(shape: tuple[int, int]) -> np.ndarray:
-    """Zeroed Fortran-ordered float array in its own anonymous memory map.
-
-    The banded factors are by far the largest array of a Newton step. Freed
-    through malloc, a block that size raises glibc's dynamic mmap
-    threshold, after which every vector of the run is served from the heap
-    and the process keeps several MiB it no longer uses. A private mapping
-    is returned to the system as soon as the array is released."""
-    rows, cols = shape
-    buf = mmap.mmap(-1, 8 * rows * cols)
-    return np.frombuffer(buf, dtype=float).reshape(shape, order="F")
-
-
 def steady_jacobian(
-    u: np.ndarray,
-    v: np.ndarray,
-    d: float,
-    beta: float,
-    gamma: float,
-    h: float,
+    u: np.ndarray, v: np.ndarray, d: float, beta: float, gamma: float, h: float
 ) -> np.ndarray:
     """Jacobian of steady_residual in LAPACK general-band storage: a fresh
     Fortran-ordered (2 kl + ku + 1, 2n) array holding entry (i, j) at row
     kl + ku + i - j, with kl = ku = 2. The top kl rows are left free for
     the fill-in of the LU factorization, so dgbsv can factor in place."""
     m = len(u) - 1
-    shape = (2 * STEADY_KL + STEADY_KU + 1, 2 * m)
-    ab = _mapped_zeros(shape)
-    uu = u[:-1]
-    vv = v[:-1]
-    a = d / h**2
-    c = 1.0 / h**2
-    diag = STEADY_KL + STEADY_KU
-    # Each band column is one contiguous 7-vector, and the columns of u_i
-    # and v_i repeat one pattern each: the stencil neighbours two columns
-    # away, the +v coupling of activator row i and the -u coupling of
-    # inhibitor row i, with zeros in the fill-in rows and on the diagonal,
-    # which is written last.
-    cols = ab.T.reshape(m, 2, shape[0])
-    cols[...] = (
-        (0.0, 0.0, -a, 0.0, 0.0, -1.0, -a),
-        (0.0, 0.0, -c, 1.0, 0.0, 0.0, -c),
-    )
-    # no row above the first node or below the last; the ghost rows
-    # double the first superdiagonal pair
-    cols[0, :, diag - 2] = 0.0
-    cols[1:2, :, diag - 2] *= 2.0
-    cols[-1, :, diag + 2] = 0.0
+    uu, vv = u[:-1], v[:-1]
+    a, c = d / h**2, 1.0 / h**2
+    k = STEADY_KL + STEADY_KU
+    ab = np.zeros((2 * STEADY_KL + STEADY_KU + 1, 2 * m), order="F")
     # diagonal: 2 d / h^2 - f'(u) and 2 / h^2 + gamma + 3 v^2
-    ab[diag, 0::2] = 2.0 * a - uu * (2.0 * (1.0 + beta) - 3.0 * uu) + beta
-    ab[diag, 1::2] = 2.0 * c + gamma + 3.0 * vv * vv
+    ab[k, 0::2] = 2.0 * a - uu * (2.0 * (1.0 + beta) - 3.0 * uu) + beta
+    ab[k, 1::2] = 2.0 * c + gamma + 3.0 * vv * vv
+    # the +v coupling of activator row i and the -u coupling of inhibitor row i
+    ab[k - 1, 1::2] = 1.0
+    ab[k + 1, 0::2] = -1.0
+    # the stencil neighbours two columns away; the ghost rows double the
+    # first superdiagonal pair, and no row lies below the last node
+    ab[k - 2, 2::2] = -a
+    ab[k - 2, 3::2] = -c
+    ab[k - 2, 2:4] *= 2.0
+    ab[k + 2, 0 : 2 * m - 2 : 2] = -a
+    ab[k + 2, 1 : 2 * m - 2 : 2] = -c
     return ab
 
 
@@ -432,46 +406,35 @@ def _band_lu_det_sign(lub: np.ndarray, piv: np.ndarray) -> int:
     return -1 if (swaps + negatives) % 2 else 1
 
 
-def _stencil_matvec(
-    diag: np.ndarray, off: float, x: np.ndarray, out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """out = T x for the tridiagonal T with diagonal `diag` and the constant
+def _stencil_matvec(diag: np.ndarray, off: float, x: np.ndarray) -> np.ndarray:
+    """T x for the tridiagonal T with diagonal `diag` and the constant
     off-diagonal `off`, doubled in row 0 (the Neumann ghost row): a block
-    of the steady Jacobian. tmp is scratch of x's length."""
-    np.multiply(diag, x, out=out)
-    np.multiply(x[1:], off, out=tmp[:-1])
-    tmp[0] *= 2.0
-    out[:-1] += tmp[:-1]
-    np.multiply(x[:-1], off, out=tmp[1:])
-    out[1:] += tmp[1:]
-    return out
+    of the steady Jacobian."""
+    y = diag * x
+    up = x[1:] * off
+    up[0] *= 2.0
+    y[:-1] += up
+    y[1:] += x[:-1] * off
+    return y
 
 
 def _fill_schur(
     u: np.ndarray, v: np.ndarray, d: float, beta: float, gamma: float, h: float,
-    ab: np.ndarray, ja: np.ndarray, jb: np.ndarray, tmp: np.ndarray,
-) -> None:
-    """Write the diagonals of the steady Jacobian's blocks at (u, v) into
-    ja (J_uu: 2 d / h^2 - f'(u)) and jb (J_vv: 2 / h^2 + gamma + 3 v^2), and
-    P = J_uu J_vv + I into ab in LAPACK gbsv storage (entry (i, j) at row
-    kl + ku + i - j, kl = ku = 2). The blocks' off-diagonals are -a and
-    -c, a = d / h^2 and c = 1 / h^2, doubled in row 0, so P's second
-    off-diagonals are the constant a c and its other entries come from ja
-    and jb alone. The top kl rows, the LU's fill-in, need not be set on
-    entry to dgbsv or dgbtrf and are left as they are. tmp is scratch of
-    ja's length."""
-    a = d / h**2
-    c = 1.0 / h**2
-    uu = u[:-1]
-    vv = v[:-1]
-    np.multiply(uu, 3.0, out=ja)
-    np.subtract(2.0 * (1.0 + beta), ja, out=ja)
-    ja *= uu
-    np.subtract(2.0 * a, ja, out=ja)
-    ja += beta
-    np.multiply(vv, 3.0, out=jb)
-    jb *= vv
-    jb += 2.0 * c + gamma
+    ab: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals ja = 2 d / h^2 - f'(u) of J_uu and jb = 2 / h^2 + gamma +
+    3 v^2 of J_vv at (u, v); P = J_uu J_vv + I is written into ab in LAPACK
+    gbsv storage (entry (i, j) at row kl + ku + i - j, kl = ku = 2). The
+    blocks' off-diagonals are -a and -c, a = d / h^2 and c = 1 / h^2,
+    doubled in row 0, so P's second off-diagonals are the constant a c and
+    its other entries come from ja and jb alone. Every band entry outside
+    the matrix is set to zero, so a fill over an old LU equals a fresh
+    one; the top kl rows, the LU's fill-in, need not be set on entry to
+    dgbsv or dgbtrf and are left as they are."""
+    a, c = d / h**2, 1.0 / h**2
+    uu, vv = u[:-1], v[:-1]
+    ja = 2.0 * a - uu * (2.0 * (1.0 + beta) - 3.0 * uu) + beta
+    jb = vv * 3.0 * vv + (2.0 * c + gamma)
     k = STEADY_KL + STEADY_KU
     ac = a * c
     # second off-diagonals: the product of the two stencils' off-diagonals,
@@ -483,45 +446,34 @@ def _fill_schur(
     ab[k + 2, -2:] = 0.0
     # first superdiagonal, (j - 1, j): -c ja[j-1] - a jb[j], doubled at (0, 1)
     ab[k - 1, 0] = 0.0
-    np.multiply(ja[:-1], -c, out=ab[k - 1, 1:])
-    np.multiply(jb[1:], a, out=tmp[1:])
-    ab[k - 1, 1:] -= tmp[1:]
-    ab[k - 1, 1:2] *= 2.0
+    ab[k - 1, 1:] = -c * ja[:-1] - a * jb[1:]
+    ab[k - 1, 1] *= 2.0
     # first subdiagonal, (j + 1, j): -a jb[j] - c ja[j+1]
-    np.multiply(jb[:-1], -a, out=ab[k + 1, :-1])
-    np.multiply(ja[1:], c, out=tmp[:-1])
-    ab[k + 1, :-1] -= tmp[:-1]
+    ab[k + 1, :-1] = -a * jb[:-1] - c * ja[1:]
     ab[k + 1, -1] = 0.0
     # diagonal: ja jb + 1 plus an a c product from each neighbour; node 1
     # meets node 0's doubled ghost coupling, the last node has no right one
-    np.multiply(ja, jb, out=ab[k])
-    ab[k] += 1.0 + 2.0 * ac
+    ab[k] = ja * jb + (1.0 + 2.0 * ac)
     ab[k, 1] += ac
     ab[k, -1] -= ac
+    return ja, jb
 
 
 def _schur_step(
-    ab: np.ndarray, ja: np.ndarray, jb: np.ndarray, d: float, h: float,
-    r: np.ndarray, dv: np.ndarray, du: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
+    ab: np.ndarray, ja: np.ndarray, jb: np.ndarray, d: float, h: float, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, int]:
     """Newton step of the steady system, J (du, dv) = -r, through the
     Schur complement P of the inhibitor block, with ja, jb and P's band ab
     as _fill_schur leaves them. dgbsv factors ab in place and solves
-    P dv = -(r_u + J_uu r_v) in dv; then du = J_vv dv + r_v. ja is
-    overwritten. Returns dgbsv's LU (ab itself), pivots and info; dv and du
-    hold the step when info is 0."""
+    P dv = -(r_u + J_uu r_v); then du = J_vv dv + r_v. Returns dgbsv's LU
+    (ab itself), pivots, du, dv and info; du is None when info is not 0."""
     ru, rv = r[0::2], r[1::2]
-    # du is the scratch until the step is formed in it
-    _stencil_matvec(ja, -d / h**2, rv, dv, du)
-    dv += ru
-    np.negative(dv, out=dv)
-    lub, piv, _, info = dgbsv(
-        STEADY_KL, STEADY_KU, ab, dv, overwrite_ab=1, overwrite_b=1
+    rhs = -(_stencil_matvec(ja, -d / h**2, rv) + ru)
+    lub, piv, dv, info = dgbsv(
+        STEADY_KL, STEADY_KU, ab, rhs, overwrite_ab=1, overwrite_b=1
     )
-    if info == 0:
-        _stencil_matvec(jb, -1.0 / h**2, dv, du, ja)
-        du += rv
-    return lub, piv, info
+    du = _stencil_matvec(jb, -1.0 / h**2, dv) + rv if info == 0 else None
+    return lub, piv, du, dv, info
 
 
 @dataclass(frozen=True)
@@ -553,13 +505,12 @@ def solve_steady(
 
         P dv = b_u + J_uu b_v,    P = J_uu J_vv + I,
 
-    and sets du = J_vv dv - b_v. One band for P is mapped per call and
-    refilled at every step from the two diagonals, in work vectors
-    allocated once; LAPACK dgbsv factors it and solves in place. Since
-    det J = det J_vv det(J_uu + J_vv^{-1}) = det P, and the interleaving
-    permutes rows and columns alike, the determinant sign comes from P's
-    LU. With v = N(u) it equals the sign of the reduced Hessian's
-    determinant, so -1 marks a saddle of odd index.
+    and sets du = J_vv dv - b_v. One band for P is allocated per call and
+    refilled at every step from the two diagonals; LAPACK dgbsv factors it
+    and solves in place. Since det J = det J_vv det(J_uu + J_vv^{-1}) =
+    det P, and the interleaving permutes rows and columns alike, the
+    determinant sign comes from P's LU. With v = N(u) it equals the sign of
+    the reduced Hessian's determinant, so -1 marks a saddle of odd index.
 
     Each step backtracks on ||R||^2 by the Armijo test of solve_inhibitor,
     and also keeps a trial at which each block of rows is at the roundoff
@@ -592,19 +543,17 @@ def solve_steady(
     r = steady_residual(u, v, d, beta, gamma, h)
     rn2 = float(np.dot(r, r))
     steps = 0
-    ab = _mapped_zeros((2 * STEADY_KL + STEADY_KU + 1, m))
-    # the blocks' diagonals and the step, allocated once per solve
-    ja, jb, dv, du = (np.empty(m) for _ in range(4))
+    ab = np.zeros((2 * STEADY_KL + STEADY_KU + 1, m), order="F")
     converged = False
     while True:
-        _fill_schur(u, v, d, beta, gamma, h, ab, ja, jb, du)
+        ja, jb = _fill_schur(u, v, d, beta, gamma, h, ab)
         if at_floor(r, u, v):
             converged = True
             # the returned state: only the determinant sign is needed
             lub, piv, info = dgbtrf(ab, STEADY_KL, STEADY_KU, overwrite_ab=1)
             det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
             break
-        lub, piv, info = _schur_step(ab, ja, jb, d, h, r, dv, du)
+        lub, piv, du, dv, info = _schur_step(ab, ja, jb, d, h, r)
         det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
         if info != 0:
             break

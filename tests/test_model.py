@@ -113,9 +113,50 @@ class TestPotentialRoots:
             potential_roots(0.7)
 
 
+def loop_tail_cutoff(beta: float, gamma: float) -> float:
+    """Oracle for negative_tail_cutoff: the dedicated bisection on [0, 10]
+    to 1e-12 that it ran before it shared the module's sign-change
+    bisection."""
+    target = 1.0 + 1.0 / gamma
+
+    def g(m: float) -> float:
+        return m * (1.0 + m) * (m + beta) - target
+
+    lo, hi = 0.0, 10.0
+    if g(hi) <= 0.0:
+        raise ValueError(f"tail cutoff bracket exhausted at gamma={gamma}")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if g(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestTailCutoff:
     def test_frozen_value(self):
         assert negative_tail_cutoff(0.4, 0.3) == pytest.approx(M_REF, abs=1e-11)
+
+    def test_agrees_with_loop(self):
+        # bit for bit over the beta window and six decades of gamma, except
+        # where the shared bisection stops on a midpoint that is an exact
+        # root (twice on this grid), which the loop walks past to within its
+        # tolerance
+        for beta in np.linspace(0.01, 0.99, 49):
+            for gamma in np.geomspace(1e-3, 1e3, 49):
+                m, ref = negative_tail_cutoff(beta, gamma), loop_tail_cutoff(beta, gamma)
+                if m != ref:
+                    assert m * (1.0 + m) * (m + beta) == 1.0 + 1.0 / gamma
+                    assert abs(m - ref) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [1e-4, 8e-4])
+    def test_bracket_exhausted(self, gamma):
+        # M (1 + M) (M + beta) = 1 + 1/gamma has no root in [0, 10] once
+        # gamma drops below about 1 / 1100
+        for cutoff in (negative_tail_cutoff, loop_tail_cutoff):
+            with pytest.raises(ValueError, match="tail cutoff bracket exhausted"):
+                cutoff(0.4, gamma)
 
     @given(st.floats(0.05, 0.95), st.floats(0.01, 10.0))
     def test_defining_equation(self, beta, gamma):

@@ -585,31 +585,32 @@ class TestSteadySystem:
         if case == "stall":
             assert np.max(np.abs(r[0::2])) > 1e-6
 
-    def reference_band(self, u, v):
-        """Reference for steady_jacobian: each band row written by strided
-        assignments into a zeroed Fortran-ordered array."""
+    def column_pattern_band(self, u, v):
+        """Oracle for steady_jacobian's strided row fill: the band built
+        column by column, each column one contiguous 7-vector and the
+        columns of u_i and v_i repeating one pattern each (the stencil
+        neighbours two columns away, the +v and -u couplings), then edited
+        at the edges, with the diagonal written last."""
         m = len(u) - 1
         uu, vv = u[:-1], v[:-1]
         beta, gamma = self.BETA, self.GAMMA_S
         a, c = self.D / self.H**2, 1.0 / self.H**2
         k = STEADY_KL + STEADY_KU
         ab = np.zeros((2 * STEADY_KL + STEADY_KU + 1, 2 * m), order="F")
+        cols = ab.T.reshape(m, 2, ab.shape[0])
+        cols[...] = ((0.0, 0.0, -a, 0.0, 0.0, -1.0, -a), (0.0, 0.0, -c, 1.0, 0.0, 0.0, -c))
+        cols[0, :, k - 2] = 0.0
+        cols[1:2, :, k - 2] *= 2.0
+        cols[-1, :, k + 2] = 0.0
         ab[k, 0::2] = 2.0 * a - uu * (2.0 * (1.0 + beta) - 3.0 * uu) + beta
         ab[k, 1::2] = 2.0 * c + gamma + 3.0 * vv * vv
-        ab[k - 1, 1::2] = 1.0
-        ab[k + 1, 0::2] = -1.0
-        ab[k - 2, 2::2] = -a
-        ab[k - 2, 3::2] = -c
-        ab[k - 2, 2:4] *= 2.0
-        ab[k + 2, 0 : 2 * m - 2 : 2] = -a
-        ab[k + 2, 1 : 2 * m - 2 : 2] = -c
         return ab
 
     @pytest.mark.parametrize("m", [2, 3, 64, 4096])
     def test_refilled_band_bit_equal(self, m):
         u, v = self.state(m, m)
         fresh = steady_jacobian(u, v, self.D, self.BETA, self.GAMMA_S, self.H)
-        assert np.array_equal(fresh, self.reference_band(u, v))
+        assert np.array_equal(fresh, self.column_pattern_band(u, v))
 
     def test_factor_only_matches_dgbsv(self):
         # the factors and pivots of dgbtrf alone are those of dgbsv; weak
@@ -628,23 +629,23 @@ class TestSteadySystem:
     def schur_lu(u, v, d, beta, gamma, h):
         """LU of the Schur complement P at (u, v), as solve_steady factors
         it at a root."""
-        m = len(u) - 1
-        ab = np.empty((2 * STEADY_KL + STEADY_KU + 1, m), order="F")
-        ja, jb, tmp = np.empty(m), np.empty(m), np.empty(m)
-        _fill_schur(u, v, d, beta, gamma, h, ab, ja, jb, tmp)
+        ab = np.empty((2 * STEADY_KL + STEADY_KU + 1, len(u) - 1), order="F")
+        _fill_schur(u, v, d, beta, gamma, h, ab)
         return dgbtrf(ab, STEADY_KL, STEADY_KU)
 
     @pytest.mark.parametrize("m", [2, 3, 12])
     def test_schur_band_is_block_product(self, m):
         # P's band holds J_uu J_vv + I, the blocks taken from the dense
-        # interleaved Jacobian, edges and ghost rows included
+        # interleaved Jacobian, edges and ghost rows included; filled over a
+        # NaN band or over an old LU, every row below the fill-in equals a
+        # fresh fill, entries outside the matrix included
         u, v = self.state(m, m)
         _, a = self.dense(u, v)
         p_dense = a[0::2, 0::2] @ a[1::2, 1::2] + np.eye(m)
         k = STEADY_KL + STEADY_KU
+        args = (u, v, self.D, self.BETA, self.GAMMA_S, self.H)
         ab = np.full((2 * STEADY_KL + STEADY_KU + 1, m), np.nan, order="F")
-        ja, jb, tmp = np.empty(m), np.empty(m), np.empty(m)
-        _fill_schur(u, v, self.D, self.BETA, self.GAMMA_S, self.H, ab, ja, jb, tmp)
+        ja, jb = _fill_schur(*args, ab)
         assert np.array_equal(ja, np.diag(a[0::2, 0::2]))
         assert np.array_equal(jb, np.diag(a[1::2, 1::2]))
         band = np.zeros((m, m))
@@ -653,6 +654,13 @@ class TestSteadySystem:
                 band[i, j] = ab[k + i - j, j]
         assert np.all(np.isfinite(ab[STEADY_KL:]))
         assert np.allclose(band, p_dense, rtol=0.0, atol=1e-13 * np.max(np.abs(p_dense)))
+        fresh = np.zeros_like(ab)
+        _fill_schur(*args, fresh)
+        assert np.array_equal(ab[STEADY_KL:], fresh[STEADY_KL:])
+        lu = dgbtrf(fresh, STEADY_KL, STEADY_KU, overwrite_ab=1)[0]
+        assert lu is fresh
+        _fill_schur(*args, lu)
+        assert np.array_equal(ab[STEADY_KL:], lu[STEADY_KL:])
 
     def test_schur_det_sign_matches_dense_determinant(self):
         # det J = det P: the sign from P's n-row LU is that of the dense
@@ -693,9 +701,8 @@ class TestSteadySystem:
         m = len(u) - 1
         r = steady_residual(u, v, p.d, p.beta, p.gamma, h)
         ab = np.empty((2 * STEADY_KL + STEADY_KU + 1, m), order="F")
-        ja, jb, dv, du = (np.empty(m) for _ in range(4))
-        _fill_schur(u, v, p.d, p.beta, p.gamma, h, ab, ja, jb, du)
-        lub, _, info = _schur_step(ab, ja, jb, p.d, h, r, dv, du)
+        ja, jb = _fill_schur(u, v, p.d, p.beta, p.gamma, h, ab)
+        lub, _, du, dv, info = _schur_step(ab, ja, jb, p.d, h, r)
         assert info == 0 and lub is ab
         step = np.empty(2 * m)
         step[0::2], step[1::2] = du, dv
@@ -727,16 +734,15 @@ class TestSteadySystem:
         assert solve_steady(res.u0.values, res.v0.values, p.d, p.beta, p.gamma, h).det_sign == 1
 
     def test_one_band_per_solve(self, cheap_pulse, monkeypatch):
-        # one n-column band is mapped per call and refilled at every step;
-        # the root is factored by dgbtrf alone, with no solve thrown away
-        calls, shapes = [], []
-        for name in ("_mapped_zeros", "dgbsv", "dgbtrf"):
-            def counted(*args, _name=name, _fn=getattr(operators, name), **kwargs):
+        # one n-column band is allocated per call and refilled at every
+        # step, which keeps the peak memory of a solve flat; the root is
+        # factored by dgbtrf alone, with no solve thrown away
+        calls, bands = [], []
+        for name, band_arg in (("dgbsv", 2), ("dgbtrf", 0)):
+            def counted(*args, _name=name, _i=band_arg, _fn=getattr(operators, name), **kwargs):
                 calls.append(_name)
-                out = _fn(*args, **kwargs)
-                if _name == "_mapped_zeros":
-                    shapes.append(out.shape)
-                return out
+                bands.append(args[_i])
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(operators, name, counted)
         res = cheap_pulse
         p = res.params
@@ -744,8 +750,9 @@ class TestSteadySystem:
         u[:-1] *= 1.0 + 1e-6
         st = solve_steady(u, res.v0.values, p.d, p.beta, p.gamma, res.grid.h)
         assert st.steps >= 2 and st.det_sign == 1
-        assert calls == ["_mapped_zeros"] + ["dgbsv"] * st.steps + ["dgbtrf"]
-        assert shapes == [(2 * STEADY_KL + STEADY_KU + 1, res.grid.n)]
+        assert calls == ["dgbsv"] * st.steps + ["dgbtrf"]
+        assert all(band is bands[0] for band in bands)
+        assert bands[0].shape == (2 * STEADY_KL + STEADY_KU + 1, res.grid.n)
 
     def test_floor_trial_kept(self, fine_chain, monkeypatch):
         # from a fine-chain root with u scaled by 1 + 1e-4, a full step takes

@@ -65,6 +65,30 @@ def test_run_pulse_rejects_bad_stopping_controls():
 
 
 @pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("run_pulse.py", ["--d", "-1"], "d must be positive"),
+        ("run_pulse.py", ["--beta", "1.5"], "beta must lie in (0, 1)"),
+        ("run_pulse.py", ["--n", "8"], "n must be at least 16"),
+        ("relax_perturbed_pulse.py", ["--n", "8"], "n must be at least 16"),
+        ("relax_perturbed_pulse.py", ["--tau", "0"], "tau must be positive"),
+        ("relax_perturbed_pulse.py", ["--x-max", "inf"], "x_max must be positive and finite"),
+        ("relax_perturbed_pulse.py", ["--amplitude", "nan"], "--amplitude must be finite"),
+        ("relax_perturbed_pulse.py", ["--amplitude", "inf"], "--amplitude must be finite"),
+    ],
+    ids=["run_negative_d", "run_beta_outside_window", "run_too_few_nodes",
+         "relax_too_few_nodes", "relax_zero_tau", "relax_infinite_x_max",
+         "relax_nan_amplitude", "relax_infinite_amplitude"],
+)
+def test_scripts_reject_bad_problem_before_solving(script, args, message):
+    proc = run_script(script, *args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"error: {message}" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["--snapshots", "0"], "--snapshots must be at least 1"),
