@@ -6,14 +6,16 @@
 on [0, x_max] with a no-flux condition at 0 and the truncation zero at
 x_max. Diffusion and the linear inhibitor drag are implicit, the cubic
 terms explicit, so each step is two tridiagonal solves with operators
-factored once per run (L D L^T by LAPACK dpttrf, solved by dpttrs). The
-implicit operators reuse the steady-state stencils, which makes a
-converged pulse a fixed point of the map up to its gradient tolerance.
+factored once per run (operators.factor_shifted, solved by
+solve_factored in blocks of unknowns). The implicit operators reuse the
+steady-state stencils, which makes a converged pulse a fixed point of the
+map up to its gradient tolerance.
 
 A step allocates no state-sized array except the u - beta factor inside
 reaction_f: each right-hand side is written into one of two preallocated
-buffers by the operations of its formula in order, dpttrs solves in that
-buffer, and the buffer is swapped with the field it updates.
+buffers by the operations of its formula in order, solve_factored solves
+in that buffer with the factor's own scratch, and the buffer is swapped
+with the field it updates.
 """
 
 from __future__ import annotations

@@ -9,8 +9,13 @@ where D2 is the second-difference operator with a ghost-node Neumann row at
 x = 0 (V_{-1} = V_1) and c > 0 is a scalar or per-node coefficient. Halving
 the first row makes the system symmetric positive definite and
 tridiagonal: one-off solves run LAPACK dptsv in place on the diagonal and
-off-diagonal, and the fixed operators of time stepping are factored once as
-L D L^T by dpttrf and solved by dpttrs (Golub & Van Loan, section 4.3.6).
+off-diagonal. The fixed operators of time stepping (scalar c) are factored
+once by factor_shifted: away from the ghost row the L D L^T factors have a
+constant pivot and multiplier, so solve_factored evaluates their two
+recurrences on blocks of unknowns as small GEMMs, the carries between
+blocks by the same scheme one level up (Blelloch 1990), and the ghost row
+by one Sherman-Morrison correction. LAPACK's dpttrs runs the same
+recurrences one unknown at a time, bound by the latency of each step.
 
 The nonlinear inhibitor solve v = N(u) is damped Newton on these
 tridiagonal systems. A cold solve starts from the linear response v_L
@@ -39,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgbtrf, dptsv, dpttrf, dpttrs
+from scipy.linalg.lapack import dgbsv, dgbtrf, dptsv
 
 from .grid import Grid, Profile
 from .model import reaction_f
@@ -84,7 +89,7 @@ def _rhs_buffer(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty(m + 1)
     elif not (out.shape == (m + 1,) and out.dtype == np.float64 and out.flags.c_contiguous):
-        # LAPACK would solve in a silent copy of any other buffer
+        # a solve would run in a silent copy of any other buffer
         raise ValueError("out must be a contiguous float64 array of length len(rhs) + 1")
     out[:m] = rhs  # a no-op when rhs is out[:m]
     out[0] *= 0.5
@@ -110,35 +115,238 @@ def solve_shifted(c: np.ndarray | float, rhs: np.ndarray, h: float) -> np.ndarra
     return out
 
 
-def factor_shifted(c: float, h: float, m: int) -> np.ndarray:
-    """LDL^T factorization (LAPACK dpttrf) of the symmetrized shifted
-    operator, for repeated solves with a fixed coefficient (time stepping).
+# The stationary solve behind factor_shifted works on blocks of _BLOCK
+# unknowns, _ROWS blocks per matrix product: a (64 x 32) @ (32 x 32) GEMM
+# stays below OpenBLAS's threading threshold, so a solve starts no BLAS
+# threads. Powers of the multiplier below _FLUSH are set to 0, which keeps
+# subnormals out of the products.
+_BLOCK = 32
+_ROWS = 64
+_FLUSH = 1e-40
 
-    Returns one C-ordered (2, m) array: row 0 holds the diagonal D, row 1
-    the off-diagonal E of the unit bidiagonal factor followed by one unused
-    pad entry, so each row is a contiguous vector for dpttrs."""
-    diag, off, info = dpttrf(*_shifted_tridiagonal(c, h, m))
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"shifted operator is not positive definite (dpttrf info = {info})"
-        )
-    factor = np.zeros((2, m))
-    factor[0] = diag
-    factor[1, :-1] = off
-    return factor
+
+def _block_shape(n: int) -> tuple[int, int, int]:
+    """(batches, rows, _BLOCK) array holding n values in zero-padded
+    blocks, at most _ROWS blocks per batch and fewer than one padding
+    block per batch."""
+    blocks = -(-n // _BLOCK)
+    batches = -(-blocks // _ROWS)
+    return batches, -(-blocks // batches), _BLOCK
+
+
+def _powers(log_r: float) -> np.ndarray:
+    """r^0 .. r^_BLOCK from log r, flushed to 0 below _FLUSH."""
+    p = np.ones(_BLOCK + 1)
+    p[1:] = np.exp(np.arange(1, _BLOCK + 1) * log_r)
+    p[p < _FLUSH] = 0.0
+    return p
+
+
+def _toeplitz_upper(p: np.ndarray) -> np.ndarray:
+    """(_BLOCK, _BLOCK) matrix with [j, i] = p[i - j] on and above the
+    diagonal, 0 below."""
+    k = np.arange(_BLOCK)
+    lag = k[None, :] - k[:, None]
+    return np.where(lag >= 0, p[np.maximum(lag, 0)], 0.0)
+
+
+class _Level:
+    """One level of the blocked recurrence y_i = x_i + r y_{i-1}, y_{-1} = 0
+    (Blelloch 1990: a linear recurrence as a scan), over n values laid out
+    by _block_shape, zero padded at the end. Within a block y = x @ gemm,
+    and x @ gemv is each block's last value with no carry-in; those last
+    values obey the same recurrence with multiplier r^_BLOCK, one level
+    up. gemm is scaled by `scale`, the multiplier of the level below,
+    which adds y to the first entries of its blocks."""
+
+    def __init__(self, log_r: float, n: int, scale: float):
+        p = _powers(log_r)
+        self.r = float(p[1])
+        powers = _toeplitz_upper(p)
+        self.gemv = powers[:, -1].copy()
+        self.gemm = scale * powers
+        self.x = np.zeros(_block_shape(n))
+        self.y = np.zeros_like(self.x)
+        self.n_blocks = self.x.shape[0] * self.x.shape[1]
+        # the blocks holding values take carries; the rest stay 0
+        self.first = self.x.reshape(-1, _BLOCK)[1 : -(-n // _BLOCK), 0]
+
+    def link(self, up: _Level) -> None:
+        """Views of the level above: its input, which takes this level's
+        block ends, and its output, which holds r times the solved end of
+        each block before the last."""
+        self.ends = up.x.reshape(-1)[: self.n_blocks].reshape(self.x.shape[:2])
+        self.carry = up.y.reshape(-1)[: self.first.size]
+
+
+def _scan(levels: list[_Level], k: int = 0) -> None:
+    """levels[k].y = scale times the recurrence of levels[k] over
+    levels[k].x, whose first n values the caller wrote: the block ends go
+    up a level, r times each one joins the next block's first entry, and
+    one GEMM finishes every block."""
+    lv = levels[k]
+    if k + 1 < len(levels):
+        np.matmul(lv.x, lv.gemv, out=lv.ends)
+        _scan(levels, k + 1)
+        np.add(lv.first, lv.carry, out=lv.first)
+    np.matmul(lv.x, lv.gemm, out=lv.y)
+
+
+class ShiftedFactor:
+    """Stationary factorization of the symmetrized (-D2 + c) matrix A on m
+    unknowns for a scalar c > 0, with the scratch its solves work in.
+
+    Every row of A but the ghost row 0 is the Toeplitz row (alpha, o) =
+    (2/h^2 + c, -1/h^2), so A = S + (A_00 - delta) e0 e0^T, where
+    S = L Delta L^T has the constant pivot delta, the root of
+    delta^2 - alpha delta + o^2 = 0 above alpha/2, and the constant
+    multiplier o/delta = -r with 0 < r < 1.
+
+    S is solved by the recurrences y_i = b_i + r y_{i-1} and
+    x_i = y_i/delta + r x_{i+1} on blocks of _BLOCK unknowns, zero padded
+    in front. Within a block the two sweeps are one matrix, x = b @ gemm.
+    What crosses block edges enters as two entries of b: r times the
+    previous block's last y joins the first entry, delta r times the next
+    block's first x the last. Both carries obey the recurrences with
+    multiplier r^_BLOCK over the blocks (_scan, the backward one
+    reversed), from each block's last y and delta times its first x with
+    no carry-in, b @ edge_gemm. The corner is one Sherman-Morrison
+    correction along w = S^{-1} e0 (Golub & Van Loan, section 2.1.4), kept
+    on the prefix where it is not flushed to 0.
+
+    A factor is not safe to share between threads: its solves write its
+    scratch arrays."""
+
+    def __init__(self, c: float, h: float, m: int):
+        # the stored entries of _shifted_tridiagonal
+        alpha = 2.0 / h**2 + c
+        diag0 = 1.0 / h**2 + 0.5 * c
+        o = 1.0 / h**2
+        if not math.isfinite(alpha):
+            raise ValueError(f"shift must be finite, got {c}")
+        # alpha - 2|o| is exact when c <= 2/h^2 (Sterbenz), so delta
+        # matches the stored diagonal, not the c it was formed from
+        c_eff = alpha - 2.0 * o
+        if not c_eff > 0.0:
+            raise np.linalg.LinAlgError(
+                f"shifted operator is not positive definite (effective shift {c_eff})"
+            )
+        root = math.sqrt(c_eff) * math.sqrt(alpha + 2.0 * o)
+        delta = 0.5 * (alpha + root)
+        gap = 0.5 * (c_eff + root) / delta  # 1 - r, free of cancellation
+        log_r = math.log1p(-gap) if gap < 0.5 else math.log(o / delta)
+
+        p = _powers(log_r)
+        forward = _toeplitz_upper(p)  # [j, i] = r^(i - j)
+        self.gemm = forward @ (forward.T / delta)
+        self.edge_gemm = np.stack([forward[:, -1], delta * self.gemm[:, 0]], axis=1)
+        self.start_carry = delta * self.gemm[0, 0]
+        self.m = m
+        shape = _block_shape(m)
+        self.pad = shape[0] * shape[1] * _BLOCK - m
+        self.x = np.zeros(shape)
+        # the GEMM writes straight into the solution when the blocks tile m
+        self.y = np.zeros(shape) if self.pad else None
+        self.edge_values = np.zeros(shape[:2] + (2,))
+        self.levels: list[_Level] = []
+        n, scale = shape[0] * shape[1], float(p[1])
+        while n > 1:
+            log_r *= _BLOCK
+            self.levels.append(_Level(log_r, n, scale))
+            n, scale = self.levels[-1].n_blocks, self.levels[-1].r
+        for lv, up in zip(self.levels, self.levels[1:]):
+            lv.link(up)
+
+        w = np.zeros(m)
+        w[0] = 1.0
+        self._solve_stationary(w)
+        w[np.abs(w) < _FLUSH * abs(w[0])] = 0.0
+        self.w = w[: np.flatnonzero(w)[-1] + 1].copy()
+        shift = diag0 - delta
+        denom = 1.0 + shift * self.w[0]
+        if not denom > 0.0:
+            raise np.linalg.LinAlgError(
+                f"shifted operator is not positive definite (corner pivot {denom})"
+            )
+        self.corner = shift / denom
+
+    @property
+    def nbytes(self) -> int:
+        """Total size of the factor's arrays, scratch included."""
+        arrays = [self.gemm, self.edge_gemm, self.x, self.edge_values, self.w]
+        if self.y is not None:
+            arrays.append(self.y)
+        for lv in self.levels:
+            arrays += [lv.gemm, lv.gemv, lv.x, lv.y]
+        return sum(a.nbytes for a in arrays)
+
+    def _carry_in(self) -> None:
+        """Add the carries across block edges to the blocked b in x. A
+        scan of the block ends gives r times the forward carries; a second
+        one, over delta times each block's first x with the forward carry
+        in, last block first, gives delta r times the backward ones."""
+        blocks = self.x.reshape(-1, _BLOCK)
+        edges = self.edge_values.reshape(-1, 2)
+        np.matmul(self.x, self.edge_gemm, out=self.edge_values)
+        top = self.levels[0]
+        up = top.x.reshape(-1)[: edges.shape[0]]
+        solved = top.y.reshape(-1)[: edges.shape[0] - 1]
+        up[:] = edges[:, 0]
+        _scan(self.levels)
+        np.add(blocks[1:, 0], solved, out=blocks[1:, 0])
+        # each block's first x with the forward carry in, last block first
+        starts = up[::-1]
+        np.multiply(solved, self.start_carry, out=starts[1:])
+        np.add(starts[1:], edges[1:, 1], out=starts[1:])
+        starts[0] = edges[0, 1]
+        _scan(self.levels)
+        np.add(blocks[:-1, -1], solved[::-1], out=blocks[:-1, -1])
+
+    def _solve_stationary(self, b: np.ndarray) -> None:
+        """b = S^{-1} b in place (contiguous, length m)."""
+        flat = self.x.reshape(-1)
+        flat[: self.pad] = 0.0
+        flat[self.pad :] = b
+        if self.levels:
+            self._carry_in()
+        if self.y is None:
+            np.matmul(self.x, self.gemm, out=b.reshape(self.x.shape))
+        else:
+            np.matmul(self.x, self.gemm, out=self.y)
+            b[:] = self.y.reshape(-1)[self.pad :]
+
+    def solve(self, b: np.ndarray) -> None:
+        """b = A^{-1} b in place (contiguous, length m)."""
+        self._solve_stationary(b)
+        p = self.w.size
+        t = self.x.reshape(-1)[:p]
+        np.multiply(self.w, self.corner * b[0], out=t)
+        np.subtract(b[:p], t, out=b[:p])
+
+
+def factor_shifted(c: float, h: float, m: int) -> ShiftedFactor:
+    """Factorization of the symmetrized shifted operator on m unknowns for
+    repeated solves with a fixed scalar coefficient c > 0 (time stepping);
+    see ShiftedFactor. Raises ValueError for a non-finite c and
+    LinAlgError when the stored diagonal 2/h^2 + c does not exceed twice
+    the off-diagonal's magnitude or the operator is not positive
+    definite."""
+    return ShiftedFactor(c, h, m)
 
 
 def solve_factored(
-    factor: np.ndarray, rhs: np.ndarray, out: np.ndarray | None = None
+    factor: ShiftedFactor, rhs: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Solve (-D2 + c) V = rhs with a factor_shifted factorization; rhs has
     one entry per unknown, the returned array has the Dirichlet zero
-    appended. dpttrs solves in place in the output buffer: a fresh array by
-    default, else `out` (contiguous float64, length len(rhs) + 1), which is
-    returned. rhs may be out[:-1], so a right-hand side written into out is
-    solved where it stands; any other rhs is left unmodified."""
+    appended. The solve runs in place in the output buffer: a fresh array
+    by default, else `out` (contiguous float64, length len(rhs) + 1), which
+    is returned. rhs may be out[:-1], so a right-hand side written into out
+    is solved where it stands; any other rhs is left unmodified."""
+    if len(rhs) != factor.m:
+        raise ValueError(f"rhs has {len(rhs)} entries, the factor {factor.m}")
     out = _rhs_buffer(rhs, out)
-    dpttrs(factor[0], factor[1, :-1], out[:-1], overwrite_b=1)
+    factor.solve(out[:-1])
     return out
 
 

@@ -13,6 +13,8 @@ import dataclasses
 import json
 from typing import ClassVar
 
+import numpy as np
+
 
 def _plain(value):
     """JSON-ready copy of value: dataclasses become dicts (honouring their
@@ -54,9 +56,19 @@ def write_json(path, obj) -> None:
         fh.write(json_text(obj))
 
 
+_CSV_ROWS = 4096  # rows formatted per write
+
+
 def write_csv(path, header: str, columns) -> None:
-    """Write equal-length float columns under a comma-separated header."""
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [header] + [row % vals for vals in zip(*columns)]
+    """Write equal-length float columns under a comma-separated header.
+    Rows are formatted from Python floats, which give the bytes of numpy
+    float64 scalars faster, a chunk of rows at a time, so no list of the
+    whole file is held."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    columns = [np.asarray(col) for col in columns]
+    n = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, n, _CSV_ROWS):
+            chunk = [col[start : start + _CSV_ROWS].tolist() for col in columns]
+            fh.write("".join([row % vals for vals in zip(*chunk)]))

@@ -45,9 +45,11 @@ def test_kernel_size_hooks_on_real_calls():
     sizes = _tracing()._KERNEL_SIZES
     m, h = 256, 0.05
     rhs = np.random.default_rng(0).standard_normal(m)
+    factor = factor_shifted(1.0, h, m)
     cases = [
-        ("operators.solve_factored", solve_factored, (factor_shifted(1.0, h, m), rhs),
-         m, 8 * (2 * m + m + (m + 1))),
+        # the factor counts its own arrays, scratch included
+        ("operators.solve_factored", solve_factored, (factor, rhs),
+         m, factor.nbytes + 8 * (m + (m + 1))),
         ("operators.solve_shifted", solve_shifted, (0.3, rhs, h),
          m, 8 * (1 + m + (m + 1))),
         ("operators.solve_shifted", solve_shifted, (np.full(m, 0.3), rhs, h),

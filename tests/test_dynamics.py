@@ -4,11 +4,12 @@ as formulas, blow-up detection, and trajectory export."""
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fhn_pulse import Grid, Params, Profile, evolve
+from fhn_pulse import Grid, Params, Profile, dynamics, evolve
 from fhn_pulse.dynamics import BlowUpError, export_trajectory
 from fhn_pulse.grid import profile_from_csv
 from fhn_pulse.model import reaction_f
@@ -116,6 +117,36 @@ class TestInPlaceStep:
                 assert not np.shares_memory(a, b)
 
 
+class TestStepAllocation:
+    def test_step_allocates_at_most_two_state_arrays(self, monkeypatch):
+        # evolve's step writes into preallocated buffers and the factors'
+        # own scratch; only reaction_f's u - beta factor is a temporary.
+        # The peak is taken over steps 2..51, from the first reaction_f
+        # call of step 2 to the first of step 52.
+        n = 32768
+        calls = []
+        marks = {}
+
+        def traced(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                tracemalloc.reset_peak()
+                marks["start"] = tracemalloc.get_traced_memory()[0]
+            elif len(calls) == 52:
+                marks["peak"] = tracemalloc.get_traced_memory()[1]
+            return reaction_f(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "reaction_f", traced)
+        u0, v0 = gaussian_state(Grid(10.0, n))
+        tracemalloc.start()
+        try:
+            evolve(PARAMS, u0, v0, dt=1e-3, t_final=0.06)
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 60
+        assert marks["peak"] - marks["start"] <= 2 * 8 * (n + 1)
+
+
 class TestStepping:
     def test_step_count_rounds(self):
         g = Grid(10.0, 64)
@@ -196,29 +227,40 @@ class TestStepping:
 
     def test_non_finite_inhibitor_alone_detected(self):
         # v = -+1e103 on neighbouring nodes: v^3 overflows to +-inf there,
-        # and the solve's forward sweep adds the two, spreading NaN over v;
-        # dt = 1e-104 keeps the activator's step dt * v at 0.1
+        # and the solve's block products (0 * inf, inf - inf) spread NaN
+        # over every node of v; dt = 1e-104 keeps the activator's step
+        # dt * v at 0.1
         g = Grid(10.0, 64)
         vals = np.zeros(65)
         vals[10:12] = (-1e103, 1e103)
         z = Profile(g, np.zeros(65))
+        v0 = Profile(g, vals)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as exc:
-                evolve(PARAMS, z, Profile(g, vals), 1e-104, 1e-104)
+                evolve(PARAMS, z, v0, 1e-104, 1e-104)
+            (u1, v1), = formula_snapshots(PARAMS, z, v0, 1e-104, 1, 1)[1:]
         assert exc.value.time == pytest.approx(1e-104)
+        assert np.all(np.isfinite(u1))
+        assert np.all(np.isnan(v1[:-1]))
 
     def test_non_finite_state_detected(self):
         # Profile refuses a non-finite start, so make the first step NaN:
         # the cubic overflows to +inf and -inf on neighbouring nodes, and
-        # the solve's forward sweep adds them, spreading NaN over every node
+        # the solve's block products (0 * inf, inf - inf) spread NaN over
+        # every node of u, and the inhibitor step takes it to every node
+        # of v
         g = Grid(10.0, 64)
         vals = np.zeros(65)
         vals[10:12] = (-1e200, 1e200)
         z = Profile(g, np.zeros(65))
+        u0 = Profile(g, vals)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as exc:
-                evolve(PARAMS, Profile(g, vals), z, 0.01, 1.0)
+                evolve(PARAMS, u0, z, 0.01, 1.0)
+            (u1, v1), = formula_snapshots(PARAMS, u0, z, 0.01, 1, 1)[1:]
         assert exc.value.time == pytest.approx(0.01)
+        assert np.all(np.isnan(u1[:-1]))
+        assert np.all(np.isnan(v1[:-1]))
 
 
 class TestExport:

@@ -16,6 +16,7 @@ from fhn_pulse.grid import (
     norm_l2,
     stiffness_form,
 )
+from fhn_pulse.records import write_csv
 
 
 def make(values_fn, x_max=10.0, n=500):
@@ -143,6 +144,25 @@ class TestIO:
         q = profile_from_csv(path)
         assert q.grid == g
         assert np.array_equal(q.values, p.values)  # 17 digits reproduce binary64
+
+    def test_csv_bytes_match_numpy_scalar_formatting(self, tmp_path):
+        # write_csv formats Python floats, a chunk of rows at a time; the
+        # bytes are those of the numpy float64 scalars it formatted before,
+        # signed zero, the smallest subnormal and the overflow edge
+        # included, over more rows than one chunk
+        special = [-0.0, 5e-324, 1e308, 1.0 / 3.0, -1e-300, 0.1]
+        vals = np.concatenate([special, np.random.default_rng(3).standard_normal(9000)])
+        cols = (vals, -vals)
+        row = "%.17g,%.17g"
+        expected = "\n".join(["a,b"] + [row % pair for pair in zip(*cols)]) + "\n"
+        path = tmp_path / "c.csv"
+        write_csv(path, "a,b", cols)
+        assert path.read_bytes() == expected.encode()
+        assert path.read_text().splitlines()[1:4] == [
+            "-0,0",
+            "4.9406564584124654e-324,-4.9406564584124654e-324",
+            "1e+308,-1e+308",
+        ]
 
     def test_header_check(self, tmp_path):
         path = tmp_path / "bad.csv"
