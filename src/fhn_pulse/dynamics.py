@@ -9,12 +9,17 @@ terms explicit, so each step is two tridiagonal solves with operators
 factored once per run (operators.factor_shifted, solved by
 solve_factored in blocks of unknowns). The implicit operators reuse the
 steady-state stencils, which makes a converged pulse a fixed point of the
-map up to its gradient tolerance.
+map up to its gradient tolerance. A step is
 
-A step allocates no state-sized array except the u - beta factor inside
-reaction_f: each right-hand side is written into one of two preallocated
-buffers by the operations of its formula in order, solve_factored solves
-in that buffer with the factor's own scratch, and the buffer is swapped
+    (1/dt - d D2) u' = u ((1/dt - beta) + u ((1 + beta) - u)) - v,
+    (tau/dt + gamma - D2) v' = v (tau/dt - v v) + u',
+
+with the explicit terms in Horner form: five array passes form the u
+right-hand side and four the v one.
+
+A step allocates no state-sized array: each right-hand side is formed
+in the scratch of its operator's factor, where solve_factored reads it,
+and solved into one of two preallocated buffers, which is then swapped
 with the field it updates.
 """
 
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, Profile, profile_to_csv
-from .model import Params, compute_constants, reaction_f
+from .model import Params, compute_constants
 from .operators import factor_shifted, solve_factored
 from .records import Record, write_json
 
@@ -80,15 +85,16 @@ def evolve(
     Steps the activator implicitly in diffusion, then the inhibitor
     implicitly in diffusion and linear decay using the updated activator:
 
-        (1/(dt d) - D2) u' = (u + dt (f(u) - v)) / (dt d),
-        (tau/dt + gamma - D2) v' = (tau/dt) v + u' - v^3.
+        (1/dt - d D2) u' = u ((1/dt - beta) + u ((1 + beta) - u)) - v,
+        (tau/dt + gamma - D2) v' = v (tau/dt - v v) + u',
 
-    Each right-hand side is formed in a preallocated (n + 1) buffer and
-    solved there in place (solve_factored with out=); the buffer then
-    becomes the field and the old field the next buffer. The old u also
-    holds v^3 while the inhibitor's right-hand side is formed. The
-    trajectory is bit for bit that of the formulas above evaluated on
-    fresh arrays.
+    the explicit terms u/dt + f(u) - v and (tau/dt) v - v^3 + u' written
+    in Horner form. Each right-hand side is formed in place in its
+    factor's scratch `rhs`, five passes for u and four for v, and
+    solve_factored reads it there and writes the solution into a
+    preallocated (n + 1) buffer; the buffer then becomes the field and
+    the old field the next buffer. The trajectory is bit for bit that of
+    the formulas above evaluated on fresh arrays.
 
     Snapshots are copies, recorded at t = 0, every `snapshot_every` steps
     when positive, and at the final time. dt, t_final and their ratio
@@ -114,8 +120,11 @@ def evolve(
 
     h = grid.h
     m = grid.n  # unknowns per solve; the last node stays pinned at 0
-    factor_u = factor_shifted(1.0 / (dt * d), h, m)
+    factor_u = factor_shifted(1.0 / dt, h, m, d)
     factor_v = factor_shifted(tau / dt + gamma, h, m)
+    b_u, b_v = factor_u.rhs, factor_v.rhs
+    shift_u = 1.0 / dt - beta
+    shift_v = tau / dt
 
     u = np.array(u_init.values, dtype=float)
     v = np.array(v_init.values, dtype=float)
@@ -129,21 +138,20 @@ def evolve(
     u_start, v_start = u.copy(), v.copy()
 
     for step in range(1, n_steps + 1):
-        # (u + dt * (f(u) - v)) / (dt * d), one operation at a time in the
-        # formula's order, so every rounding is the formula's
-        rhs = reaction_f(u, beta, out=buf_u)
-        np.subtract(rhs, v, out=rhs)
-        np.multiply(dt, rhs, out=rhs)
-        np.add(u, rhs, out=rhs)
-        np.divide(rhs, dt * d, out=rhs)
-        u, buf_u = solve_factored(factor_u, rhs[:-1], out=rhs), u
-        # (tau / dt) * v + u - v * v * v, with the cube in the old u
-        rhs = np.multiply(tau / dt, v, out=buf_v)
-        np.add(rhs, u, out=rhs)
-        cube = np.multiply(v, v, out=buf_u)
-        np.multiply(cube, v, out=cube)
-        np.subtract(rhs, cube, out=rhs)
-        v, buf_v = solve_factored(factor_v, rhs[:-1], out=rhs), v
+        # u ((1/dt - beta) + u ((1 + beta) - u)) - v, in the formula's order
+        uu, vv = u[:-1], v[:-1]
+        np.subtract(1.0 + beta, uu, out=b_u)
+        np.multiply(uu, b_u, out=b_u)
+        np.add(shift_u, b_u, out=b_u)
+        np.multiply(uu, b_u, out=b_u)
+        np.subtract(b_u, vv, out=b_u)
+        u, buf_u = solve_factored(factor_u, b_u, out=buf_u), u
+        # v (tau/dt - v v) + u'
+        np.multiply(vv, vv, out=b_v)
+        np.subtract(shift_v, b_v, out=b_v)
+        np.multiply(vv, b_v, out=b_v)
+        np.add(b_v, u[:-1], out=b_v)
+        v, buf_v = solve_factored(factor_v, b_v, out=buf_v), v
 
         t = step * dt
         # a NaN propagates through max and min and fails every comparison

@@ -44,22 +44,13 @@ class Params:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
 
 
-def reaction_f(u, beta: float, out=None):
+def reaction_f(u, beta: float):
     """Cubic activator nonlinearity f(u) = u (1 - u) (u - beta).
 
     Accepts scalars or arrays. Zeros at 0, beta, 1; negative on (0, beta),
-    positive on (beta, 1). With `out`, an array of u's shape that does not
-    overlap u, the product is formed in out with the same operations in the
-    same order (so bit for bit the default result) and out is returned;
-    only the factor u - beta then takes a temporary.
+    positive on (beta, 1).
     """
-    if out is None:
-        return u * (1.0 - u) * (u - beta)
-    if np.may_share_memory(u, out):
-        raise ValueError("out must not overlap u")
-    np.subtract(1.0, u, out=out)
-    np.multiply(u, out, out=out)
-    return np.multiply(out, u - beta, out=out)
+    return u * (1.0 - u) * (u - beta)
 
 
 def potential_F(xi, beta: float):

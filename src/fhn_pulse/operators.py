@@ -9,13 +9,17 @@ where D2 is the second-difference operator with a ghost-node Neumann row at
 x = 0 (V_{-1} = V_1) and c > 0 is a scalar or per-node coefficient. Halving
 the first row makes the system symmetric positive definite and
 tridiagonal: one-off solves run LAPACK dptsv in place on the diagonal and
-off-diagonal. The fixed operators of time stepping (scalar c) are factored
-once by factor_shifted: away from the ghost row the L D L^T factors have a
-constant pivot and multiplier, so solve_factored evaluates their two
-recurrences on blocks of unknowns as small GEMMs, the carries between
-blocks by the same scheme one level up (Blelloch 1990), and the ghost row
-by one Sherman-Morrison correction. LAPACK's dpttrs runs the same
-recurrences one unknown at a time, bound by the latency of each step.
+off-diagonal. The fixed operators of time stepping, a (-D2) + c with
+scalars a and c, are factored once by factor_shifted as -D2 + c/a, with
+1/a folded into the last matrix a solve applies: away from the ghost row
+the L D L^T factors have a constant pivot and multiplier, so
+solve_factored evaluates their two recurrences on blocks of unknowns as
+small GEMMs, the carries between blocks by the same scheme one level up
+(Blelloch 1990), and the ghost row by one Sherman-Morrison correction. It
+reads the right-hand side from the factor's scratch, where a caller may
+form it, and writes the solution into the caller's buffer. LAPACK's dpttrs
+runs the same recurrences one unknown at a time, bound by the latency of
+each step.
 
 The nonlinear inhibitor solve v = N(u) is damped Newton on these
 tridiagonal systems. A cold solve starts from the linear response v_L
@@ -78,25 +82,6 @@ def _shifted_tridiagonal(
     return diag, np.full(m - 1, -1.0 / h**2)
 
 
-def _rhs_buffer(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Output buffer of a shifted solve: rhs with its ghost row halved as
-    the symmetrized matrix's row 0 is, then the Dirichlet zero. It is
-    written into `out` when given (a contiguous float64 array of length
-    len(rhs) + 1; rhs may be out[:-1] itself), else into a fresh array. The
-    solvers overwrite the first len(rhs) entries in place; an rhs that is
-    not out[:-1] is left unmodified."""
-    m = len(rhs)
-    if out is None:
-        out = np.empty(m + 1)
-    elif not (out.shape == (m + 1,) and out.dtype == np.float64 and out.flags.c_contiguous):
-        # a solve would run in a silent copy of any other buffer
-        raise ValueError("out must be a contiguous float64 array of length len(rhs) + 1")
-    out[:m] = rhs  # a no-op when rhs is out[:m]
-    out[0] *= 0.5
-    out[m] = 0.0
-    return out
-
-
 def solve_shifted(c: np.ndarray | float, rhs: np.ndarray, h: float) -> np.ndarray:
     """Solve (-D2 + c) V = rhs with Neumann at 0 and V = 0 at the last node.
 
@@ -106,7 +91,10 @@ def solve_shifted(c: np.ndarray | float, rhs: np.ndarray, h: float) -> np.ndarra
     """
     m = len(rhs)
     diag, off = _shifted_tridiagonal(c, h, m)
-    out = _rhs_buffer(rhs)
+    out = np.empty(m + 1)
+    out[:m] = rhs
+    out[0] *= 0.5  # the ghost row, halved as the symmetrized matrix's row 0
+    out[m] = 0.0
     info = dptsv(diag, off, out[:m], overwrite_d=1, overwrite_e=1, overwrite_b=1)[3]
     if info > 0:
         raise np.linalg.LinAlgError(
@@ -193,11 +181,14 @@ def _scan(levels: list[_Level], k: int = 0) -> None:
 
 
 class ShiftedFactor:
-    """Stationary factorization of the symmetrized (-D2 + c) matrix A on m
-    unknowns for a scalar c > 0, with the scratch its solves work in.
+    """Stationary factorization of the symmetrized a (-D2) + c matrix on m
+    unknowns for scalars a, c > 0, with the scratch its solves work in.
+    It factors A = -D2 + c/a and folds 1/a into gemm, the last matrix a
+    solve applies; the corner correction is linear in the solution, so it
+    needs no rescaling.
 
     Every row of A but the ghost row 0 is the Toeplitz row (alpha, o) =
-    (2/h^2 + c, -1/h^2), so A = S + (A_00 - delta) e0 e0^T, where
+    (2/h^2 + c/a, -1/h^2), so A = S + (A_00 - delta) e0 e0^T, where
     S = L Delta L^T has the constant pivot delta, the root of
     delta^2 - alpha delta + o^2 = 0 above alpha/2, and the constant
     multiplier o/delta = -r with 0 < r < 1.
@@ -214,10 +205,15 @@ class ShiftedFactor:
     correction along w = S^{-1} e0 (Golub & Van Loan, section 2.1.4), kept
     on the prefix where it is not flushed to 0.
 
-    A factor is not safe to share between threads: its solves write its
-    scratch arrays."""
+    A solve reads b from `rhs`, the m entries of the blocked scratch after
+    the padding, and overwrites it; a caller may form b there. A factor is
+    not safe to share between threads: its solves write its scratch
+    arrays."""
 
-    def __init__(self, c: float, h: float, m: int):
+    def __init__(self, c: float, h: float, m: int, a: float = 1.0):
+        if not (a > 0.0 and math.isfinite(a)):
+            raise ValueError(f"diffusion coefficient must be positive and finite, got {a}")
+        c = c / a
         # the stored entries of _shifted_tridiagonal
         alpha = 2.0 / h**2 + c
         diag0 = 1.0 / h**2 + 0.5 * c
@@ -245,6 +241,7 @@ class ShiftedFactor:
         shape = _block_shape(m)
         self.pad = shape[0] * shape[1] * _BLOCK - m
         self.x = np.zeros(shape)
+        self.rhs = self.x.reshape(-1)[self.pad :]
         # the GEMM writes straight into the solution when the blocks tile m
         self.y = np.zeros(shape) if self.pad else None
         self.edge_values = np.zeros(shape[:2] + (2,))
@@ -257,9 +254,10 @@ class ShiftedFactor:
         for lv, up in zip(self.levels, self.levels[1:]):
             lv.link(up)
 
-        w = np.zeros(m)
-        w[0] = 1.0
+        self.rhs[0] = 1.0
+        w = np.empty(m)
         self._solve_stationary(w)
+        self.gemm /= a
         w[np.abs(w) < _FLUSH * abs(w[0])] = 0.0
         self.w = w[: np.flatnonzero(w)[-1] + 1].copy()
         shift = diag0 - delta
@@ -302,51 +300,61 @@ class ShiftedFactor:
         _scan(self.levels)
         np.add(blocks[:-1, -1], solved[::-1], out=blocks[:-1, -1])
 
-    def _solve_stationary(self, b: np.ndarray) -> None:
-        """b = S^{-1} b in place (contiguous, length m)."""
-        flat = self.x.reshape(-1)
-        flat[: self.pad] = 0.0
-        flat[self.pad :] = b
+    def _solve_stationary(self, out: np.ndarray) -> None:
+        """out = S^{-1} b / a for the b in rhs (out contiguous, length m)."""
+        self.x.reshape(-1)[: self.pad] = 0.0
         if self.levels:
             self._carry_in()
         if self.y is None:
-            np.matmul(self.x, self.gemm, out=b.reshape(self.x.shape))
+            np.matmul(self.x, self.gemm, out=out.reshape(self.x.shape))
         else:
             np.matmul(self.x, self.gemm, out=self.y)
-            b[:] = self.y.reshape(-1)[self.pad :]
+            out[:] = self.y.reshape(-1)[self.pad :]
 
-    def solve(self, b: np.ndarray) -> None:
-        """b = A^{-1} b in place (contiguous, length m)."""
-        self._solve_stationary(b)
+    def solve(self, out: np.ndarray) -> None:
+        """out = A^{-1} b / a for the b in rhs (out contiguous, length m)."""
+        self._solve_stationary(out)
         p = self.w.size
         t = self.x.reshape(-1)[:p]
-        np.multiply(self.w, self.corner * b[0], out=t)
-        np.subtract(b[:p], t, out=b[:p])
+        np.multiply(self.w, self.corner * out[0], out=t)
+        np.subtract(out[:p], t, out=out[:p])
 
 
-def factor_shifted(c: float, h: float, m: int) -> ShiftedFactor:
-    """Factorization of the symmetrized shifted operator on m unknowns for
-    repeated solves with a fixed scalar coefficient c > 0 (time stepping);
-    see ShiftedFactor. Raises ValueError for a non-finite c and
-    LinAlgError when the stored diagonal 2/h^2 + c does not exceed twice
-    the off-diagonal's magnitude or the operator is not positive
-    definite."""
-    return ShiftedFactor(c, h, m)
+def factor_shifted(c: float, h: float, m: int, a: float = 1.0) -> ShiftedFactor:
+    """Factorization of the symmetrized operator a (-D2) + c on m unknowns
+    for repeated solves with fixed scalar coefficients a, c > 0 (time
+    stepping); see ShiftedFactor. Raises ValueError for an a that is not
+    positive and finite or a non-finite c/a, and LinAlgError when the
+    stored diagonal 2/h^2 + c/a does not exceed twice the off-diagonal's
+    magnitude or the operator is not positive definite."""
+    return ShiftedFactor(c, h, m, a)
 
 
 def solve_factored(
     factor: ShiftedFactor, rhs: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Solve (-D2 + c) V = rhs with a factor_shifted factorization; rhs has
-    one entry per unknown, the returned array has the Dirichlet zero
-    appended. The solve runs in place in the output buffer: a fresh array
-    by default, else `out` (contiguous float64, length len(rhs) + 1), which
-    is returned. rhs may be out[:-1], so a right-hand side written into out
-    is solved where it stands; any other rhs is left unmodified."""
-    if len(rhs) != factor.m:
-        raise ValueError(f"rhs has {len(rhs)} entries, the factor {factor.m}")
-    out = _rhs_buffer(rhs, out)
-    factor.solve(out[:-1])
+    """Solve (a (-D2) + c) V = rhs with a factor_shifted factorization; rhs
+    has one entry per unknown, the returned array has the Dirichlet zero
+    appended: a fresh array by default, else `out` (contiguous float64,
+    length len(rhs) + 1), which is returned. The solve reads rhs from the
+    factor's scratch: rhs is copied there and left unmodified, unless it
+    is factor.rhs itself, so a right-hand side formed in factor.rhs is
+    solved with no copy (and overwritten). The solution is written
+    straight into the output buffer."""
+    m = factor.m
+    if len(rhs) != m:
+        raise ValueError(f"rhs has {len(rhs)} entries, the factor {m}")
+    if out is None:
+        out = np.empty(m + 1)
+    elif not (out.shape == (m + 1,) and out.dtype == np.float64 and out.flags.c_contiguous):
+        # the solution would land in a silent copy of any other buffer
+        raise ValueError("out must be a contiguous float64 array of length len(rhs) + 1")
+    b = factor.rhs
+    if rhs is not b:
+        b[:] = rhs
+    b[0] *= 0.5  # the ghost row, halved as the symmetrized matrix's row 0
+    factor.solve(out[:m])
+    out[m] = 0.0
     return out
 
 

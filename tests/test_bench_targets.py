@@ -62,26 +62,23 @@ def test_kernel_size_hooks_on_real_calls():
         assert sizes[name](args, {}, result) == (elems, nbytes), name
 
 
-def test_evolve_calls_traced_kernels_through_its_bindings(monkeypatch):
-    # the tracer counts solve_factored and reaction_f calls on relax by
-    # replacing fhn_pulse.dynamics' bindings; an evolve that bound them
-    # elsewhere, or stopped calling them per step, would drop those counts
-    calls = {"solve_factored": 0, "reaction_f": 0}
-
-    def counted(name):
-        fn = getattr(dynamics, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(dynamics, name, counted(name))
+def test_evolve_calls_traced_kernels_through_its_bindings():
+    # the tracer counts solve_factored calls on relax by replacing
+    # fhn_pulse.dynamics' binding; an evolve that bound it elsewhere, or
+    # stopped calling it per step, would drop those counts. The step
+    # forms its right-hand sides without reaction_f, so relax traces no
+    # reaction_f call.
+    tracer = _tracing().Tracer()
     g = Grid(10.0, 64)
     u0 = Profile(g, 0.8 * np.exp(-((g.nodes() - 2.0) ** 2)))
     z = Profile(g, np.zeros(65))
-    traj = dynamics.evolve(Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4), u0, z, 0.1, 0.5)
+    try:
+        tracer.install()
+        traj = dynamics.evolve(Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4), u0, z, 0.1, 0.5)
+    finally:
+        tracer.uninstall()
+    assert "fhn_pulse.dynamics.solve_factored" in tracer.bindings["operators.solve_factored"]
     assert traj.n_steps == 5
-    assert calls == {"solve_factored": 10, "reaction_f": 5}
+    names = [span[0] for span in tracer.spans]
+    assert names.count("operators.solve_factored") == 10
+    assert names.count("model.reaction_f") == 0

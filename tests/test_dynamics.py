@@ -1,8 +1,10 @@
 """Semi-implicit evolution: exact invariants, the pulse as a fixed point,
 first-order accuracy in dt, the in-place step against the step written
-as formulas, blow-up detection, and trajectory export."""
+as formulas (bit for bit) and in its divided form (to roundoff), blow-up
+detection, and trajectory export."""
 
 import json
+import pathlib
 import re
 import tracemalloc
 
@@ -16,6 +18,9 @@ from fhn_pulse.model import reaction_f
 from fhn_pulse.operators import factor_shifted, solve_factored
 
 PARAMS = Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4)
+RELAX_STATE = (
+    pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "relax_state.npz"
+)
 
 
 def gaussian_state(grid):
@@ -75,6 +80,29 @@ def formula_snapshots(params, u0, v0, dt, n_steps, snapshot_every):
     reproduce bit for bit."""
     d, tau, gamma, beta = params.d, params.tau, params.gamma, params.beta
     h, m = u0.grid.h, u0.grid.n
+    factor_u = factor_shifted(1.0 / dt, h, m, d)
+    factor_v = factor_shifted(tau / dt + gamma, h, m)
+    u = np.array(u0.values)
+    v = np.array(v0.values)
+    u[-1] = v[-1] = 0.0
+    snaps = [(u, v)]
+    for step in range(1, n_steps + 1):
+        rhs_u = u * ((1.0 / dt - beta) + u * ((1.0 + beta) - u)) - v
+        u = solve_factored(factor_u, rhs_u[:-1])
+        rhs_v = v * (tau / dt - v * v) + u
+        v = solve_factored(factor_v, rhs_v[:-1])
+        if step % snapshot_every == 0 or step == n_steps:
+            snaps.append((u, v))
+    return snaps
+
+
+def divided_formula_snapshots(params, u0, v0, dt, n_steps, snapshot_every):
+    """The step in its first form, u' from (1/(dt d) - D2) u' =
+    (u + dt (f(u) - v)) / (dt d) and v' from (tau/dt + gamma - D2) v' =
+    (tau/dt) v + u' - v^3: the same map with other roundings, a second
+    oracle that the Horner form must agree with to roundoff."""
+    d, tau, gamma, beta = params.d, params.tau, params.gamma, params.beta
+    h, m = u0.grid.h, u0.grid.n
     factor_u = factor_shifted(1.0 / (dt * d), h, m)
     factor_v = factor_shifted(tau / dt + gamma, h, m)
     u = np.array(u0.values)
@@ -89,6 +117,13 @@ def formula_snapshots(params, u0, v0, dt, n_steps, snapshot_every):
         if step % snapshot_every == 0 or step == n_steps:
             snaps.append((u, v))
     return snaps
+
+
+def assert_close_to_divided_form(traj, ref):
+    assert len(traj.snapshots) == len(ref)
+    for (u, v), (u_ref, v_ref) in zip(traj.snapshots, ref):
+        for x, x_ref in ((u.values, u_ref), (v.values, v_ref)):
+            assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
 
 class TestInPlaceStep:
@@ -115,36 +150,54 @@ class TestInPlaceStep:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+        assert_close_to_divided_form(
+            traj, divided_formula_snapshots(params, u0, v0, 1e-3, 20, 3)
+        )
+
+    def test_relax_state_agrees_with_divided_form(self):
+        # 200 steps of the benchmark's relax run (the criterion-7 pulse at
+        # n = 32768, d = 1e-6): 1/dt d = 1e9, where the divided form's
+        # right-hand side is ~1e9 u
+        with np.load(RELAX_STATE, allow_pickle=False) as z:
+            grid = Grid(12.0, 32768)
+            u0, v0 = Profile(grid, z["u0"]), Profile(grid, z["v0"])
+        params = Params(d=1e-6, tau=1.0, gamma=0.1, beta=0.4)
+        traj = evolve(params, u0, v0, dt=1e-3, t_final=0.2, snapshot_every=50)
+        assert traj.n_steps == 200
+        assert_close_to_divided_form(
+            traj, divided_formula_snapshots(params, u0, v0, 1e-3, 200, 50)
+        )
 
 
 class TestStepAllocation:
-    def test_step_allocates_at_most_two_state_arrays(self, monkeypatch):
-        # evolve's step writes into preallocated buffers and the factors'
-        # own scratch; only reaction_f's u - beta factor is a temporary.
-        # The peak is taken over steps 2..51, from the first reaction_f
-        # call of step 2 to the first of step 52.
+    def test_step_allocates_no_state_array(self, monkeypatch):
+        # evolve's step forms each right-hand side in its factor's scratch
+        # and solves it into a preallocated buffer, so it allocates no
+        # state-sized array (8 (n + 1) = 256 KiB here). The peak is taken
+        # over steps 2..51, from the first solve_factored call of step 2
+        # to the first of step 52.
         n = 32768
         calls = []
         marks = {}
 
         def traced(*args, **kwargs):
             calls.append(None)
-            if len(calls) == 2:
+            if len(calls) == 3:
                 tracemalloc.reset_peak()
                 marks["start"] = tracemalloc.get_traced_memory()[0]
-            elif len(calls) == 52:
+            elif len(calls) == 103:
                 marks["peak"] = tracemalloc.get_traced_memory()[1]
-            return reaction_f(*args, **kwargs)
+            return solve_factored(*args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "reaction_f", traced)
+        monkeypatch.setattr(dynamics, "solve_factored", traced)
         u0, v0 = gaussian_state(Grid(10.0, n))
         tracemalloc.start()
         try:
             evolve(PARAMS, u0, v0, dt=1e-3, t_final=0.06)
         finally:
             tracemalloc.stop()
-        assert len(calls) == 60
-        assert marks["peak"] - marks["start"] <= 2 * 8 * (n + 1)
+        assert len(calls) == 120
+        assert marks["peak"] - marks["start"] <= 64 * 1024
 
 
 class TestStepping:

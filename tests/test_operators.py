@@ -205,6 +205,27 @@ def longdouble_thomas(diag: np.ndarray, off: np.ndarray, b: np.ndarray) -> np.nd
     return np.array(x, dtype=ld)
 
 
+def assert_solves_symmetrized(v, rhs, c, h, a=1.0):
+    """v solves the symmetrized a (-D2) + c system, scaled to -D2 + c/a,
+    for rhs: within 1e-11 of the long double Thomas solve of the stored
+    entries and with a normwise backward error of at most 4 ulps."""
+    diag, off = operators._shifted_tridiagonal(c / a, h, len(rhs))
+    # the ghost row halved, rhs with it
+    b = rhs.astype(np.longdouble) / np.longdouble(a)
+    b[0] *= 0.5
+    ref = longdouble_thomas(diag, off, b)
+    x = v[:-1].astype(np.longdouble)
+    # a silently copied right-hand side would leave v unsolved
+    assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+    # normwise backward error, the residual taken in long double
+    r = b - diag * x
+    r[:-1] -= off * x[1:]
+    r[1:] -= off * x[:-1]
+    norm_a = np.max(diag) + 2.0 * np.max(np.abs(off), initial=0.0)
+    eta = np.max(np.abs(r)) / (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
+    assert eta <= 4.0 * np.finfo(float).eps
+
+
 class TestSolveFactored:
     # the time-stepping coefficients 1/(dt d) and tau/dt + gamma at the
     # criterion-7 run (dt = 1e-3, d = 1e-6, gamma = 0.1), weak shifts, the
@@ -220,177 +241,44 @@ class TestSolveFactored:
         assert v.shape == (m + 1,)
         assert v[-1] == 0.0
         assert np.array_equal(rhs, before)
-        # the symmetrized system: ghost row halved, rhs with it
-        diag, off = operators._shifted_tridiagonal(c, h, m)
-        b = rhs.copy()
-        b[0] *= 0.5
-        ref = longdouble_thomas(diag, off, b)
-        x = v[:-1].astype(np.longdouble)
-        # a silently copied right-hand side would leave v unsolved
-        assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
-        # normwise backward error, the residual taken in long double
-        r = b.astype(np.longdouble) - diag * x
-        r[:-1] -= off * x[1:]
-        r[1:] -= off * x[:-1]
-        norm_a = np.max(diag) + 2.0 * np.max(np.abs(off), initial=0.0)
-        eta = np.max(np.abs(r)) / (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
-        assert eta <= 4.0 * np.finfo(float).eps
+        assert_solves_symmetrized(v, rhs, c, h)
 
-    @pytest.mark.parametrize("c", [1e9, 1000.1])
-    @pytest.mark.parametrize("m", [64, 32768])
-    def test_out_buffer_matches_copying_solve(self, m, c):
-        factor = factor_shifted(c, 12.0 / m, m)
+    # a = d = 1e-6 with c = 1/dt = 1000 is the criterion-7 activator
+    # operator, scaled to -D2 + 1e9
+    @pytest.mark.parametrize("a", [1.0, 1e-6])
+    @pytest.mark.parametrize("c", [1000.0, 0.1, 1e-3])
+    @pytest.mark.parametrize("m", [16, 33, 4097, 32768])
+    def test_diffusion_coefficient_matches_unfactored_solve(self, m, c, a):
+        h = 12.0 / m
         rhs = np.random.default_rng(m).standard_normal(m)
-        before = rhs.copy()
+        factor = factor_shifted(c, h, m, a)
+        v = solve_factored(factor, rhs)
+        assert v[-1] == 0.0
+        assert_solves_symmetrized(v, rhs, c, h, a)
+        if a == 1.0:
+            assert np.array_equal(v, solve_factored(factor_shifted(c, h, m), rhs))
+
+    @pytest.mark.parametrize("a", [1.0, 1e-6])
+    @pytest.mark.parametrize("m", [17, 32768])
+    def test_scratch_rhs_matches_separate_rhs(self, m, a):
+        # a right-hand side formed in factor.rhs is solved there with no
+        # copy, to the bits of the same values passed as their own array
+        factor = factor_shifted(1000.0, 12.0 / m, m, a)
+        rhs = np.random.default_rng(m).standard_normal(m)
         ref = solve_factored(factor, rhs)
-        # the right-hand side written into the buffer, solved where it stands
-        buf = np.empty(m + 1)
-        buf[:-1] = rhs
-        assert solve_factored(factor, buf[:-1], out=buf) is buf
-        assert np.array_equal(buf, ref)
-        # a separate right-hand side is read, not written
+        factor.rhs[:] = rhs
         out = np.full(m + 1, np.nan)
-        assert solve_factored(factor, rhs, out=out) is out
+        assert solve_factored(factor, factor.rhs, out=out) is out
         assert np.array_equal(out, ref)
-        assert np.array_equal(rhs, before)
+        factor.rhs[:] = rhs
+        assert np.array_equal(solve_factored(factor, factor.rhs), ref)
+        assert factor.rhs.shape == (m,)
+        assert np.shares_memory(factor.rhs, factor.x)
 
-    @pytest.mark.parametrize(
-        "out",
-        [np.empty(17), np.empty(15), np.empty(16, dtype=np.float32), np.empty(32)[::2]],
-        ids=["long", "short", "float32", "strided"],
-    )
-    def test_out_buffer_validated(self, out):
-        # the solve would run in a silent copy of such a buffer
-        with pytest.raises(ValueError, match="out must be"):
-            solve_factored(factor_shifted(0.5, 0.1, 15), np.ones(15), out=out)
-
-    def test_factor_layout(self):
-        # the factor owns every array its solves touch; nbytes is their
-        # total (the benchmark tracer's computed bytes read it), a few
-        # state arrays at most, and a solve allocates none of it anew
-        for m in (16, 4097, 32768):
-            factor = factor_shifted(1000.1, 12.0 / m, m)
-            assert factor.m == m
-            arrays = [a for a in vars(factor).values() if isinstance(a, np.ndarray)]
-            for level in factor.levels:
-                arrays += [a for a in vars(level).values() if isinstance(a, np.ndarray)]
-            # views into the scratch are not counted twice
-            arrays = [a for a in arrays if a.base is None]
-            assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
-            assert factor.nbytes == sum(a.nbytes for a in arrays)
-            assert factor.nbytes <= 3 * 8 * m + 32 * 1024
-            rhs = np.random.default_rng(m).standard_normal(m)
-            first = solve_factored(factor, rhs)
-            assert np.array_equal(solve_factored(factor, rhs), first)
-            assert factor.nbytes == sum(a.nbytes for a in arrays)
-
-    def test_no_threaded_blas(self):
-        # every BLAS call of a solve stays below OpenBLAS's threading
-        # threshold: with BLAS threads unpinned, 200 solves at m = 32768
-        # take no more CPU time than wall time, where a threaded call's
-        # workers spin. Idle workers spin for up to ~0.1 s after their
-        # last task before they sleep, hence the pause before the timed
-        # solves; a process with threaded calls does not always show
-        # spinning workers on a busy host, hence three processes.
-        code = (
-            "import time, numpy as np\n"
-            "from fhn_pulse.operators import factor_shifted, solve_factored\n"
-            "m = 32768\n"
-            "factor = factor_shifted(1000.1, 12.0 / m, m)\n"
-            "out = np.empty(m + 1)\n"
-            "rhs = np.random.default_rng(0).standard_normal(m)\n"
-            "for _ in range(20): solve_factored(factor, rhs, out=out)\n"
-            "time.sleep(0.3)\n"
-            "wall, cpu = time.perf_counter(), time.process_time()\n"
-            "for _ in range(200): solve_factored(factor, rhs, out=out)\n"
-            "print((time.process_time() - cpu) / (time.perf_counter() - wall))\n"
-        )
-        env = dict(os.environ)
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env.pop(var, None)
-        for _ in range(3):
-            proc = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True,
-                env=env, check=True,
-            )
-            assert float(proc.stdout) <= 1.3
-
-    def test_indefinite_operator_rejected(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_shifted(-1e3, np.ones(16), 0.1)
-
-    def test_matches_dense_solve(self):
-        # cross-check the banded path against a dense assembly of the same
-        # Neumann/Dirichlet finite-difference matrix
-        n, h, c = 64, 0.25, 0.7
-        rng = np.random.default_rng(3)
-        rhs = rng.standard_normal(n)
-        A = np.zeros((n, n))
-        for i in range(n):
-            A[i, i] = 2.0 / h**2 + c
-            if i > 0:
-                A[i, i - 1] = -1.0 / h**2
-            if i < n - 1:
-                A[i, i + 1] = -1.0 / h**2
-        A[0, 0] = 2.0 / h**2 + c  # ghost-node Neumann row: -2 v0 + 2 v1
-        A[0, 1] = -2.0 / h**2
-        v_dense = np.linalg.solve(A, rhs)
-        v = solve_shifted(c, rhs, h)
-        assert v[-1] == 0.0
-        assert np.allclose(v[:-1], v_dense, rtol=1e-10, atol=1e-12)
-
-
-def longdouble_thomas(diag: np.ndarray, off: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Thomas solve of the symmetric tridiagonal (diag, off) system in
-    np.longdouble, one row at a time: the reference a float64 solve of the
-    same stored entries is held to."""
-    ld = np.longdouble
-    d = [ld(v) for v in diag]
-    e = [ld(v) for v in off]
-    y = [ld(v) for v in b]
-    for i in range(1, len(d)):
-        f = e[i - 1] / d[i - 1]
-        d[i] -= f * e[i - 1]
-        y[i] -= f * y[i - 1]
-    x = y  # back substitution in place
-    x[-1] = y[-1] / d[-1]
-    for i in range(len(d) - 2, -1, -1):
-        x[i] = (y[i] - e[i] * x[i + 1]) / d[i]
-    return np.array(x, dtype=ld)
-
-
-class TestSolveFactored:
-    # the time-stepping coefficients 1/(dt d) and tau/dt + gamma at the
-    # criterion-7 run (dt = 1e-3, d = 1e-6, gamma = 0.1), weak shifts, the
-    # v operator of the dt = 1e-104 blow-up test, and sizes below, at and
-    # off the 32-unknown blocks of the stationary solve
-    @pytest.mark.parametrize("c", [1e9, 1000.1, 0.1, 1e-3, 1e104])
-    @pytest.mark.parametrize("m", [16, 17, 33, 64, 1000, 4096, 4097, 32768])
-    def test_matches_unfactored_solve(self, m, c):
-        h = 12.0 / m
-        rhs = np.random.default_rng(m).standard_normal(m)
-        before = rhs.copy()
-        v = solve_factored(factor_shifted(c, h, m), rhs)
-        assert v.shape == (m + 1,)
-        assert v[-1] == 0.0
-        assert np.array_equal(rhs, before)
-        # the symmetrized system: ghost row halved, rhs with it
-        diag, off = operators._shifted_tridiagonal(c, h, m)
-        b = rhs.copy()
-        b[0] *= 0.5
-        ref = longdouble_thomas(diag, off, b)
-        x = v[:-1].astype(np.longdouble)
-        # a silently copied right-hand side would leave v unsolved
-        assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
-        # normwise backward error, the residual taken in long double
-        r = b.astype(np.longdouble) - diag * x
-        r[:-1] -= off * x[1:]
-        r[1:] -= off * x[:-1]
-        norm_a = np.max(diag) + 2.0 * np.max(np.abs(off), initial=0.0)
-        eta = np.max(np.abs(r)) / (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
-        assert eta <= 4.0 * np.finfo(float).eps
+    @pytest.mark.parametrize("a", [0.0, -1e-6, np.nan, np.inf])
+    def test_diffusion_coefficient_validated(self, a):
+        with pytest.raises(ValueError, match="diffusion coefficient must be positive"):
+            factor_shifted(1.0, 0.1, 16, a)
 
     @pytest.mark.parametrize("c", [1e9, 1000.1])
     @pytest.mark.parametrize("m", [64, 32768])
