@@ -208,9 +208,7 @@ NEEDS_X2 = "x2"
 NEEDS_EIGEN = "real eigenvalues"
 
 
-def check_pulse_properties(
-    result: SolveResult, params: Params | None = None
-) -> PropertyReport:
+def check_pulse_properties(result: SolveResult) -> PropertyReport:
     """Verify the qualitative standing-pulse properties of a converged
     minimizer: unique level crossings with negative slope, sign bands,
     a unique negative tail minimum, inhibitor positivity and tail decrease,
@@ -222,7 +220,7 @@ def check_pulse_properties(
     """
     if not result.converged:
         raise ValueError("pulse property checks require a converged result")
-    params = params or result.params
+    params = result.params
     u, v = result.u0, result.v0
     grid = u.grid
     h = grid.h
@@ -427,6 +425,11 @@ def random_bumps(rng: np.random.Generator, grid: Grid, span: float) -> np.ndarra
     return out
 
 
+# random_admissible_profile draws its crossing indices from ranges that are
+# empty on a grid of fewer nodes
+_MIN_SAMPLE_NODES = 30
+
+
 def random_admissible_profile(
     rng: np.random.Generator, grid: Grid, beta: float, M: float
 ) -> Profile:
@@ -470,6 +473,10 @@ def verify_inequality_suite(
     256 there) where no inequality is violated. Its detail prints [a, b]
     and h.
     """
+    if grid.n < _MIN_SAMPLE_NODES:
+        raise ValueError(
+            f"the inequality suite needs n >= {_MIN_SAMPLE_NODES}, got n = {grid.n}"
+        )
     rng = np.random.default_rng(seed)
     beta, gamma = params.beta, params.gamma
     consts = compute_constants(beta, gamma)

@@ -26,19 +26,14 @@ tridiagonal systems. A cold solve starts from the linear response v_L
 with every node moved to the real root of w^3 + gamma w = gamma v_L, the
 local balance of the cubic term that v_L leaves out.
 
-steady_residual interleaves the rows of the coupled steady system for
-(u, v) as (u_0, v_0, u_1, v_1, ...), which makes its Jacobian a
-(2, 2)-banded general matrix; steady_jacobian assembles it in LAPACK's
-gbsv storage, the reference the tests hold the Newton step to.
-solve_steady runs damped Newton on the system through the Schur
-complement of the inhibitor block, P = J_uu J_vv + I: an n-row matrix,
-(2, 2)-banded too, with half the rows of the interleaved band. LAPACK's
-unblocked band LU spends its time per row, not per flop, on a band this
-narrow, so the step costs about half as much. A solve allocates one band
-for P and refills it at every step, where dgbsv factors it and solves for
-the step in place; at a root that meets the roundoff floor only the
-determinant sign is needed (det J = det P), so the band is factored by
-dgbtrf alone.
+steady_residual returns the coupled steady system for (u, v) in two
+blocks of rows, activator and inhibitor. solve_steady runs damped Newton
+on it through the Schur complement of the inhibitor block,
+P = J_uu J_vv + I: an n-row, (2, 2)-banded matrix. A solve allocates one
+band for P and refills it at every step, where dgbsv factors it and
+solves for the step in place; at a root that meets the roundoff floor
+only the determinant sign is needed (det J = det P), so the band is
+factored by dgbtrf alone.
 """
 
 from __future__ import annotations
@@ -565,8 +560,8 @@ def inhibitor_derivative(
 def steady_residual(
     u: np.ndarray, v: np.ndarray, d: float, beta: float, gamma: float, h: float
 ) -> np.ndarray:
-    """Residual of the discrete steady system on nodes 0..n-1, interleaved
-    as (activator row i, inhibitor row i):
+    """Residual of the discrete steady system on nodes 0..n-1, a (2, n)
+    array with the activator rows in row 0 and the inhibitor rows in row 1:
 
         d (-D2) u - f(u) + v,      (-D2 + gamma) v + v^3 - u,
 
@@ -574,44 +569,14 @@ def steady_residual(
     node n holds the Dirichlet zero. The activator rows are the energy
     gradient and the inhibitor rows the inhibitor residual, so a root is a
     stationary point of J with v = N(u)."""
-    m = len(u) - 1
-    r = np.empty(2 * m)
-    r[0::2] = _gradient_values(u, v, d, beta, h)[:-1]
-    r[1::2] = _fd_residual(v, u, gamma, h)
-    return r
+    return np.stack(
+        (_gradient_values(u, v, d, beta, h)[:-1], _fd_residual(v, u, gamma, h))
+    )
 
 
-#: Sub- and superdiagonal counts of the interleaved steady Jacobian J and of
-#: its Schur complement P: both are (2, 2)-banded.
+#: Sub- and superdiagonal counts of the Schur complement P of the steady
+#: Jacobian: it is (2, 2)-banded.
 STEADY_KL = STEADY_KU = 2
-
-
-def steady_jacobian(
-    u: np.ndarray, v: np.ndarray, d: float, beta: float, gamma: float, h: float
-) -> np.ndarray:
-    """Jacobian of steady_residual in LAPACK general-band storage: a fresh
-    Fortran-ordered (2 kl + ku + 1, 2n) array holding entry (i, j) at row
-    kl + ku + i - j, with kl = ku = 2. The top kl rows are left free for
-    the fill-in of the LU factorization, so dgbsv can factor in place."""
-    m = len(u) - 1
-    uu, vv = u[:-1], v[:-1]
-    a, c = d / h**2, 1.0 / h**2
-    k = STEADY_KL + STEADY_KU
-    ab = np.zeros((2 * STEADY_KL + STEADY_KU + 1, 2 * m), order="F")
-    # diagonal: 2 d / h^2 - f'(u) and 2 / h^2 + gamma + 3 v^2
-    ab[k, 0::2] = 2.0 * a - uu * (2.0 * (1.0 + beta) - 3.0 * uu) + beta
-    ab[k, 1::2] = 2.0 * c + gamma + 3.0 * vv * vv
-    # the +v coupling of activator row i and the -u coupling of inhibitor row i
-    ab[k - 1, 1::2] = 1.0
-    ab[k + 1, 0::2] = -1.0
-    # the stencil neighbours two columns away; the ghost rows double the
-    # first superdiagonal pair, and no row lies below the last node
-    ab[k - 2, 2::2] = -a
-    ab[k - 2, 3::2] = -c
-    ab[k - 2, 2:4] *= 2.0
-    ab[k + 2, 0 : 2 * m - 2 : 2] = -a
-    ab[k + 2, 1 : 2 * m - 2 : 2] = -c
-    return ab
 
 
 def _band_lu_det_sign(lub: np.ndarray, piv: np.ndarray) -> int:
@@ -683,7 +648,7 @@ def _schur_step(
     as _fill_schur leaves them. dgbsv factors ab in place and solves
     P dv = -(r_u + J_uu r_v); then du = J_vv dv + r_v. Returns dgbsv's LU
     (ab itself), pivots, du, dv and info; du is None when info is not 0."""
-    ru, rv = r[0::2], r[1::2]
+    ru, rv = r
     rhs = -(_stencil_matvec(ja, -d / h**2, rv) + ru)
     lub, piv, dv, info = dgbsv(
         STEADY_KL, STEADY_KU, ab, rhs, overwrite_ab=1, overwrite_b=1
@@ -713,8 +678,7 @@ def solve_steady(
 
     The Jacobian is J = [[J_uu, I], [-I, J_vv]] in activator and inhibitor
     blocks, J_uu = d (-D2) - f'(u) and J_vv = -D2 + gamma + 3 v^2, both
-    tridiagonal with the ghost row at node 0 (steady_jacobian interleaves
-    the same matrix into one 2n-row band). Each step eliminates the
+    tridiagonal with the ghost row at node 0. Each step eliminates the
     inhibitor block (Golub & Van Loan, section 4.5): with b = -R split into
     its activator rows b_u and inhibitor rows b_v, it solves the n-row
     pentadiagonal system
@@ -724,9 +688,9 @@ def solve_steady(
     and sets du = J_vv dv - b_v. One band for P is allocated per call and
     refilled at every step from the two diagonals; LAPACK dgbsv factors it
     and solves in place. Since det J = det J_vv det(J_uu + J_vv^{-1}) =
-    det P, and the interleaving permutes rows and columns alike, the
-    determinant sign comes from P's LU. With v = N(u) it equals the sign of
-    the reduced Hessian's determinant, so -1 marks a saddle of odd index.
+    det P, the determinant sign comes from P's LU. With v = N(u) it equals
+    the sign of the reduced Hessian's determinant, so -1 marks a saddle of
+    odd index.
 
     Each step backtracks on ||R||^2 by the Armijo test of solve_inhibitor,
     and also keeps a trial at which each block of rows is at the roundoff
@@ -752,12 +716,12 @@ def solve_steady(
         f_bound = umax * (1.0 + umax) * (umax + beta)
         u_floor = 8.0 * _EPS * (4.0 * d * umax / h**2 + f_bound + vmax)
         return (
-            float(np.max(np.abs(r[0::2]))) <= u_floor
-            and float(np.max(np.abs(r[1::2]))) <= _inhibitor_floor(vmax, umax, gamma, h)
+            float(np.max(np.abs(r[0]))) <= u_floor
+            and float(np.max(np.abs(r[1]))) <= _inhibitor_floor(vmax, umax, gamma, h)
         )
 
     r = steady_residual(u, v, d, beta, gamma, h)
-    rn2 = float(np.dot(r, r))
+    rn2 = float(np.vdot(r, r))
     steps = 0
     ab = np.zeros((2 * STEADY_KL + STEADY_KU + 1, m), order="F")
     converged = False
@@ -781,7 +745,7 @@ def solve_steady(
             u_try[:-1] += t * du
             v_try[:-1] += t * dv
             r_try = steady_residual(u_try, v_try, d, beta, gamma, h)
-            rn2_try = float(np.dot(r_try, r_try))
+            rn2_try = float(np.vdot(r_try, r_try))
             # the target equals rn2 only when rn2 is zero or subnormal: a
             # root to the last representable bit, where no step can help
             target = (1.0 - 2e-4 * t) * rn2

@@ -306,7 +306,7 @@ class TestPropertyGuard:
     def test_complex_eigenvalues(self, cheap_pulse):
         params = dataclasses.replace(cheap_pulse.params, d=1.0)
         assert not linearize(params).real_eigenvalues
-        report = check_pulse_properties(cheap_pulse, params)
+        report = check_pulse_properties(dataclasses.replace(cheap_pulse, params=params))
         self._assert_guarded(report, self.NEEDS_EIGEN, "eigenvalues")
 
     def test_empty_tail_window_fails_without_crash(self, cheap_pulse):

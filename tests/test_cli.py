@@ -377,6 +377,32 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "fhn-pulse: error: samples must be at least 2\n"
 
+    @pytest.mark.parametrize("n", ["16", "29"])
+    def test_too_few_nodes_exit_1_without_files(self, tmp_path, capsys, n):
+        # the admissible samples draw their crossing indices from ranges
+        # that are empty below 30 nodes
+        out = tmp_path / "never"
+        rc = main(["verify", "--beta", "0.4", "--gamma", "0.3", "--d", "0.005",
+                   "--n", n, "--samples", "2", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"fhn-pulse: error: the inequality suite needs n >= 30, got n = {n}\n"
+        )
+
+    def test_thirty_nodes_run(self, tmp_path):
+        # the smallest grid on which every draw is valid: the suite runs and
+        # writes its report (exit 3 here, from the on-grid competitor, which
+        # h = 1 does not resolve)
+        out = tmp_path / "v"
+        rc = main(["verify", "--beta", "0.4", "--gamma", "0.3", "--d", "0.005",
+                   "--n", "30", "--samples", "2", "--out", str(out)])
+        assert rc in (0, 3)
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["n_samples"] == 2
+
 
 class TestAnalyze:
     def test_report_into_run_dir(self, solve_run):
