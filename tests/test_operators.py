@@ -765,6 +765,35 @@ class TestSteadySystem:
         if case == "stall":
             assert np.max(np.abs(r[0])) > 1e-6
 
+    def column_pattern_band(self, u, v):
+        """Oracle for steady_jacobian's strided row fill: the band built
+        column by column, each column one contiguous 7-vector and the
+        columns of u_i and v_i repeating one pattern each (the stencil
+        neighbours two columns away, the +v and -u couplings), then edited
+        at the edges, with the diagonal written last."""
+        m = len(u) - 1
+        uu, vv = u[:-1], v[:-1]
+        beta, gamma = self.BETA, self.GAMMA_S
+        a, c = self.D / self.H**2, 1.0 / self.H**2
+        k = STEADY_KL + STEADY_KU
+        ab = np.zeros((2 * STEADY_KL + STEADY_KU + 1, 2 * m), order="F")
+        cols = ab.T.reshape(m, 2, ab.shape[0])
+        cols[...] = ((0.0, 0.0, -a, 0.0, 0.0, -1.0, -a), (0.0, 0.0, -c, 1.0, 0.0, 0.0, -c))
+        cols[0, :, k - 2] = 0.0
+        cols[1:2, :, k - 2] *= 2.0
+        cols[-1, :, k + 2] = 0.0
+        ab[k, 0::2] = 2.0 * a - uu * (2.0 * (1.0 + beta) - 3.0 * uu) + beta
+        ab[k, 1::2] = 2.0 * c + gamma + 3.0 * vv * vv
+        return ab
+
+    @pytest.mark.parametrize("m", [2, 3, 64, 4096])
+    def test_refilled_band_bit_equal(self, m):
+        # the reference band the Schur step is held to, against a second,
+        # column-wise fill of the same entries
+        u, v = self.state(m, m)
+        fresh = steady_jacobian(u, v, self.D, self.BETA, self.GAMMA_S, self.H)
+        assert np.array_equal(fresh, self.column_pattern_band(u, v))
+
     def test_factor_only_matches_dgbsv(self):
         # the factors and pivots of dgbtrf alone are those of dgbsv on P's
         # band; weak diffusion on the middle branch makes the LU pivot
