@@ -28,7 +28,7 @@ from .analysis import (
     verify_inequality_suite,
 )
 from .dynamics import BlowUpError, Trajectory, evolve, export_trajectory
-from .energy import EnergyReport, energy, energy_gradient, evaluate_energy
+from .energy import EnergyReport, evaluate_energy
 from .grid import Grid, Profile, mirror, profile_from_csv, profile_to_csv
 from .minimizer import (
     MinimizeOptions,
@@ -90,8 +90,6 @@ __all__ = [
     "compute_constants",
     "default_initial_profile",
     "detect_crossings",
-    "energy",
-    "energy_gradient",
     "equal_area_level",
     "evaluate_energy",
     "evolve",

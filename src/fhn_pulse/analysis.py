@@ -19,7 +19,13 @@ from .energy import evaluate_energy
 from .grid import Grid, Profile, derivative, inner_l2, norm_h1, norm_l2
 from .minimizer import SolveResult
 from .model import Params, compute_constants, potential_F
-from .operators import GreenKind, apply_green, solve_inhibitor
+from .operators import (
+    GreenKind,
+    InhibitorError,
+    InhibitorSolution,
+    apply_green,
+    solve_inhibitor,
+)
 from .records import Record
 
 
@@ -443,6 +449,18 @@ def random_admissible_profile(
     return project(Profile(grid, raw), i1, i2, beta, M)
 
 
+def _converged_response(w: Profile, gamma: float) -> InhibitorSolution:
+    """The inhibitor solve of w, so that no margin is taken from a response
+    short of tolerance: raises InhibitorError when it has not converged."""
+    sol = solve_inhibitor(w, gamma)
+    if not sol.converged:
+        raise InhibitorError(
+            f"inhibitor solve failed in the inequality suite: residual "
+            f"{sol.residual_max:.3e} after {sol.newton_iters} Newton steps"
+        )
+    return sol
+
+
 def verify_inequality_suite(
     params: Params,
     grid: Grid,
@@ -472,6 +490,9 @@ def verify_inequality_suite(
     whose energy scales with h, and the check fails on coarse grids (n =
     256 there) where no inequality is violated. Its detail prints [a, b]
     and h.
+
+    Raises InhibitorError when any inhibitor solve of the suite falls short
+    of tolerance.
     """
     if grid.n < _MIN_SAMPLE_NODES:
         raise ValueError(
@@ -492,10 +513,7 @@ def verify_inequality_suite(
         for _ in range(n_samples)
     ]
 
-    responses = [solve_inhibitor(w, gamma) for w in admissible]
-    for sol in responses:
-        if not sol.converged:
-            raise RuntimeError("inhibitor solve failed on an admissible sample")
+    responses = [_converged_response(w, gamma) for w in admissible]
 
     def margins_to_check(name, margins, tolerance, detail=""):
         margins = np.asarray(margins, dtype=float)
@@ -513,7 +531,7 @@ def verify_inequality_suite(
 
     # H1 bound of the response on smooth input
     m_bound = []
-    smooth_responses = [solve_inhibitor(w, gamma) for w in smooth]
+    smooth_responses = [_converged_response(w, gamma) for w in smooth]
     for w, sol in zip(smooth, smooth_responses):
         m_bound.append(lip_const * norm_l2(w) - norm_h1(sol.v))
     checks.append(
@@ -542,7 +560,7 @@ def verify_inequality_suite(
     for w, sol in zip(admissible[: n_samples // 2], responses[: n_samples // 2]):
         bump = np.abs(random_bumps(rng, grid, span=grid.x_max / 2.0))
         w2 = Profile(grid, w.values - bump)
-        sol2 = solve_inhibitor(w2, gamma)
+        sol2 = _converged_response(w2, gamma)
         m_mono.append(float(np.min(sol.v.values - sol2.v.values)))
     checks.append(
         margins_to_check(
@@ -562,13 +580,13 @@ def verify_inequality_suite(
     for k, (w, sol) in enumerate(zip(admissible, responses)):
         pos = Profile(grid, np.maximum(w.values, 0.0))
         neg = Profile(grid, np.maximum(-w.values, 0.0))
-        n_pos = solve_inhibitor(pos, gamma).v
+        n_pos = _converged_response(pos, gamma).v
         if k < n_samples // 2:
             v = n_pos.values
             low = apply_green(GreenKind.L0, pos, gamma, method="quadrature").values
             high = apply_green(GreenKind.L, pos, gamma, method="quadrature").values
             m_sand.append(min(float(np.min(v - low)), float(np.min(high - v))))
-        n_neg = solve_inhibitor(neg, gamma).v
+        n_neg = _converged_response(neg, gamma).v
         lf = apply_green(GreenKind.L, pos, gamma)
         lg = apply_green(GreenKind.L, neg, gamma)
         lhs = inner_l2(w, sol.v)

@@ -92,22 +92,3 @@ def evaluate_energy(
     grad = Profile(grid, _gradient_values(wv, vv, params.d, params.beta, h))
     return report, grad, sol
 
-
-def energy(
-    w: Profile,
-    params: Params,
-    v_init: Profile | None = None,
-    inhibitor_tol: float = 1e-11,
-) -> EnergyReport:
-    report, _, _ = evaluate_energy(w, params, v_init, inhibitor_tol)
-    return report
-
-
-def energy_gradient(
-    w: Profile,
-    params: Params,
-    v_init: Profile | None = None,
-    inhibitor_tol: float = 1e-11,
-) -> Profile:
-    _, grad, _ = evaluate_energy(w, params, v_init, inhibitor_tol)
-    return grad

@@ -69,7 +69,7 @@ from .model import (
     nullcline_branch,
     predicted_head_length,
 )
-from .operators import InhibitorError, InhibitorSolution, solve_steady
+from .operators import InhibitorError, solve_steady
 from .records import Record
 
 
@@ -79,7 +79,6 @@ STEP_INIT = 1.0
 STEP_MIN = 1e-6
 STEP_MAX = 1e2
 LS_MAX = 40  # backtracking trials per line search
-INHIBITOR_TOL = 1e-11
 # Armijo slack, as a multiple of the summed energy magnitudes: a change in J
 # below the roundoff of the energy sum is neither a decrease nor a rise
 ENERGY_ROUNDOFF = 16.0 * float(np.finfo(float).eps)
@@ -199,7 +198,7 @@ def default_initial_profile(params: Params, grid: Grid) -> tuple[Profile, dict]:
     tried: list[tuple[float, str, Profile, dict]] = []
 
     def consider(label: str, prof: Profile, meta: dict) -> bool:
-        report, _, _ = evaluate_energy(prof, params, inhibitor_tol=INHIBITOR_TOL)
+        report, _, _ = evaluate_energy(prof, params)
         tried.append((report.alt_total, label, prof, meta))
         return report.alt_total < 0.0
 
@@ -339,9 +338,7 @@ def _newton_polish(
     if not np.array_equal(projected, st.u):
         return refused("outside_bands")
     try:
-        report_n, grad_n, sol_n = evaluate_energy(
-            root, params, v_init=Profile(grid, st.v), inhibitor_tol=INHIBITOR_TOL
-        )
+        report_n, grad_n, sol_n = evaluate_energy(root, params, v_init=Profile(grid, st.v))
     except InhibitorError:
         return refused("inhibitor")
     g = grad_n.values.copy()
@@ -399,9 +396,7 @@ def minimize(
     w = project(start, i1, i2, params.beta, M).values.copy()
     w[-1] = 0.0
 
-    report, grad, sol = evaluate_energy(
-        Profile(grid, w), params, inhibitor_tol=INHIBITOR_TOL
-    )
+    report, grad, sol = evaluate_energy(Profile(grid, w), params)
     J = report.alt_total
     init_info.setdefault("init_energy", J)
     init_info.setdefault("init_energy_negative", J < 0.0)
@@ -474,10 +469,7 @@ def minimize(
             w_try[-1] = 0.0
             try:
                 report_t, grad_t, sol_t = evaluate_energy(
-                    Profile(grid, w_try),
-                    params,
-                    v_init=sol.v,
-                    inhibitor_tol=INHIBITOR_TOL,
+                    Profile(grid, w_try), params, v_init=sol.v
                 )
             except InhibitorError:
                 t *= BACKTRACK

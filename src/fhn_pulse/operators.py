@@ -30,10 +30,9 @@ steady_residual returns the coupled steady system for (u, v) in two
 blocks of rows, activator and inhibitor. solve_steady runs damped Newton
 on it through the Schur complement of the inhibitor block,
 P = J_uu J_vv + I: an n-row, (2, 2)-banded matrix. A solve allocates one
-band for P and refills it at every step, where dgbsv factors it and
-solves for the step in place; at a root that meets the roundoff floor
-only the determinant sign is needed (det J = det P), so the band is
-factored by dgbtrf alone.
+band for P and refills it at every iterate, where dgbtrf factors it in
+place; the determinant sign (det J = det P) and every right-hand side
+solved by dgbtrs come from that one LU.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgbtrf, dptsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dptsv
 
 from .grid import Grid, Profile
 from .model import reaction_f
@@ -611,7 +610,7 @@ def _fill_schur(
     its other entries come from ja and jb alone. Every band entry outside
     the matrix is set to zero, so a fill over an old LU equals a fresh
     one; the top kl rows, the LU's fill-in, need not be set on entry to
-    dgbsv or dgbtrf and are left as they are."""
+    dgbtrf and are left as they are."""
     a, c = d / h**2, 1.0 / h**2
     uu, vv = u[:-1], v[:-1]
     ja = 2.0 * a - uu * (2.0 * (1.0 + beta) - 3.0 * uu) + beta
@@ -640,21 +639,18 @@ def _fill_schur(
     return ja, jb
 
 
-def _schur_step(
-    ab: np.ndarray, ja: np.ndarray, jb: np.ndarray, d: float, h: float, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, int]:
-    """Newton step of the steady system, J (du, dv) = -r, through the
-    Schur complement P of the inhibitor block, with ja, jb and P's band ab
-    as _fill_schur leaves them. dgbsv factors ab in place and solves
-    P dv = -(r_u + J_uu r_v); then du = J_vv dv + r_v. Returns dgbsv's LU
-    (ab itself), pivots, du, dv and info; du is None when info is not 0."""
+def _schur_solve(
+    lub: np.ndarray, piv: np.ndarray, ja: np.ndarray, jb: np.ndarray, d: float,
+    h: float, r: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solution (du, dv) of J (du, dv) = -r through the Schur complement P
+    of the inhibitor block, with ja and jb as _fill_schur returns them and
+    dgbtrf's LU and pivots of P: dgbtrs solves P dv = -(r_u + J_uu r_v)
+    from the LU, then du = J_vv dv + r_v."""
     ru, rv = r
     rhs = -(_stencil_matvec(ja, -d / h**2, rv) + ru)
-    lub, piv, dv, info = dgbsv(
-        STEADY_KL, STEADY_KU, ab, rhs, overwrite_ab=1, overwrite_b=1
-    )
-    du = _stencil_matvec(jb, -1.0 / h**2, dv) + rv if info == 0 else None
-    return lub, piv, du, dv, info
+    dv = dgbtrs(lub, STEADY_KL, STEADY_KU, rhs, piv, overwrite_b=1)[0]
+    return _stencil_matvec(jb, -1.0 / h**2, dv) + rv, dv
 
 
 @dataclass(frozen=True)
@@ -686,11 +682,11 @@ def solve_steady(
         P dv = b_u + J_uu b_v,    P = J_uu J_vv + I,
 
     and sets du = J_vv dv - b_v. One band for P is allocated per call and
-    refilled at every step from the two diagonals; LAPACK dgbsv factors it
-    and solves in place. Since det J = det J_vv det(J_uu + J_vv^{-1}) =
-    det P, the determinant sign comes from P's LU. With v = N(u) it equals
-    the sign of the reduced Hessian's determinant, so -1 marks a saddle of
-    odd index.
+    refilled at every iterate from the two diagonals; LAPACK dgbtrf factors
+    it in place and dgbtrs solves for the step from that LU. Since det J =
+    det J_vv det(J_uu + J_vv^{-1}) = det P, the determinant sign comes from
+    P's LU. With v = N(u) it equals the sign of the reduced Hessian's
+    determinant, so -1 marks a saddle of odd index.
 
     Each step backtracks on ||R||^2 by the Armijo test of solve_inhibitor,
     and also keeps a trial at which each block of rows is at the roundoff
@@ -698,11 +694,10 @@ def solve_steady(
     sits below their floor but dominates ||R||^2, can refuse a step that
     took the activator rows below theirs. The iteration stops at the floor,
     or when no step along the Newton direction lowers ||R||^2 (a singular
-    P counts as such). At a state that meets the floor no step follows, so
-    P is factored by dgbtrf alone, which gives the LU and pivots of dgbsv.
-    The solve has converged when it stops at the floor, or where ||R||^2
-    is zero or subnormal: there the floors, which scale with max |u| and
-    max |v|, can sit below what the Armijo test resolves (the rest state).
+    P counts as such). The solve has converged when it stops at the floor,
+    or where ||R||^2 is zero or subnormal: there the floors, which scale
+    with max |u| and max |v|, can sit below what the Armijo test resolves
+    (the rest state).
     """
     u = np.array(u, dtype=float)
     v = np.array(v, dtype=float)
@@ -724,19 +719,14 @@ def solve_steady(
     rn2 = float(np.vdot(r, r))
     steps = 0
     ab = np.zeros((2 * STEADY_KL + STEADY_KU + 1, m), order="F")
-    converged = False
     while True:
         ja, jb = _fill_schur(u, v, d, beta, gamma, h, ab)
-        if at_floor(r, u, v):
-            converged = True
-            # the returned state: only the determinant sign is needed
-            lub, piv, info = dgbtrf(ab, STEADY_KL, STEADY_KU, overwrite_ab=1)
-            det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
-            break
-        lub, piv, du, dv, info = _schur_step(ab, ja, jb, d, h, r)
+        lub, piv, info = dgbtrf(ab, STEADY_KL, STEADY_KU, overwrite_ab=1)
         det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
-        if info != 0:
+        converged = at_floor(r, u, v)
+        if converged or info != 0:
             break
+        du, dv = _schur_solve(lub, piv, ja, jb, d, h, r)
         t = 1.0
         accepted = False
         for _ in range(40):

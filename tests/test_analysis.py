@@ -2,7 +2,6 @@
 pulse property verification, and the randomized inequality suite."""
 
 import dataclasses
-import importlib
 import math
 
 import numpy as np
@@ -21,9 +20,10 @@ from fhn_pulse import (
     linearize,
     verify_inequality_suite,
 )
-from fhn_pulse import analysis
+from fhn_pulse import analysis, energy
 from fhn_pulse.analysis import default_decay_window, random_admissible_profile
 from fhn_pulse.model import negative_tail_cutoff
+from fhn_pulse.operators import InhibitorError
 
 REF = Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4)
 
@@ -337,6 +337,24 @@ class TestInequalitySuite:
         assert report.to_text().splitlines()[-1] in ("overall: pass", "overall: FAIL")
         assert report.all_passed
 
+    def test_unconverged_smooth_response_raises(self, monkeypatch):
+        # the admissible samples are solved first, then the smooth ones: a
+        # smooth sample's response short of tolerance stops the suite
+        # before it feeds a margin
+        solve = analysis.solve_inhibitor
+        samples, calls = 4, []
+
+        def failing(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            calls.append(sol)
+            return dataclasses.replace(sol, converged=len(calls) != samples + 1)
+
+        monkeypatch.setattr(analysis, "solve_inhibitor", failing)
+        params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
+        with pytest.raises(InhibitorError, match="inequality suite"):
+            verify_inequality_suite(params, Grid(30.0, 512), samples, seed=0)
+        assert len(calls) == samples + 1
+
     def test_each_distinct_input_solved_once(self, monkeypatch):
         calls = {"suite": 0, "energy": 0}
 
@@ -350,8 +368,6 @@ class TestInequalitySuite:
         monkeypatch.setattr(
             analysis, "solve_inhibitor", counted("suite", analysis.solve_inhibitor)
         )
-        # the package's `energy` attribute is the function, not the module
-        energy = importlib.import_module("fhn_pulse.energy")
         monkeypatch.setattr(
             energy, "solve_inhibitor", counted("energy", energy.solve_inhibitor)
         )

@@ -1,13 +1,14 @@
 """End-to-end command-line interface tests: artifact layout, exit codes,
 configuration merging, and byte-level determinism of the data files."""
 
+import dataclasses
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from fhn_pulse import cli
+from fhn_pulse import analysis, cli
 from fhn_pulse.cli import load_solve_run, main
 from fhn_pulse.grid import profile_from_csv, profile_to_csv
 
@@ -363,6 +364,25 @@ class TestVerify:
         assert "overall: pass" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
+    def test_unconverged_admissible_response_exits_2(self, tmp_path, monkeypatch, capsys):
+        # an admissible sample's inhibitor solve short of tolerance is a
+        # solver failure: exit 2 with a one-line message, no report
+        solve = analysis.solve_inhibitor
+
+        def failing(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(analysis, "solve_inhibitor", failing)
+        out = tmp_path / "never"
+        rc = main(["verify", "--beta", "0.4", "--gamma", "0.3", "--d", "0.005",
+                   "--n", "256", "--samples", "2", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "fhn-pulse: solver failure: inhibitor solve failed in the inequality suite"
+        )
 
     @pytest.mark.parametrize("samples", ["0", "1", "-2"])
     def test_too_few_samples_exit_1_without_files(self, tmp_path, capsys, samples):

@@ -10,8 +10,6 @@ from fhn_pulse import (
     Profile,
     build_q0,
     compute_constants,
-    energy,
-    energy_gradient,
     evaluate_energy,
     negative_tail_cutoff,
     potential_F,
@@ -55,7 +53,7 @@ def random_admissible(seed: int, grid: Grid = GRID) -> Profile:
 class TestEnergyValues:
     def test_zero_profile(self):
         w = Profile(GRID, np.zeros(GRID.n + 1))
-        rep = energy(w, PARAMS)
+        rep = evaluate_energy(w, PARAMS)[0]
         assert rep.total == 0.0
         assert rep.gradient_term == 0.0
         assert rep.potential_term == 0.0
@@ -64,7 +62,7 @@ class TestEnergyValues:
     def test_two_forms_agree(self):
         for seed in range(6):
             w = random_admissible(seed)
-            rep = energy(w, PARAMS)
+            rep = evaluate_energy(w, PARAMS)[0]
             assert rep.form_gap <= 1e-8, f"seed {seed}: gap {rep.form_gap}"
 
     def test_response_energy_identity(self):
@@ -95,7 +93,7 @@ class TestCompetitorClosedForms:
     def test_grid_energy_below_upper_bound(self):
         a, b = 2.0, 3.0
         q0 = build_q0(a, b, GRID)
-        rep = energy(q0, PARAMS)
+        rep = evaluate_energy(q0, PARAMS)[0]
         bound = q0_energy_upper_bound(PARAMS.d, PARAMS.beta, PARAMS.gamma, a, b)
         assert rep.total <= bound + 1e-6
 
@@ -110,7 +108,7 @@ class TestCompetitorClosedForms:
 class TestGradient:
     def test_zero_profile(self):
         w = Profile(GRID, np.zeros(GRID.n + 1))
-        g = energy_gradient(w, PARAMS)
+        g = evaluate_energy(w, PARAMS)[1]
         assert np.max(np.abs(g.values)) == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -122,16 +120,16 @@ class TestGradient:
         hat[-1] = 0.0
         what = Profile(GRID, hat)
 
-        g = energy_gradient(w, PARAMS, inhibitor_tol=1e-13)
+        g = evaluate_energy(w, PARAMS, inhibitor_tol=1e-13)[1]
         lhs = float(np.dot(GRID.weights(), g.values * hat))
 
         eps = 1e-6
-        Jp = energy(
+        Jp = evaluate_energy(
             Profile(GRID, w.values + eps * hat), PARAMS, inhibitor_tol=1e-13
-        ).total
-        Jm = energy(
+        )[0].total
+        Jm = evaluate_energy(
             Profile(GRID, w.values - eps * hat), PARAMS, inhibitor_tol=1e-13
-        ).total
+        )[0].total
         fd = (Jp - Jm) / (2.0 * eps)
         assert lhs == pytest.approx(fd, rel=1e-5, abs=1e-10)
 

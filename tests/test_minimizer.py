@@ -15,7 +15,6 @@ from fhn_pulse import (
     build_q0,
     default_initial_profile,
     detect_crossings,
-    energy,
     evaluate_energy,
     minimize,
     negative_tail_cutoff,
@@ -248,7 +247,7 @@ class TestNewtonPolish:
         i1, i2 = _band_assignment(u, p.beta)
         M = negative_tail_cutoff(p.beta, p.gamma)
         assert np.array_equal(project(u, i1, i2, p.beta, M).values, u.values)
-        j_saddle = energy(u, p).alt_total
+        j_saddle = evaluate_energy(u, p)[0].alt_total
         assert j_saddle == pytest.approx(-1.0178e-4, abs=1e-8)
         # started on the saddle, J cannot rise and the gradient is zero:
         # only the determinant test stands between it and a kept root

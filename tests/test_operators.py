@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
-from scipy.linalg.lapack import dgbsv, dgbtrf
+from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 from fhn_pulse import (
     GreenKind,
@@ -27,6 +27,7 @@ from fhn_pulse import (
 )
 from fhn_pulse import operators
 from fhn_pulse.analysis import random_admissible_profile, random_bumps
+from fhn_pulse.minimizer import _newton_polish
 from fhn_pulse.operators import (
     STEADY_KL,
     STEADY_KU,
@@ -35,7 +36,7 @@ from fhn_pulse.operators import (
     _fd_residual,
     _fill_schur,
     _gradient_values,
-    _schur_step,
+    _schur_solve,
     factor_shifted,
     inhibitor_derivative,
     solve_factored,
@@ -794,8 +795,9 @@ class TestSteadySystem:
         fresh = steady_jacobian(u, v, self.D, self.BETA, self.GAMMA_S, self.H)
         assert np.array_equal(fresh, self.column_pattern_band(u, v))
 
-    def test_factor_only_matches_dgbsv(self):
-        # the factors and pivots of dgbtrf alone are those of dgbsv on P's
+    def test_factor_then_solve_matches_dgbsv(self):
+        # dgbtrf then dgbtrs, as solve_steady factors P and solves from its
+        # LU, give dgbsv's factors, pivots and solution bit for bit on P's
         # band; weak diffusion on the middle branch makes the LU pivot
         # (364 row interchanges here)
         m = 512
@@ -803,16 +805,19 @@ class TestSteadySystem:
         u[:-1] = np.random.default_rng(7).uniform(0.2, 0.8, size=m)
         ab = np.zeros((2 * STEADY_KL + STEADY_KU + 1, m), order="F")
         _fill_schur(u, v, 1e-3, self.BETA, self.GAMMA_S, self.H, ab)
-        lub, piv, _, info = dgbsv(STEADY_KL, STEADY_KU, ab, np.ones(m))
+        b = np.random.default_rng(8).normal(size=m)
+        lub, piv, x, info = dgbsv(STEADY_KL, STEADY_KU, ab, b)
         lu, ipiv, info_f = dgbtrf(ab, STEADY_KL, STEADY_KU)
-        assert info == info_f == 0
-        assert np.any(piv != np.arange(m))
+        y, info_s = dgbtrs(lu, STEADY_KL, STEADY_KU, b, ipiv)
+        assert info == info_f == info_s == 0
+        assert np.count_nonzero(piv != np.arange(m)) == 364
         assert np.array_equal(lu, lub) and np.array_equal(ipiv, piv)
+        assert np.array_equal(y, x)
 
     @staticmethod
     def schur_lu(u, v, d, beta, gamma, h):
         """LU of the Schur complement P at (u, v), as solve_steady factors
-        it at a root."""
+        it at every iterate."""
         ab = np.empty((2 * STEADY_KL + STEADY_KU + 1, len(u) - 1), order="F")
         _fill_schur(u, v, d, beta, gamma, h, ab)
         return dgbtrf(ab, STEADY_KL, STEADY_KU)
@@ -886,8 +891,9 @@ class TestSteadySystem:
         r = steady_residual(u, v, p.d, p.beta, p.gamma, h)
         ab = np.empty((2 * STEADY_KL + STEADY_KU + 1, m), order="F")
         ja, jb = _fill_schur(u, v, p.d, p.beta, p.gamma, h, ab)
-        lub, _, du, dv, info = _schur_step(ab, ja, jb, p.d, h, r)
+        lub, piv, info = dgbtrf(ab, STEADY_KL, STEADY_KU, overwrite_ab=1)
         assert info == 0 and lub is ab
+        du, dv = _schur_solve(lub, piv, ja, jb, p.d, h, r)
         step, r = interleaved((du, dv)), interleaved(r)
         jac = steady_jacobian(u, v, p.d, p.beta, p.gamma, h)
         norm_j = np.max(self.band_matvec(np.abs(jac), np.ones(2 * m)))
@@ -918,13 +924,14 @@ class TestSteadySystem:
 
     def test_one_band_per_solve(self, cheap_pulse, monkeypatch):
         # one n-column band is allocated per call and refilled at every
-        # step, which keeps the peak memory of a solve flat; the root is
-        # factored by dgbtrf alone, with no solve thrown away
+        # iterate, which keeps the peak memory of a solve flat; dgbtrf
+        # factors it once per iterate and dgbtrs solves each step from that
+        # LU, with no solve at the root
         calls, bands = [], []
-        for name, band_arg in (("dgbsv", 2), ("dgbtrf", 0)):
-            def counted(*args, _name=name, _i=band_arg, _fn=getattr(operators, name), **kwargs):
+        for name in ("dgbtrf", "dgbtrs"):
+            def counted(*args, _name=name, _fn=getattr(operators, name), **kwargs):
                 calls.append(_name)
-                bands.append(args[_i])
+                bands.append(args[0])
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(operators, name, counted)
         res = cheap_pulse
@@ -933,9 +940,31 @@ class TestSteadySystem:
         u[:-1] *= 1.0 + 1e-6
         st = solve_steady(u, res.v0.values, p.d, p.beta, p.gamma, res.grid.h)
         assert st.steps >= 2 and st.det_sign == 1
-        assert calls == ["dgbsv"] * st.steps + ["dgbtrf"]
+        assert calls == ["dgbtrf", "dgbtrs"] * st.steps + ["dgbtrf"]
         assert all(band is bands[0] for band in bands)
         assert bands[0].shape == (2 * STEADY_KL + STEADY_KU + 1, res.grid.n)
+
+    def test_singular_schur_complement(self, cheap_pulse, fine_chain, monkeypatch):
+        # with dgbtrf reporting P singular, det_sign is 0: off the floor the
+        # solve stops before its first step, short of a root; a fine-chain
+        # root meets the floor and has converged, and the polish refuses it
+        factor = operators.dgbtrf
+        monkeypatch.setattr(
+            operators, "dgbtrf", lambda *args, **kwargs: factor(*args, **kwargs)[:2] + (1,)
+        )
+        res = cheap_pulse
+        p = res.params
+        u = res.u0.values.copy()
+        u[:-1] *= 1.0 + 1e-6
+        st = solve_steady(u, res.v0.values, p.d, p.beta, p.gamma, res.grid.h)
+        assert st.steps == 0 and st.det_sign == 0 and st.converged is False
+        res = fine_chain[4096]
+        p, grid = res.params, res.grid
+        st = solve_steady(res.u0.values, res.v0.values, p.d, p.beta, p.gamma, grid.h)
+        assert st.steps == 0 and st.det_sign == 0 and st.converged is True
+        M = negative_tail_cutoff(p.beta, p.gamma)
+        attempt, kept = _newton_polish(p, grid, res.u0.values, res.v0, res.energy, M, 1e-8)
+        assert kept is None and attempt.refusal == "singular" and attempt.det_sign == 0
 
     def test_floor_trial_kept(self, fine_chain, monkeypatch):
         # from a fine-chain root with u scaled by 1 + 1e-4, a full step takes

@@ -1,9 +1,15 @@
 """The example scripts agree with the CLI on what counts as a standing
 pulse (converged and no active constraint at the end) and on the beta
-window of the gamma1 sweep."""
+window of the gamma1 sweep.
+
+Most runs execute a script in this process, as `python script.py` would
+(runpy with the script's argv), and read its exit code from the SystemExit
+it raises. One run per script launches the interpreter, the smoke test of
+the script as an entry point."""
 
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -15,48 +21,65 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINNED_ARGS = ["--d", "0.005", "--x-max", "20", "--n", "1024"]
 
 
-def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+@pytest.fixture
+def run_script(monkeypatch, capsys):
+    """run(script, *args, launch=False): the script's exit code and output,
+    from a run in this process or, with launch, in a fresh interpreter."""
+
+    def run(script: str, *args: str, launch: bool = False) -> subprocess.CompletedProcess:
+        path = str(ROOT / "scripts" / script)
+        if launch:
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+            )
+            return subprocess.run(
+                [sys.executable, path, *args],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        monkeypatch.setattr(sys, "argv", [path, *args])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(path, run_name="__main__")
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(sys.argv, exit_info.value.code, out, err)
+
+    return run
 
 
+# launched: the smoke test of both solving scripts
 @pytest.mark.parametrize("script", ["run_pulse.py", "relax_perturbed_pulse.py"])
-def test_constraint_pinned_state_exits_2(script):
-    proc = run_script(script, *PINNED_ARGS)
+def test_constraint_pinned_state_exits_2(run_script, script):
+    proc = run_script(script, *PINNED_ARGS, launch=True)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "active=" in proc.stdout
 
 
-def test_run_pulse_reports_polish():
+def test_run_pulse_reports_polish(run_script):
     proc = run_script("run_pulse.py", "--n", "2048")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[0].endswith(" polish=newton")
 
 
+# the first case launches the interpreter: the sweep script's smoke test
 @pytest.mark.parametrize(
-    "args",
-    [["--beta-min", "0.2"], ["--steps", "0"]],
+    "args, launch",
+    [(["--beta-min", "0.2"], True), (["--steps", "0"], False)],
     ids=["beta_min_below_window", "no_steps"],
 )
-def test_sweep_gamma1_rejects_bad_arguments(tmp_path, args):
+def test_sweep_gamma1_rejects_bad_arguments(run_script, tmp_path, args, launch):
     out = tmp_path / "sweep.csv"
-    proc = run_script("sweep_gamma1.py", *args, "--out", str(out))
+    proc = run_script("sweep_gamma1.py", *args, "--out", str(out), launch=launch)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
     assert not out.exists()
 
 
-def test_run_pulse_rejects_bad_stopping_controls():
+def test_run_pulse_rejects_bad_stopping_controls(run_script):
     proc = run_script("run_pulse.py", "--n", "256", "--gtol", "-1")
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
@@ -80,7 +103,7 @@ def test_run_pulse_rejects_bad_stopping_controls():
          "relax_too_few_nodes", "relax_zero_tau", "relax_infinite_x_max",
          "relax_nan_amplitude", "relax_infinite_amplitude"],
 )
-def test_scripts_reject_bad_problem_before_solving(script, args, message):
+def test_scripts_reject_bad_problem_before_solving(run_script, script, args, message):
     proc = run_script(script, *args)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
@@ -103,7 +126,7 @@ def test_scripts_reject_bad_problem_before_solving(script, args, message):
     ids=["no_snapshots", "negative_snapshots", "zero_dt", "negative_dt", "nan_dt",
          "zero_t_final", "inf_t_final", "overflowing_step_count"],
 )
-def test_relax_rejects_bad_time_controls_before_solving(args, message):
+def test_relax_rejects_bad_time_controls_before_solving(run_script, args, message):
     proc = run_script("relax_perturbed_pulse.py", *args)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
