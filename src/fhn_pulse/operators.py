@@ -33,6 +33,13 @@ P = J_uu J_vv + I: an n-row, (2, 2)-banded matrix. A solve allocates one
 band for P and refills it at every iterate, where dgbtrf factors it in
 place; the determinant sign (det J = det P) and every right-hand side
 solved by dgbtrs come from that one LU.
+
+dptsv, dgbtrf and dgbtrs are scipy's f2py LAPACK wrappers. The _lapack
+module loads the one compiled extension that holds them,
+scipy.linalg._flapack, from its file instead of importing the
+scipy.linalg package, which would take about half of a process's
+start-up; when that file is missing or does not load, it takes them from
+scipy.linalg.lapack. Both paths give the same routine objects.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dptsv
 
+from ._lapack import dgbtrf, dgbtrs, dptsv
 from .grid import Grid, Profile
 from .model import reaction_f
 

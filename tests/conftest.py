@@ -9,8 +9,8 @@ Two converged pulses are computed once per session:
   gamma)), but every qualitative pulse property holds, so it backs the
   fast unit tests.
 * fine_chain / fine_pulse: d = 1e-6 solved on n = 4096..32768 by warm-started
-  refinement, about 0.11 s total in a warm process (the first solves of a
-  process take a few tenths of a second more). At n = 4096 the default
+  refinement, about 0.08 s total (2-vCPU Xeon; the first chain of a fresh
+  process took 0.07-0.10 s against 0.06-0.09 s warm). At n = 4096 the default
   start is first polished after one descent step, which keeps the pulse in
   8 Newton steps (polished at entry, Newton from the start lands on an
   odd-index saddle). Each finer level is one Newton polish of its warm

@@ -995,9 +995,9 @@ class TestSteadySystem:
 
 
 def test_cli_import_skips_scipy_integrate():
-    # start-up imports scipy.linalg alone: the quadrature path is numpy, and
-    # scipy.integrate would drag in scipy.special, scipy.optimize and
-    # scipy.sparse; none of the other heavy subpackages is needed either
+    # start-up loads scipy's LAPACK extension alone: the quadrature path is
+    # numpy, and scipy.integrate would drag in scipy.special, scipy.optimize
+    # and scipy.sparse; none of the other heavy subpackages is needed either
     heavy = (
         "scipy.integrate", "scipy.sparse", "scipy.special", "scipy.optimize",
         "scipy.fft", "scipy.signal", "scipy.interpolate",
@@ -1016,3 +1016,89 @@ def test_cli_import_skips_scipy_integrate():
         check=True,
     )
     assert proc.stdout.strip() == ""
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of `code` run by a fresh interpreter on this
+    checkout's src/."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    return proc.stdout
+
+
+def test_cli_import_loads_only_the_lapack_extension():
+    # scipy.linalg's package __init__ is about half of a process's start-up;
+    # only the f2py extension holding the LAPACK routines is loaded
+    out = run_fresh(
+        "import sys, fhn_pulse.cli; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    )
+    assert set(out.split()) == {"scipy.linalg._flapack"}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("fhn_pulse.operators", "scipy.linalg.lapack"),
+     ("scipy.linalg.lapack", "fhn_pulse.operators")],
+    ids=["fhn_pulse_first", "scipy_linalg_first"],
+)
+def test_one_extension_module_in_either_import_order(first, second):
+    out = run_fresh(
+        f"import sys, {first}, {second}\n"
+        "from fhn_pulse import _lapack, operators\n"
+        "from scipy.linalg import lapack\n"
+        "flapack = sys.modules['scipy.linalg._flapack']\n"
+        "print(all(getattr(operators, n) is getattr(lapack, n) for n in ('dgbtrf', 'dgbtrs', 'dptsv')),"
+        " _lapack._module is flapack, lapack._flapack is flapack)"
+    )
+    assert out.split() == ["True", "True", "True"]
+
+
+# Each prefix runs before fhn_pulse is imported. The first leaves the direct
+# load alone; the second hides the extension's file from the loader (the
+# import system keeps its own copy of the suffixes, so scipy.linalg still
+# imports); the third makes the direct load raise ImportError.
+LOAD_PATHS = {
+    "direct": "",
+    "file_hidden": "import importlib.machinery\n"
+                   "importlib.machinery.EXTENSION_SUFFIXES.clear()\n",
+    "load_fails": "import importlib.util\n"
+                  "def refuse(spec): raise ImportError(spec.name)\n"
+                  "importlib.util.module_from_spec = refuse\n",
+}
+SOLVE_DIGEST = (
+    "import hashlib, sys\n"
+    "import numpy as np\n"
+    "from fhn_pulse import MinimizeOptions, _lapack, minimize\n"
+    "from fhn_pulse.operators import solve_shifted\n"
+    "from tests.conftest import CHEAP_GRID, CHEAP_PARAMS\n"
+    "rng = np.random.default_rng(3)\n"
+    "v = solve_shifted(rng.uniform(0.1, 2.0, 512), rng.standard_normal(512), 0.01)\n"
+    "res = minimize(CHEAP_PARAMS, CHEAP_GRID, options=MinimizeOptions(gtol=1e-8))\n"
+    "h = hashlib.sha256(v.tobytes() + res.u0.values.tobytes() + res.v0.values.tobytes())\n"
+    "print('scipy.linalg' in sys.modules, _lapack._module.__name__,"
+    " res.polish, res.polish_steps, h.hexdigest())\n"
+)
+
+
+def test_fallback_to_public_lapack_gives_the_same_bits():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    runs = {
+        path: run_fresh(f"import sys; sys.path.insert(0, {str(root)!r})\n"
+                        + prefix + SOLVE_DIGEST).split()
+        for path, prefix in LOAD_PATHS.items()
+    }
+    direct = runs.pop("direct")
+    assert direct[:2] == ["False", "scipy.linalg._flapack"]
+    # the polish ran, so dgbtrf and dgbtrs were called as well as dptsv
+    assert direct[2] == "newton" and int(direct[3]) > 0
+    for path, run in runs.items():
+        assert run[:2] == ["True", "scipy.linalg.lapack"], path
+        assert run[2:] == direct[2:], path
