@@ -25,6 +25,8 @@ class Grid:
     def __post_init__(self) -> None:
         if not (self.x_max > 0.0 and math.isfinite(self.x_max)):
             raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 16:
             raise ValueError(f"n must be at least 16, got {self.n}")
 

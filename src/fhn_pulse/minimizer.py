@@ -61,14 +61,7 @@ import numpy as np
 from .admissible import BAND_TOL, band_bounds, build_q0, detect_crossings, project
 from .energy import EnergyReport, evaluate_energy
 from .grid import Grid, Profile, crossing_location
-from .model import (
-    Params,
-    equal_area_level,
-    interface_width,
-    negative_tail_cutoff,
-    nullcline_branch,
-    predicted_head_length,
-)
+from .model import HeadGeometry, Params, head_geometry, interface_width, negative_tail_cutoff
 from .operators import InhibitorError, solve_steady
 from .records import Record
 
@@ -167,22 +160,22 @@ def build_outer_profile(params: Params, grid: Grid) -> Profile:
     of interface width, lower-branch tail under the exponentially decaying
     inhibitor. Close to the true pulse once the layer is thin relative to
     the head, so it makes a strong descent start."""
+    return _outer_profile(params, grid, head_geometry(params))
+
+
+def _outer_profile(params: Params, grid: Grid, head: HeadGeometry) -> Profile:
     beta = params.beta
-    v_m = equal_area_level(beta)
-    rate = math.sqrt(params.gamma + 1.0 / beta)
-    u_plus = nullcline_branch(v_m, beta, "upper")
-    curv = u_plus - params.gamma * v_m - v_m**3
-    x1 = rate * v_m / curv
+    v_m, rate, curv, x1 = head.v_m, head.rate, head.curv, head.x1
     x = grid.nodes()
     v = np.where(
         x <= x1,
         v_m + 0.5 * curv * (x1**2 - x**2),
         v_m * np.exp(-rate * np.maximum(x - x1, 0.0)),
     )
-    head = _branch_values(v, beta, u_plus)
+    upper = _branch_values(v, beta, head.u_plus)
     tail = _branch_values(v, beta, -v_m / beta)
     blend = 0.5 * (1.0 - np.tanh((x - x1) / max(interface_width(params), grid.h)))
-    u = blend * head + (1.0 - blend) * tail
+    u = blend * upper + (1.0 - blend) * tail
     u[-1] = 0.0
     return Profile(grid, u)
 
@@ -202,22 +195,24 @@ def default_initial_profile(params: Params, grid: Grid) -> tuple[Profile, dict]:
         tried.append((report.alt_total, label, prof, meta))
         return report.alt_total < 0.0
 
-    done = False
     try:
-        outer = build_outer_profile(params, grid)
-        i1, _ = detect_crossings(outer, params.beta)
-        if i1 is not None:
-            done = consider("outer", outer, {})
-    except (ValueError, InhibitorError):
-        pass
+        head = head_geometry(params)
+    except ValueError:
+        head = None
+    done = False
+    if head is not None:
+        try:
+            outer = _outer_profile(params, grid, head)
+            i1, _ = detect_crossings(outer, params.beta)
+            if i1 is not None:
+                done = consider("outer", outer, {})
+        except (ValueError, InhibitorError):
+            pass
     if not done:
         spans: list[tuple[float, float]] = []
-        try:
-            x1_pred = predicted_head_length(params)
+        if head is not None:
             ramp = min(max(2.0 * interface_width(params), 2.0 * grid.h), 1.0)
-            spans = [(c * x1_pred, c * x1_pred + ramp) for c in (1.0, 1.8, 3.0)]
-        except ValueError:
-            pass
+            spans = [(c * head.x1, c * head.x1 + ramp) for c in (1.0, 1.8, 3.0)]
         spans += [(a, a + 0.8) for a in (1.0, 0.5, 2.0, 4.0)]
         for a, b in spans:
             if not (grid.h <= a < b <= grid.x_max and b - a <= 1.0):

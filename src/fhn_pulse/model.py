@@ -81,8 +81,11 @@ def negative_tail_cutoff(beta: float, gamma: float) -> float:
     root of f(-M) = M (1 + M) (M + beta) = 1 + 1/gamma.
 
     Bisection on [0, 10] to 1e-12 absolute tolerance; the left-hand side is
-    strictly increasing in M, so the root is unique.
+    strictly increasing in M, so the root is unique. Raises ValueError
+    unless gamma is positive and finite.
     """
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"tail cutoff requires gamma > 0 and finite, got {gamma}")
     target = 1.0 + 1.0 / gamma
 
     def g(m: float) -> float:
@@ -268,7 +271,10 @@ def reaction_knees(beta: float) -> tuple[float, float]:
 
 def nullcline_branch(v: float, beta: float, branch: str) -> float:
     """Outer solution branches of f(u) = v: the 'upper' root near 1 and the
-    'lower' root near 0. Defined for v strictly between the knee values."""
+    'lower' root near 0. Defined for finite v strictly between the knee
+    values."""
+    if not math.isfinite(v):
+        raise ValueError(f"v must be finite, got {v}")
     knee_lo, knee_hi = reaction_knees(beta)
     if branch == "upper":
         if v >= reaction_f(knee_hi, beta):
@@ -302,24 +308,40 @@ def interface_width(params: Params) -> float:
     return math.sqrt(2.0 * params.d / (params.beta * (1.0 - params.beta)))
 
 
-def predicted_head_length(params: Params) -> float:
-    """Small-d estimate of the excited-region length x1.
+@dataclass(frozen=True)
+class HeadGeometry:
+    """Reduced (d -> 0) head from head_geometry: equal-area level v_m,
+    upper-branch activator u_plus there, tail decay rate, inhibitor
+    curvature under the head and head length x1."""
+
+    v_m: float
+    u_plus: float
+    rate: float
+    curv: float
+    x1: float
+
+
+def head_geometry(params: Params) -> HeadGeometry:
+    """Small-d geometry of the excited head.
 
     In the reduced (d -> 0) problem the activator rides the upper branch
     while the inhibitor sags under the drive u - gamma v - v^3; the head
     ends where v reaches the equal-area level and hands over to the
     exponentially decaying tail. Matching v' across that point gives
     x1 = sqrt(gamma + 1/beta) * v_M / (h+(v_M) - gamma v_M - v_M^3).
+    """
+    v_m = equal_area_level(params.beta)
+    rate = math.sqrt(params.gamma + 1.0 / params.beta)
+    u_plus = nullcline_branch(v_m, params.beta, "upper")
+    curv = u_plus - params.gamma * v_m - v_m**3
+    return HeadGeometry(v_m=v_m, u_plus=u_plus, rate=rate, curv=curv, x1=rate * v_m / curv)
+
+
+def predicted_head_length(params: Params) -> float:
+    """Small-d estimate of the excited-region length x1 (head_geometry).
 
     A standing pulse can only exist when interface_width(params) is well
     below this length; otherwise the head cannot accommodate a transition
     layer and the minimizer collapses to a constrained boundary state.
     """
-    v_m = equal_area_level(params.beta)
-    rate = math.sqrt(params.gamma + 1.0 / params.beta)
-    curv = (
-        nullcline_branch(v_m, params.beta, "upper")
-        - params.gamma * v_m
-        - v_m**3
-    )
-    return rate * v_m / curv
+    return head_geometry(params).x1

@@ -56,8 +56,8 @@ from .model import reaction_f
 
 
 class InhibitorError(RuntimeError):
-    """Raised when a caller requires a converged inhibitor solve and the
-    Newton iteration failed to reach tolerance."""
+    """Raised by solve_inhibitor when its Newton iteration stops short of
+    tolerance."""
 
 
 class GreenKind(enum.Enum):
@@ -462,12 +462,13 @@ def _cubic_balance(vl: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InhibitorSolution:
-    """Result of one nonlinear inhibitor solve v = N(u)."""
+    """Result of one nonlinear inhibitor solve v = N(u). solve_inhibitor
+    returns one only when the solve met its tolerance; a miss raises
+    InhibitorError instead."""
 
     v: Profile
     residual_max: float
     newton_iters: int
-    converged: bool
 
 
 def solve_inhibitor(
@@ -493,8 +494,10 @@ def solve_inhibitor(
     an energy-based test hits near the minimum. Convergence means max
     |residual| <= tol on all solved rows, where tol is widened to the
     roundoff floor of evaluating the 1/h^2 difference stencil when that
-    floor exceeds it; failure is reported through the converged flag, never
-    masked.
+    floor exceeds it. A solve that stops short of it, at max_iters or when
+    the backtracking finds no decrease, raises InhibitorError with the
+    interior residual and the Newton step count; no response short of
+    tolerance is ever returned.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -541,12 +544,12 @@ def solve_inhibitor(
         converged = res <= tol_floor(v)
 
     interior_res = float(np.max(np.abs(r[1:]))) if len(r) > 1 else res
-    return InhibitorSolution(
-        v=Profile(grid, v),
-        residual_max=interior_res,
-        newton_iters=iters,
-        converged=converged,
-    )
+    if not converged:
+        raise InhibitorError(
+            f"inhibitor solve failed: residual {interior_res:.3e} after "
+            f"{iters} Newton steps"
+        )
+    return InhibitorSolution(v=Profile(grid, v), residual_max=interior_res, newton_iters=iters)
 
 
 def inhibitor_derivative(

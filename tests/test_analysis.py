@@ -347,11 +347,15 @@ class TestInequalitySuite:
         def failing(*args, **kwargs):
             sol = solve(*args, **kwargs)
             calls.append(sol)
-            return dataclasses.replace(sol, converged=len(calls) != samples + 1)
+            if len(calls) == samples + 1:
+                raise InhibitorError(
+                    "inhibitor solve failed: residual 1.000e+00 after 50 Newton steps"
+                )
+            return sol
 
         monkeypatch.setattr(analysis, "solve_inhibitor", failing)
         params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
-        with pytest.raises(InhibitorError, match="inequality suite"):
+        with pytest.raises(InhibitorError, match="inhibitor solve failed"):
             verify_inequality_suite(params, Grid(30.0, 512), samples, seed=0)
         assert len(calls) == samples + 1
 

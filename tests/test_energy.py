@@ -1,6 +1,8 @@
 """Energy functional: two independent forms, closed-form competitor values,
 and the finite-difference gradient check."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from fhn_pulse import (
     potential_F,
     project,
 )
+from fhn_pulse import energy
 from fhn_pulse.grid import integrate
-from fhn_pulse.operators import _fd_residual
+from fhn_pulse.operators import InhibitorError, _fd_residual, solve_inhibitor
 from fhn_pulse.admissible import (
     detect_crossings,
     q0_energy_upper_bound,
@@ -77,6 +80,19 @@ class TestEnergyValues:
             np.dot(weights, PARAMS.gamma * vv**2 + vv**4)
         )
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+    def test_inhibitor_miss_passes_through(self, monkeypatch):
+        # the solver's own InhibitorError reaches the caller unchanged
+        w = random_admissible(3)
+        with pytest.raises(InhibitorError) as direct:
+            solve_inhibitor(w, PARAMS.gamma, max_iters=0)
+        monkeypatch.setattr(
+            energy, "solve_inhibitor", functools.partial(solve_inhibitor, max_iters=0)
+        )
+        with pytest.raises(InhibitorError) as passed:
+            evaluate_energy(w, PARAMS)
+        assert str(passed.value) == str(direct.value)
+        assert str(passed.value).endswith(" after 0 Newton steps")
 
 
 class TestCompetitorClosedForms:

@@ -43,6 +43,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(*bad)
 
+    @pytest.mark.parametrize("n", [16.5, 4096.0, True, "4096", None])
+    def test_rejects_non_integer_n(self, n):
+        # a float n used to pass and fail later in nodes() and weights()
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Grid(12.0, n)
+
+    @pytest.mark.parametrize("n", [np.int64(64), np.int32(64), np.uint16(64)])
+    def test_accepts_numpy_integer_n(self, n):
+        g = Grid(12.0, n)
+        assert g.nodes().shape == (65,) and g.h == 12.0 / 64
+
     def test_profile_length_check(self):
         g = Grid(10.0, 32)
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from fhn_pulse import (
     negative_tail_cutoff,
     project,
 )
-from fhn_pulse import minimizer
+from fhn_pulse import minimizer, model
 from fhn_pulse.minimizer import _band_assignment, _newton_polish
 from fhn_pulse.operators import solve_steady
 from tests.conftest import CHEAP_GRID, CHEAP_PARAMS, FINE_PARAMS, refine_onto
@@ -116,6 +116,25 @@ class TestInitialization:
         assert info["init_energy"] == min(e["energy"] for e in info["scan"])
         i1, _ = detect_crossings(prof, CHEAP_PARAMS.beta)
         assert i1 is not None
+
+    def test_equal_area_bisection_runs_once(self, monkeypatch):
+        # the scan passes the composite to the q0 ramps sized by the same
+        # head length: one equal-area bisection serves both. Within model,
+        # only that bisection's gap function evaluates potential_F
+        calls = []
+        potential = model.potential_F
+
+        def counted(xi, beta):
+            calls.append(xi)
+            return potential(xi, beta)
+
+        monkeypatch.setattr(model, "potential_F", counted)
+        model.equal_area_level(CHEAP_PARAMS.beta)
+        one_bisection = len(calls)
+        calls.clear()
+        _, info = default_initial_profile(CHEAP_PARAMS, CHEAP_GRID)
+        assert [e["kind"] for e in info["scan"]][:2] == ["outer", "q0"]
+        assert one_bisection > 0 and len(calls) == one_bisection
 
     def test_user_init_grid_mismatch(self):
         other = Grid(12.0, 1024)

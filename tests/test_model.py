@@ -26,7 +26,7 @@ from fhn_pulse import (
     reaction_f,
     reaction_knees,
 )
-from fhn_pulse.model import potential_roots, regime_report
+from fhn_pulse.model import head_geometry, potential_roots, regime_report
 
 # mpmath oracles at beta = 0.4, gamma = 0.3
 M_REF = 1.2134196146486691387
@@ -155,6 +155,12 @@ class TestTailCutoff:
         for cutoff in (negative_tail_cutoff, loop_tail_cutoff):
             with pytest.raises(ValueError, match="tail cutoff bracket exhausted"):
                 cutoff(0.4, gamma)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0, 0.0, -0.0])
+    def test_rejects_gamma_not_positive_finite(self, gamma):
+        # nan used to bisect to 10 and a negative gamma to 0
+        with pytest.raises(ValueError, match="gamma > 0 and finite"):
+            negative_tail_cutoff(0.4, gamma)
 
     @given(st.floats(0.05, 0.95), st.floats(0.01, 10.0))
     def test_defining_equation(self, beta, gamma):
@@ -308,6 +314,14 @@ class TestSingularLimitGeometry:
         with pytest.raises(ValueError):
             nullcline_branch(0.07, 0.4, "upper")
 
+    @pytest.mark.parametrize("branch", ["upper", "lower"])
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_branch_rejects_nonfinite_level(self, v, branch):
+        # nan used to bisect to 2 on the upper branch and to the knee on
+        # the lower one
+        with pytest.raises(ValueError, match="v must be finite"):
+            nullcline_branch(v, 0.4, branch)
+
     def test_equal_area_level(self):
         vm = equal_area_level(0.4)
         assert vm == pytest.approx(0.016592592592593814, rel=1e-10)
@@ -324,3 +338,12 @@ class TestSingularLimitGeometry:
         )
         # scale separation at this d: interface well inside the head
         assert interface_width(p) < 0.4 * predicted_head_length(p)
+
+    def test_head_geometry(self):
+        p = Params(d=1e-5, tau=1.0, gamma=0.1, beta=0.4)
+        head = head_geometry(p)
+        assert head.v_m == equal_area_level(0.4)
+        assert head.u_plus == nullcline_branch(head.v_m, 0.4, "upper")
+        assert head.rate == math.sqrt(0.1 + 1.0 / 0.4)
+        assert head.curv == head.u_plus - 0.1 * head.v_m - head.v_m**3
+        assert head.x1 == head.rate * head.v_m / head.curv == predicted_head_length(p)

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -31,6 +32,7 @@ from fhn_pulse.minimizer import _newton_polish
 from fhn_pulse.operators import (
     STEADY_KL,
     STEADY_KU,
+    InhibitorError,
     _band_lu_det_sign,
     _cubic_balance,
     _fd_residual,
@@ -440,14 +442,12 @@ class TestSolveInhibitor:
     def test_zero_input(self):
         w = Profile(GRID, np.zeros(GRID.n + 1))
         sol = solve_inhibitor(w, GAMMA)
-        assert sol.converged
         assert sol.newton_iters <= 1
         assert np.max(np.abs(sol.v.values)) == 0.0
 
     def test_residual_satisfied(self):
         w = bump_profile(GRID, 11)
         sol = solve_inhibitor(w, GAMMA, tol=1e-11)
-        assert sol.converged
         v = sol.v.values
         h = GRID.h
         res = (
@@ -464,7 +464,6 @@ class TestSolveInhibitor:
         for seed in (1, 2, 3):
             w = bump_profile(GRID, seed, span=12.0)
             sol = solve_inhibitor(w, GAMMA)
-            assert sol.converged
             lo = apply_green(GreenKind.L0, w, GAMMA, method="quadrature")
             hi = apply_green(GreenKind.L, w, GAMMA, method="quadrature")
             tol = 1e-6
@@ -476,7 +475,6 @@ class TestSolveInhibitor:
         M = negative_tail_cutoff(beta, GAMMA)
         w = bump_profile(GRID, 5, lo=-(M + 1.0), hi=1.0)
         sol = solve_inhibitor(w, GAMMA)
-        assert sol.converged
         assert np.all(sol.v.values <= 1.0 + 1e-9)
         assert np.all(sol.v.values >= -(M + 1.0) - 1e-9)
 
@@ -484,15 +482,18 @@ class TestSolveInhibitor:
         w = bump_profile(GRID, 9)
         cold = solve_inhibitor(w, GAMMA)
         warm = solve_inhibitor(w, GAMMA, v_init=cold.v)
-        assert warm.converged
         assert warm.newton_iters <= 1
         assert np.allclose(warm.v.values, cold.v.values, atol=1e-9)
 
     def test_nonconvergence_reported(self):
+        # a miss raises with the interior residual of the last iterate, here
+        # the cold start
         w = bump_profile(GRID, 13)
-        sol = solve_inhibitor(w, GAMMA, max_iters=0)
-        assert not sol.converged
-        assert sol.residual_max > 0.0
+        _, res, iters, converged = reference_inhibitor_newton(w, GAMMA, max_iters=0)
+        assert not converged and iters == 0 and res > 0.0
+        message = f"inhibitor solve failed: residual {res:.3e} after 0 Newton steps"
+        with pytest.raises(InhibitorError, match=f"^{re.escape(message)}$"):
+            solve_inhibitor(w, GAMMA, max_iters=0)
 
     def test_tolerance_floor_prevents_false_failure(self):
         # an unreachable tolerance is widened to the h^-2 roundoff floor
@@ -502,7 +503,7 @@ class TestSolveInhibitor:
         vals = 0.9 * np.exp(-(x**2))
         vals[-1] = 0.0
         sol = solve_inhibitor(Profile(grid, vals), GAMMA, tol=1e-30)
-        assert sol.converged
+        assert sol.residual_max > 1e-30
 
     def test_rejects_bad_gamma(self):
         w = bump_profile(GRID, 0)
@@ -513,17 +514,23 @@ class TestSolveInhibitor:
 class TestInhibitorNewtonBits:
     """solve_inhibitor reproduces the reference Newton loop bit for bit:
     its in-place residual, one max |u| per call and the dptsv solves change
-    no rounding."""
+    no rounding. It raises exactly where the reference reports a miss."""
 
     @staticmethod
     def assert_same_bits(u: Profile, gamma: float, v_init=None):
-        sol = solve_inhibitor(u, gamma, v_init=v_init)
         v, res, iters, converged = reference_inhibitor_newton(u, gamma, v_init=v_init)
         assert iters >= 1  # the Newton loop ran
+        if not converged:
+            with pytest.raises(
+                InhibitorError,
+                match=re.escape(f"residual {res:.3e} after {iters} Newton steps"),
+            ):
+                solve_inhibitor(u, gamma, v_init=v_init)
+            return
+        sol = solve_inhibitor(u, gamma, v_init=v_init)
         assert np.array_equal(sol.v.values, v)
         assert sol.residual_max == res
         assert sol.newton_iters == iters
-        assert sol.converged == converged
 
     @staticmethod
     def warm_start(u: Profile, gamma: float) -> Profile:
@@ -584,7 +591,6 @@ class TestColdStart:
             linear = Profile(grid, solve_shifted(gamma, w.values[:-1], grid.h))
             cold = solve_inhibitor(w, gamma)
             warm = solve_inhibitor(w, gamma, v_init=linear)
-            assert cold.converged and warm.converged
             assert np.max(np.abs(cold.v.values - warm.v.values)) <= 1e-8
             cold_steps += cold.newton_iters
             linear_steps += warm.newton_iters
@@ -616,7 +622,6 @@ class TestInhibitorDerivative:
         for eps in (1e-3, 1e-4):
             pert = Profile(GRID, w.values + eps * what.values)
             sol_p = solve_inhibitor(pert, GAMMA, tol=1e-12, v_init=sol.v)
-            assert sol_p.converged
             rems.append(
                 float(np.max(np.abs(sol_p.v.values - sol.v.values - eps * vh.values)))
             )
