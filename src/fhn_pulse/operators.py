@@ -379,10 +379,15 @@ def apply_green(
 
     by trapezoid sums split at the kernel kink. The two agree to
     O(h^2) + O(exp(-sqrt(gamma_eff) x_max)) away from the right boundary.
+    Raises ValueError unless gamma_eff is positive and finite, by either
+    method.
     """
     gamma_eff = gamma + kind.gamma_shift
-    if gamma_eff <= 0.0:
-        raise ValueError(f"effective decay gamma + shift = {gamma_eff} must be positive")
+    if not (gamma_eff > 0.0 and math.isfinite(gamma_eff)):
+        raise ValueError(
+            f"effective decay gamma + shift = {gamma_eff} must be positive and "
+            f"finite, got gamma = {gamma}"
+        )
     grid = w.grid
     if method == "solve":
         v = solve_shifted(gamma_eff, w.values[:-1], grid.h)
@@ -497,10 +502,11 @@ def solve_inhibitor(
     floor exceeds it. A solve that stops short of it, at max_iters or when
     the backtracking finds no decrease, raises InhibitorError with the
     interior residual and the Newton step count; no response short of
-    tolerance is ever returned.
+    tolerance is ever returned. A gamma that is not positive and finite
+    raises ValueError before any solve.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     grid = u.grid
     h = grid.h
     uu = u.values[:-1]

@@ -394,6 +394,18 @@ class TestApplyGreen:
                 v = apply_green(kind, w, GAMMA, method=method)
                 assert np.max(np.abs(v.values)) == 0.0
 
+    @pytest.mark.parametrize("method", ["solve", "quadrature"])
+    @pytest.mark.parametrize("kind", list(GreenKind))
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_rejects_gamma_not_positive_finite(self, gamma, kind, method):
+        # both methods refuse it alike, naming gamma; an infinite gamma
+        # gave zeros by the solve and a non-finite profile by quadrature
+        w = bump_profile(GRID, 0)
+        with pytest.raises(
+            ValueError, match=r"^effective decay gamma \+ shift = \S+ must be positive"
+        ):
+            apply_green(kind, w, gamma, method=method)
+
     def test_constant_one_gives_inverse_gamma(self):
         w = Profile(GRID, np.ones(GRID.n + 1))
         v = apply_green(GreenKind.L, w, GAMMA)
@@ -509,6 +521,14 @@ class TestSolveInhibitor:
         w = bump_profile(GRID, 0)
         with pytest.raises(ValueError):
             solve_inhibitor(w, 0.0)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_rejects_gamma_not_positive_finite(self, gamma):
+        # an invalid gamma is refused before any solve, not reported as a
+        # Newton miss with a NaN residual
+        w = bump_profile(GRID, 0)
+        with pytest.raises(ValueError, match="^gamma must be positive"):
+            solve_inhibitor(w, gamma)
 
 
 class TestInhibitorNewtonBits:
