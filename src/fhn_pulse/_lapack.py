@@ -54,4 +54,5 @@ def _flapack():
 
 
 _module = _flapack()
-dgbtrf, dgbtrs, dptsv = _module.dgbtrf, _module.dgbtrs, _module.dptsv
+dgbtrf, dgbtrs = _module.dgbtrf, _module.dgbtrs
+dptsv, dpttrf, dpttrs = _module.dptsv, _module.dpttrf, _module.dpttrs

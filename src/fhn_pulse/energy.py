@@ -48,11 +48,21 @@ def evaluate_energy(
     and the inhibitor solution (for warm starts). solve_inhibitor's
     InhibitorError passes through when the inner solve misses tolerance."""
     sol = solve_inhibitor(w, params.gamma, tol=inhibitor_tol, v_init=v_init)
+    report = energy_report(w, sol.v, params)
+    grad = Profile(
+        w.grid, _gradient_values(w.values, sol.v.values, params.d, params.beta, w.grid.h)
+    )
+    return report, grad, sol
+
+
+def energy_report(w: Profile, v: Profile, params: Params) -> EnergyReport:
+    """The energy report of w from its inhibitor response v = N(w), solved
+    by the caller: evaluate_energy's report with no solve of its own."""
     grid = w.grid
     h = grid.h
     weights = grid.weights()
     wv = w.values
-    vv = sol.v.values
+    vv = v.values
 
     dw = np.diff(wv)
     gradient_term = 0.5 * params.d * float(np.dot(dw, dw)) / h
@@ -71,7 +81,7 @@ def evaluate_energy(
     )
     alt_total = gradient_term + potential_term + alt_nonlocal
 
-    report = EnergyReport(
+    return EnergyReport(
         total=total,
         gradient_term=gradient_term,
         potential_term=potential_term,
@@ -79,6 +89,3 @@ def evaluate_energy(
         alt_total=alt_total,
         form_gap=abs(total - alt_total),
     )
-    grad = Profile(grid, _gradient_values(wv, vv, params.d, params.beta, h))
-    return report, grad, sol
-

@@ -60,7 +60,7 @@ class Profile:
                 f"profile length {vals.shape} does not match grid with "
                 f"{self.grid.n + 1} nodes"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("profile contains non-finite values")
         # a read-only view: the profile cannot be written through, and the
         # caller's array stays writable

@@ -8,23 +8,30 @@ Every linear solve of the inhibitor reduces to one discrete form,
 where D2 is the second-difference operator with a ghost-node Neumann row at
 x = 0 (V_{-1} = V_1) and c > 0 is a scalar or per-node coefficient. Halving
 the first row makes the system symmetric positive definite and
-tridiagonal: one-off solves run LAPACK dptsv in place on the diagonal and
-off-diagonal. The fixed operators of time stepping, a (-D2) + c with
-scalars a and c, are factored once by factor_shifted as -D2 + c/a, with
-1/a folded into the last matrix a solve applies: away from the ghost row
-the L D L^T factors have a constant pivot and multiplier, so
-solve_factored evaluates their two recurrences on blocks of unknowns as
-small GEMMs, the carries between blocks by the same scheme one level up
-(Blelloch 1990), and the ghost row by one Sherman-Morrison correction. It
-reads the right-hand side from the factor's scratch, where a caller may
-form it, and writes the solution into the caller's buffer. LAPACK's dpttrs
-runs the same recurrences one unknown at a time, bound by the latency of
-each step.
+tridiagonal. With a per-node c (a Newton step) a solve runs LAPACK dptsv
+in place on the diagonal and off-diagonal. With a scalar c (a linear
+response, a cold start) it runs dpttrs on the dpttrf factor of the
+matrix, kept read-only in a one-entry cache keyed by (c, h, m): the
+resolvent solves of one suite or one descent share c, h and m, and
+dptsv is dpttrf followed by dpttrs (Anderson et al., LAPACK Users' Guide,
+1999), so the cached factor gives the same bits. The fixed operators of
+time stepping, a (-D2) + c with scalars a and c, are factored once by
+factor_shifted as -D2 + c/a, with 1/a folded into the last matrix a
+solve applies: away from the ghost row the L D L^T factors have a
+constant pivot and multiplier, so solve_factored evaluates their two
+recurrences on blocks of unknowns as small GEMMs, the carries between
+blocks by the same scheme one level up (Blelloch 1990), and the ghost
+row by one Sherman-Morrison correction. It reads the right-hand side
+from the factor's scratch, where a caller may form it, and writes the
+solution into the caller's buffer. LAPACK's dpttrs runs the same
+recurrences one unknown at a time, bound by the latency of each step.
 
 The nonlinear inhibitor solve v = N(u) is damped Newton on these
 tridiagonal systems. A cold solve starts from the linear response v_L
 with every node moved to the real root of w^3 + gamma w = gamma v_L, the
-local balance of the cubic term that v_L leaves out.
+local balance of the cubic term that v_L leaves out. A solve allocates
+its work arrays once; its Newton steps and backtracking trials allocate
+no state-sized array.
 
 steady_residual returns the coupled steady system for (u, v) in two
 blocks of rows, activator and inhibitor. solve_steady runs damped Newton
@@ -34,9 +41,9 @@ band for P and refills it at every iterate, where dgbtrf factors it in
 place; the determinant sign (det J = det P) and every right-hand side
 solved by dgbtrs come from that one LU.
 
-dptsv, dgbtrf and dgbtrs are scipy's f2py LAPACK wrappers. The _lapack
-module loads the one compiled extension that holds them,
-scipy.linalg._flapack, from its file instead of importing the
+dptsv, dpttrf, dpttrs, dgbtrf and dgbtrs are scipy's f2py LAPACK
+wrappers. The _lapack module loads the one compiled extension that holds
+them, scipy.linalg._flapack, from its file instead of importing the
 scipy.linalg package, which would take about half of a process's
 start-up; when that file is missing or does not load, it takes them from
 scipy.linalg.lapack. Both paths give the same routine objects.
@@ -45,12 +52,13 @@ scipy.linalg.lapack. Both paths give the same routine objects.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dgbtrf, dgbtrs, dptsv
+from ._lapack import dgbtrf, dgbtrs, dptsv, dpttrf, dpttrs
 from .grid import Grid, Profile
 from .model import reaction_f
 
@@ -72,35 +80,79 @@ class GreenKind(enum.Enum):
         return 0.0 if self is GreenKind.L else 1.0
 
 
+def _fill_shifted(diag: np.ndarray, off: np.ndarray, h: float) -> None:
+    """Turn diag, holding c on m unknowns, into the diagonal of the
+    symmetrized (-D2 + c) matrix, and fill off (m - 1 entries) with its
+    off-diagonal. Row 0 carries the halved Neumann ghost row."""
+    c0 = diag[0]
+    diag += 2.0 / h**2
+    diag[0] = 1.0 / h**2 + 0.5 * c0
+    off.fill(-1.0 / h**2)
+
+
 def _shifted_tridiagonal(
     c: np.ndarray | float, h: float, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the symmetrized (-D2 + c) matrix on m
-    unknowns. Row 0 carries the halved Neumann ghost row."""
-    cc = np.broadcast_to(np.asarray(c, dtype=float), (m,))
-    diag = 2.0 / h**2 + cc
-    diag[0] = 1.0 / h**2 + 0.5 * cc[0]
-    return diag, np.full(m - 1, -1.0 / h**2)
+    unknowns, fresh arrays."""
+    diag = np.array(np.broadcast_to(np.asarray(c, dtype=float), (m,)))
+    off = np.empty(m - 1)
+    _fill_shifted(diag, off, h)
+    return diag, off
+
+
+def _check_definite(routine: str, info: int) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"shifted operator is not positive definite ({routine} info = {info})"
+        )
+
+
+def _ptsv(diag: np.ndarray, off: np.ndarray, b: np.ndarray) -> None:
+    """Solve the symmetrized system with diagonal diag and off-diagonal
+    off for the right-hand side b of the unsymmetrized one, in place:
+    b[0] is halved as the matrix's ghost row, and dptsv overwrites all
+    three arrays, b with the solution."""
+    b[0] *= 0.5
+    info = dptsv(diag, off, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)[3]
+    _check_definite("dptsv", info)
+
+
+@functools.lru_cache(maxsize=1)
+def _scalar_factor(c: float, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """dpttrf's L D L^T factor (D's diagonal, L's subdiagonal) of the
+    symmetrized (-D2 + c) matrix on m unknowns for a scalar c, read-only.
+    One entry: the scalar-shift solves of a suite or a descent share one
+    key, and each factor of a 32768-node grid holds 512 KiB. An
+    indefinite shift raises LinAlgError and is not cached."""
+    diag, off = _shifted_tridiagonal(c, h, m)
+    _check_definite("dpttrf", dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[2])
+    diag.flags.writeable = False
+    off.flags.writeable = False
+    return diag, off
 
 
 def solve_shifted(c: np.ndarray | float, rhs: np.ndarray, h: float) -> np.ndarray:
     """Solve (-D2 + c) V = rhs with Neumann at 0 and V = 0 at the last node.
 
     rhs has one entry per unknown (nodes 0..n-1) and is left unmodified; the
-    returned array has the Dirichlet zero appended, length n + 1. dptsv
-    factors and solves in place in the output buffer.
+    returned array has the Dirichlet zero appended, length n + 1. A
+    per-node c is solved by dptsv in the output buffer. A scalar c is
+    solved there by dpttrs from the cached dpttrf factor of the last
+    (c, h, n) a scalar solve used, factored anew for any other key; the
+    bits equal dptsv's. LinAlgError is raised when the matrix is not
+    positive definite.
     """
     m = len(rhs)
-    diag, off = _shifted_tridiagonal(c, h, m)
     out = np.empty(m + 1)
     out[:m] = rhs
-    out[0] *= 0.5  # the ghost row, halved as the symmetrized matrix's row 0
     out[m] = 0.0
-    info = dptsv(diag, off, out[:m], overwrite_d=1, overwrite_e=1, overwrite_b=1)[3]
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"shifted operator is not positive definite (dptsv info = {info})"
-        )
+    if np.ndim(c) == 0:
+        diag, off = _scalar_factor(float(c), float(h), m)
+        out[0] *= 0.5  # the ghost row, halved as the symmetrized matrix's row 0
+        dpttrs(diag, off, out[:m], overwrite_b=1)
+    else:
+        _ptsv(*_shifted_tridiagonal(c, h, m), out[:m])
     return out
 
 
@@ -395,12 +447,12 @@ def apply_green(
     if method == "quadrature":
         sg = math.sqrt(gamma_eff)
         x = grid.nodes()
-        grow = np.cosh(sg * x) * w.values
-        decay = np.exp(-sg * x) * w.values
-        prefix = _cumulative_trapezoid(grow, grid.h)
-        suffix_total = _cumulative_trapezoid(decay, grid.h)
+        cosh = np.cosh(sg * x)
+        exp = np.exp(-sg * x)
+        prefix = _cumulative_trapezoid(cosh * w.values, grid.h)
+        suffix_total = _cumulative_trapezoid(exp * w.values, grid.h)
         suffix = suffix_total[-1] - suffix_total
-        v = (np.exp(-sg * x) * prefix + np.cosh(sg * x) * suffix) / sg
+        v = (exp * prefix + cosh * suffix) / sg
         return Profile(grid, v)
     raise ValueError(f"unknown Green method {method!r}")
 
@@ -421,21 +473,31 @@ def _gradient_values(
 
 
 def _fd_residual(
-    v: np.ndarray, u: np.ndarray, gamma: float, h: float
+    v: np.ndarray,
+    u: np.ndarray,
+    gamma: float,
+    h: float,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Residual of (-D2 + gamma) v + v^3 - u on the solved rows 0..n-1.
+    """Residual of (-D2 + gamma) v + v^3 - u on the solved rows 0..n-1,
+    written into `out` (n entries) when given, else into a fresh array,
+    which is returned; `scratch` (n - 1 entries) spares the stencil's
+    temporary.
 
     The interior rows are written in place, term by term in the order of
     the formula ((-v_{i-1} + 2 v_i - v_{i+1}) / h^2 + gamma v_i + v_i^3 -
-    u_i), so they round exactly as the formula does."""
+    u_i), so they round exactly as the formula does: 2 v_i - v_{i-1} is
+    -v_{i-1} + 2 v_i, since IEEE subtraction adds the negation."""
     m = len(v) - 1
-    r = np.empty(m)
-    r[0] = (2.0 * v[0] - 2.0 * v[1]) / h**2 + gamma * v[0] + v[0] * v[0] * v[0] - u[0]
+    r = np.empty(m) if out is None else out
+    t = np.empty(m - 1) if scratch is None else scratch
+    v0, v1 = float(v[0]), float(v[1])  # Python floats round as numpy's do
+    r[0] = (2.0 * v0 - 2.0 * v1) / h**2 + gamma * v0 + v0 * v0 * v0 - float(u[0])
     vi = v[1:m]
     ri = r[1:m]
-    t = np.empty(m - 1)
-    np.negative(v[0 : m - 1], out=ri)
-    ri += np.multiply(2.0, vi, out=t)
+    np.multiply(2.0, vi, out=ri)
+    ri -= v[0 : m - 1]
     ri -= v[2 : m + 1]
     ri /= h**2
     ri += np.multiply(gamma, vi, out=t)
@@ -449,6 +511,12 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
+def _abs_max(x: np.ndarray) -> float:
+    """max |x| with no temporary array: exact, NaN when x holds one, and
+    +0.0 (not -0.0) for an all-zero x."""
+    return abs(float(max(x.max(), -x.min())))
+
+
 def _inhibitor_floor(vmax: float, umax: float, gamma: float, h: float) -> float:
     """Roundoff floor of _fd_residual from max |v| and max |u|: 8 ulps of
     its largest terms, led by the 1/h^2 difference stencil."""
@@ -459,10 +527,20 @@ def _cubic_balance(vl: np.ndarray, gamma: float) -> np.ndarray:
     """Real root w of w^3 + gamma w = gamma vl at every node, in the
     hyperbolic form of the depressed cubic's root. It is finite for every
     finite vl and exactly 0 where vl is; Cardano's two cube roots cancel
-    near 0 and overflow once |vl| passes ~1e154."""
-    return 2.0 * math.sqrt(gamma / 3.0) * np.sinh(
-        np.arcsinh(1.5 * math.sqrt(3.0 / gamma) * vl) / 3.0
-    )
+    near 0 and overflow once |vl| passes ~1e154. The terms are formed in
+    place in one fresh array, in the order of
+    2 sqrt(gamma/3) sinh(arcsinh(1.5 sqrt(3/gamma) vl) / 3)."""
+    w = np.multiply(1.5 * math.sqrt(3.0 / gamma), vl)
+    np.arcsinh(w, out=w)
+    w /= 3.0
+    np.sinh(w, out=w)
+    w *= 2.0 * math.sqrt(gamma / 3.0)
+    return w
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -505,11 +583,11 @@ def solve_inhibitor(
     tolerance is ever returned. A gamma that is not positive and finite
     raises ValueError before any solve.
     """
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_gamma(gamma)
     grid = u.grid
     h = grid.h
     uu = u.values[:-1]
+    m = len(uu)
 
     if v_init is not None:
         if v_init.grid != grid:
@@ -519,24 +597,46 @@ def solve_inhibitor(
     else:
         v = _cubic_balance(solve_shifted(gamma, uu, h), gamma)
 
-    umax = float(np.max(np.abs(uu)))
+    umax = _abs_max(uu)
 
     def tol_floor(vv: np.ndarray) -> float:
-        return max(tol, _inhibitor_floor(float(np.max(np.abs(vv))), umax, gamma, h))
+        return max(tol, _inhibitor_floor(_abs_max(vv), umax, gamma, h))
 
     iters = 0
     r = _fd_residual(v, uu, gamma, h)
-    res = float(np.max(np.abs(r)))
+    res = _abs_max(r)
     rn2 = float(np.dot(r, r))
     converged = res <= tol_floor(v)
 
+    if not converged and max_iters > 0:
+        # the Newton steps' work arrays, allocated once per solve that
+        # takes a step: the step and the trial state have the Dirichlet
+        # node n, held at 0; the trial residual and the matrix rows 0..n-1
+        v_try = np.empty_like(v)
+        step = np.empty_like(v)
+        step[m] = 0.0
+        r_try = np.empty_like(r)
+        diag = np.empty_like(r)
+        off = np.empty(m - 1)
+        scratch = np.empty(m - 1)
     while not converged and iters < max_iters:
-        delta = solve_shifted(gamma + 3.0 * v[:-1] ** 2, -r, h)
+        # (-D2 + gamma + 3 v^2) step = -r
+        np.multiply(v[:m], v[:m], out=diag)
+        diag *= 3.0
+        diag += gamma
+        _fill_shifted(diag, off, h)
+        np.negative(r, out=step[:m])
+        _ptsv(diag, off, step[:m])
         t = 1.0
         accepted = False
         for _ in range(40):
-            v_try = v + t * delta
-            r_try = _fd_residual(v_try, uu, gamma, h)
+            # v + t step, the product skipped at t = 1 where it is exact
+            if t == 1.0:
+                np.add(v, step, out=v_try)
+            else:
+                np.multiply(step, t, out=v_try)
+                v_try += v
+            _fd_residual(v_try, uu, gamma, h, r_try, scratch)
             rn2_try = float(np.dot(r_try, r_try))
             if rn2_try <= (1.0 - 2e-4 * t) * rn2:
                 accepted = True
@@ -544,12 +644,14 @@ def solve_inhibitor(
             t *= 0.5
         if not accepted:
             break
-        v, r, rn2 = v_try, r_try, rn2_try
+        v, v_try = v_try, v
+        r, r_try = r_try, r
+        rn2 = rn2_try
         iters += 1
-        res = float(np.max(np.abs(r)))
+        res = _abs_max(r)
         converged = res <= tol_floor(v)
 
-    interior_res = float(np.max(np.abs(r[1:]))) if len(r) > 1 else res
+    interior_res = _abs_max(r[1:]) if len(r) > 1 else res
     if not converged:
         raise InhibitorError(
             f"inhibitor solve failed: residual {interior_res:.3e} after "
@@ -563,7 +665,9 @@ def inhibitor_derivative(
 ) -> Profile:
     """Directional derivative of the inhibitor response at w applied to
     w_hat: solves v_hat'' - gamma v_hat - 3 v^2 v_hat = -w_hat with the same
-    boundary conventions. v must be the response at w."""
+    boundary conventions. v must be the response at w. A gamma that is
+    not positive and finite raises ValueError, as in solve_inhibitor."""
+    _check_gamma(gamma)
     if w.grid != v.grid or w.grid != w_hat.grid:
         raise ValueError("profiles live on different grids")
     h = w.grid.h

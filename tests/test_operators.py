@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,49 @@ class TestSolveShifted:
     def test_indefinite_operator_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
             solve_shifted(-1e3, np.ones(16), 0.1)
+
+    def test_scalar_shift_across_keys(self):
+        # the cached factor is the one of the key asked for: repeated and
+        # interleaved (c, h, m) keys, ints and numpy scalars among them,
+        # solve as dptsv does, bit for bit
+        rng = np.random.default_rng(5)
+        keys = [(0.3, 30.0 / 4096, 4096), (1.3, 30.0 / 4096, 4096),
+                (0.3, 12.0 / 512, 512), (2, 0.25, 64), (np.float64(0.3), 30.0 / 4096, 4096)]
+        for k in [0, 0, 1, 0, 2, 2, 3, 1, 4, 0, 3]:
+            c, h, m = keys[k]
+            rhs = rng.standard_normal(m)
+            before = rhs.copy()
+            v = solve_shifted(c, rhs, h)
+            assert np.array_equal(rhs, before)
+            assert np.array_equal(v, banded_solve(c, rhs, h))
+
+    def test_cached_factor_is_read_only(self):
+        c, h, m = 0.3, 30.0 / 1024, 1024
+        solve_shifted(c, np.ones(m), h)
+        diag, off = operators._scalar_factor(c, h, m)
+        assert not diag.flags.writeable and not off.flags.writeable
+        with pytest.raises(ValueError):
+            diag[0] = 1.0
+        saved = diag.copy(), off.copy()
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            solve_shifted(c, rng.standard_normal(m), h)
+        assert operators._scalar_factor(c, h, m)[0] is diag
+        assert np.array_equal(diag, saved[0]) and np.array_equal(off, saved[1])
+
+    def test_indefinite_scalar_shift_raises_on_every_call(self):
+        # a failed factorization is not cached: each call factors and
+        # raises, and the last good factor stays in the cache
+        rhs = np.ones(16)
+        solve_shifted(0.5, rhs, 0.1)
+        before = operators._scalar_factor.cache_info()
+        for _ in range(3):
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                solve_shifted(-1e3, rhs, 0.1)
+        after = operators._scalar_factor.cache_info()
+        assert after.misses == before.misses + 3 and after.currsize == 1
+        solve_shifted(0.5, rhs, 0.1)
+        assert operators._scalar_factor.cache_info().hits == after.hits + 1
 
     def test_matches_dense_solve(self):
         # cross-check the banded path against a dense assembly of the same
@@ -522,13 +566,49 @@ class TestSolveInhibitor:
         with pytest.raises(ValueError):
             solve_inhibitor(w, 0.0)
 
-    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
-    def test_rejects_gamma_not_positive_finite(self, gamma):
+    @pytest.mark.parametrize("solve", ["solve_inhibitor", "inhibitor_derivative"])
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+    def test_rejects_gamma_not_positive_finite(self, gamma, solve):
         # an invalid gamma is refused before any solve, not reported as a
-        # Newton miss with a NaN residual
+        # Newton miss with a NaN residual; the derivative gave zeros for an
+        # infinite gamma, a non-finite profile for NaN and LinAlgError for
+        # a negative one
         w = bump_profile(GRID, 0)
         with pytest.raises(ValueError, match="^gamma must be positive"):
-            solve_inhibitor(w, gamma)
+            if solve == "solve_inhibitor":
+                solve_inhibitor(w, gamma)
+            else:
+                inhibitor_derivative(w, w, w, gamma)
+
+    def test_newton_step_allocates_no_state_array(self, monkeypatch):
+        # a solve allocates its work arrays before its first Newton step,
+        # so steps 2.. and their backtracking trials allocate no
+        # state-sized array (8 (n + 1) = 256 KiB here). The peak is taken
+        # from the second step's tridiagonal solve to each later one and
+        # to the return, whose Profile check takes n + 1 bytes.
+        grid = Grid(12.0, 32768)
+        u = bump_profile(grid, 21, lo=-1.5, hi=1.5, span=8.0)
+        calls, peaks = [], []
+
+        def traced(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                tracemalloc.reset_peak()
+                calls[0] = tracemalloc.get_traced_memory()[0]
+            elif len(calls) > 2:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            return ptsv(*args)
+
+        ptsv = operators._ptsv
+        monkeypatch.setattr(operators, "_ptsv", traced)
+        tracemalloc.start()
+        try:
+            sol = solve_inhibitor(u, GAMMA)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sol.newton_iters == len(calls) >= 3
+        assert max(peaks) - calls[0] <= 64 * 1024
 
 
 class TestInhibitorNewtonBits:
@@ -1080,7 +1160,8 @@ def test_one_extension_module_in_either_import_order(first, second):
         "from fhn_pulse import _lapack, operators\n"
         "from scipy.linalg import lapack\n"
         "flapack = sys.modules['scipy.linalg._flapack']\n"
-        "print(all(getattr(operators, n) is getattr(lapack, n) for n in ('dgbtrf', 'dgbtrs', 'dptsv')),"
+        "names = ('dgbtrf', 'dgbtrs', 'dptsv', 'dpttrf', 'dpttrs')\n"
+        "print(all(getattr(operators, n) is getattr(lapack, n) for n in names),"
         " _lapack._module is flapack, lapack._flapack is flapack)"
     )
     assert out.split() == ["True", "True", "True"]
