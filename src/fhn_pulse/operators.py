@@ -11,10 +11,11 @@ the first row makes the system symmetric positive definite and
 tridiagonal. With a per-node c (a Newton step) a solve runs LAPACK dptsv
 in place on the diagonal and off-diagonal. With a scalar c (a linear
 response, a cold start) it runs dpttrs on the dpttrf factor of the
-matrix, kept read-only in a one-entry cache keyed by (c, h, m): the
-resolvent solves of one suite or one descent share c, h and m, and
-dptsv is dpttrf followed by dpttrs (Anderson et al., LAPACK Users' Guide,
-1999), so the cached factor gives the same bits. The fixed operators of
+matrix, kept read-only in a one-entry cache keyed by (c, h, m): runs of
+scalar solves on one key reuse it (750 of the 760 in a 100-sample
+inequality suite at n = 4096), and dptsv is dpttrf followed by dpttrs
+(Anderson et al., LAPACK Users' Guide, 1999), so the cached factor
+gives the same bits. The fixed operators of
 time stepping, a (-D2) + c with scalars a and c, are factored once by
 factor_shifted as -D2 + c/a, with 1/a folded into the last matrix a
 solve applies: away from the ghost row the L D L^T factors have a
@@ -122,7 +123,7 @@ def _ptsv(diag: np.ndarray, off: np.ndarray, b: np.ndarray) -> None:
 def _scalar_factor(c: float, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """dpttrf's L D L^T factor (D's diagonal, L's subdiagonal) of the
     symmetrized (-D2 + c) matrix on m unknowns for a scalar c, read-only.
-    One entry: the scalar-shift solves of a suite or a descent share one
+    One entry: the scalar-shift solves of an inequality suite run on one
     key, and each factor of a 32768-node grid holds 512 KiB. An
     indefinite shift raises LinAlgError and is not cached."""
     diag, off = _shifted_tridiagonal(c, h, m)
@@ -630,12 +631,8 @@ def solve_inhibitor(
         t = 1.0
         accepted = False
         for _ in range(40):
-            # v + t step, the product skipped at t = 1 where it is exact
-            if t == 1.0:
-                np.add(v, step, out=v_try)
-            else:
-                np.multiply(step, t, out=v_try)
-                v_try += v
+            np.multiply(step, t, out=v_try)
+            v_try += v
             _fd_residual(v_try, uu, gamma, h, r_try, scratch)
             rn2_try = float(np.dot(r_try, r_try))
             if rn2_try <= (1.0 - 2e-4 * t) * rn2:
