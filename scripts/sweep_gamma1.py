@@ -5,12 +5,15 @@ gamma1_via_potential (through gamma0 and the potential F), and their
 absolute difference, so the two code paths cross-check each other.
 
 `fhn-pulse sweep-gamma1` tabulates gamma0 and gamma1 through the direct
-route only.
+route only, at the same beta values: its beta and gamma1 columns equal
+this script's beta and gamma1_direct columns over the same range.
 
     python3 scripts/sweep_gamma1.py --beta-min 0.34 --beta-max 0.49 --steps 151
 """
 
 import argparse
+
+import numpy as np
 
 from fhn_pulse import gamma1_direct, gamma1_via_potential
 from fhn_pulse.records import write_csv
@@ -31,9 +34,7 @@ def main() -> int:
         ap.error("need steps >= 1")
 
     rows = []
-    for k in range(args.steps):
-        t = k / (args.steps - 1) if args.steps > 1 else 0.0
-        beta = args.beta_min + t * (args.beta_max - args.beta_min)
+    for beta in np.linspace(args.beta_min, args.beta_max, args.steps).tolist():
         g_direct = gamma1_direct(beta)
         g_pot = gamma1_via_potential(beta)
         rows.append((beta, g_direct, g_pot, abs(g_direct - g_pot)))

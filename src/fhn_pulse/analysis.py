@@ -477,6 +477,28 @@ def random_admissible_profile(
     return _admissible_sample(grid, grid.nodes(), _draw_admissible(rng, grid), beta, M)
 
 
+# The inequality suite's checks in report order, each as (name, held to the
+# suite's tol, detail). The three single-value cross-checks are held with
+# tolerance 0; a detail of None is formatted by the run.
+_SUITE_CHECKS: tuple[tuple[str, bool, str | None], ...] = (
+    ("response_h1_bound", True, "max{1,1/gamma} ||w||_2 - ||Nw||_H1"),
+    ("response_lipschitz", True, "max{1,1/gamma} ||w2-w1||_2 - ||Nw2-Nw1||_H1"),
+    ("response_monotone", True, "min (N w - N(w - bump))"),
+    ("resolvent_sandwich", True, "min(Nw - L0 w, L w - Nw), w >= 0"),
+    ("response_bounds", True, "-(M+1) <= Nw <= 1 on admissible w"),
+    ("resolvent_self_adjoint", True, "-|<w1, L w2> - <w2, L w1>|"),
+    ("nonlocal_positive", True, "<w, N w>"),
+    ("nonlocal_difference_positive", True, "<w1-w2, Nw1-Nw2>"),
+    ("decomposition_lower_bound", True, "<w,Nw> - [<f-g, Nf-Ng> - 4 <Lf, Lg>]"),
+    ("energy_two_form_gap", True, "-|total - alt_total|"),
+    ("response_energy_identity", True, "-|<w,Nw> - int(v'^2 + gamma v^2 + v^4)|"),
+    ("competitor_gap_closed_form", False, None),
+    ("competitor_gap_on_grid", False, None),
+    ("energy_lower_bound", True, "J(w) + M1"),
+    ("green_methods_order_h2", False, None),
+)
+
+
 def verify_inequality_suite(
     params: Params,
     grid: Grid,
@@ -540,8 +562,9 @@ def verify_inequality_suite(
         (rng.uniform(1.0, grid.x_max / 4.0), rng.uniform(0.5, 1.5)) for _ in range(3)
     ]
 
-    m_bound, m_lip, m_mono, m_sand, m_rng, m_sym = [], [], [], [], [], []
-    m_pos, m_dpos, m_dec, m_gap, m_ident, m_lb = [], [], [], [], [], []
+    # each check's margins, and its detail where the run formats it
+    margins: dict[str, list[float]] = {name: [] for name, _, _ in _SUITE_CHECKS}
+    details: dict[str, str] = {}
     prev_w = prev_nw = prev_s = prev_ns = None
     for k in range(n_samples):
         # admissible sample w and smooth sample s, with responses N w, N s
@@ -551,23 +574,29 @@ def verify_inequality_suite(
         ns = solve_inhibitor(s, gamma).v
 
         # H1 bound of the response on smooth input
-        m_bound.append(lip_const * norm_l2(s) - norm_h1(ns))
+        margins["response_h1_bound"].append(lip_const * norm_l2(s) - norm_h1(ns))
         if k > 0:
             # Lipschitz continuity between consecutive smooth samples
             ds = Profile(grid, s.values - prev_s.values)
             dns = Profile(grid, ns.values - prev_ns.values)
-            m_lip.append(lip_const * norm_l2(ds) - norm_h1(dns))
+            margins["response_lipschitz"].append(
+                lip_const * norm_l2(ds) - norm_h1(dns)
+            )
         if k % 2 == 1:
             # self-adjointness of the linear resolvent on the pair (k-1, k)
             l_s = apply_green(GreenKind.L, s, gamma)
             l_prev = apply_green(GreenKind.L, prev_s, gamma)
-            m_sym.append(-abs(inner_l2(prev_s, l_s) - inner_l2(s, l_prev)))
+            margins["resolvent_self_adjoint"].append(
+                -abs(inner_l2(prev_s, l_s) - inner_l2(s, l_prev))
+            )
 
         if k < half:
             # monotonicity: w and w minus a nonnegative bump
             bump = np.abs(_sum_bumps(x, monotone_draws[k]))
             n_low = solve_inhibitor(Profile(grid, w.values - bump), gamma).v
-            m_mono.append(float(np.min(nw.values - n_low.values)))
+            margins["response_monotone"].append(
+                float(np.min(nw.values - n_low.values))
+            )
 
         # resolvent sandwich on nonnegative admissible input, and the
         # positive/negative-part decomposition lower bound on every
@@ -583,7 +612,9 @@ def verify_inequality_suite(
             v = n_pos.values
             low = apply_green(GreenKind.L0, pos, gamma, method="quadrature").values
             high = apply_green(GreenKind.L, pos, gamma, method="quadrature").values
-            m_sand.append(min(float(np.min(v - low)), float(np.min(high - v))))
+            margins["resolvent_sandwich"].append(
+                min(float(np.min(v - low)), float(np.min(high - v)))
+            )
         n_neg = solve_inhibitor(neg, gamma).v
         lf = apply_green(GreenKind.L, pos, gamma)
         lg = apply_green(GreenKind.L, neg, gamma)
@@ -597,88 +628,42 @@ def verify_inequality_suite(
             )
             - 4.0 * inner_l2(lf, lg)
         )
-        m_dec.append(w_nw - rhs)
+        margins["decomposition_lower_bound"].append(w_nw - rhs)
 
         # pointwise response bounds on admissible input
         vv = nw.values
-        m_rng.append(min(float(np.min(vv + M + 1.0)), float(np.min(1.0 - vv))))
+        margins["response_bounds"].append(
+            min(float(np.min(vv + M + 1.0)), float(np.min(1.0 - vv)))
+        )
 
         # nonlocal positivity, both forms
-        m_pos.append(w_nw)
+        margins["nonlocal_positive"].append(w_nw)
         if k > 0:
             dw = Profile(grid, w.values - prev_w.values)
             dnw = Profile(grid, vv - prev_nw.values)
-            m_dpos.append(inner_l2(dw, dnw))
+            margins["nonlocal_difference_positive"].append(inner_l2(dw, dnw))
 
         # energy two-form identity, the energy lower bound -M1 and the
         # response-energy identity, from the sample's response: a solve
         # started from it would stop there after no Newton step
         report = energy_report(w, nw, params)
-        m_gap.append(-report.form_gap)
-        m_lb.append(report.total + consts.M1)
+        margins["energy_two_form_gap"].append(-report.form_gap)
+        margins["energy_lower_bound"].append(report.total + consts.M1)
         dv = np.diff(vv)
         rhs = float(np.dot(dv, dv)) / grid.h + float(
             np.dot(weights, gamma * vv**2 + vv**4)
         )
-        m_ident.append(-abs(w_nw - rhs))
+        margins["response_energy_identity"].append(-abs(w_nw - rhs))
 
         prev_w, prev_nw, prev_s, prev_ns = w, nw, s, ns
 
-    def margins_to_check(name, margins, tolerance, detail=""):
-        margins = np.asarray(margins, dtype=float)
-        n_pass = int(np.count_nonzero(margins >= -tolerance))
-        return SuiteCheck(
-            name=name,
-            n_pass=n_pass,
-            n_total=len(margins),
-            worst_margin=float(np.min(margins)) if len(margins) else 0.0,
-            tolerance=tolerance,
-            detail=detail,
-        )
-
-    checks = [
-        margins_to_check(
-            "response_h1_bound", m_bound, tol, "max{1,1/gamma} ||w||_2 - ||Nw||_H1"
-        ),
-        margins_to_check(
-            "response_lipschitz", m_lip, tol,
-            "max{1,1/gamma} ||w2-w1||_2 - ||Nw2-Nw1||_H1",
-        ),
-        margins_to_check(
-            "response_monotone", m_mono, tol, "min (N w - N(w - bump))"
-        ),
-        margins_to_check(
-            "resolvent_sandwich", m_sand, tol, "min(Nw - L0 w, L w - Nw), w >= 0"
-        ),
-        margins_to_check(
-            "response_bounds", m_rng, tol, "-(M+1) <= Nw <= 1 on admissible w"
-        ),
-        margins_to_check(
-            "resolvent_self_adjoint", m_sym, tol, "-|<w1, L w2> - <w2, L w1>|"
-        ),
-        margins_to_check("nonlocal_positive", m_pos, tol, "<w, N w>"),
-        margins_to_check(
-            "nonlocal_difference_positive", m_dpos, tol, "<w1-w2, Nw1-Nw2>"
-        ),
-        margins_to_check(
-            "decomposition_lower_bound", m_dec, tol,
-            "<w,Nw> - [<f-g, Nf-Ng> - 4 <Lf, Lg>]",
-        ),
-        margins_to_check("energy_two_form_gap", m_gap, tol, "-|total - alt_total|"),
-        margins_to_check(
-            "response_energy_identity", m_ident, tol,
-            "-|<w,Nw> - int(v'^2 + gamma v^2 + v^4)|",
-        ),
-    ]
-
     # closed-form competitor gap: the bound chain lands exactly on -M0
     ub = q0_energy_upper_bound(consts.d0, beta, gamma, consts.a_q0, consts.b_q0)
-    chain_margin = -(abs(ub + consts.M0) / consts.M0) + 1e-10
-    checks.append(
-        margins_to_check(
-            "competitor_gap_closed_form", [chain_margin], 0.0,
-            f"J_upper(q0)={ub:.6e} vs -M0={-consts.M0:.6e} (relative)",
-        )
+    margins["competitor_gap_closed_form"].append(
+        -(abs(ub + consts.M0) / consts.M0) + 1e-10
+    )
+    details["competitor_gap_closed_form"] = (
+        f"J_upper(q0)={ub:.6e} vs -M0={-consts.M0:.6e} (relative)"
     )
 
     # grid evaluation of the constructive competitor at d = d0: a
@@ -687,17 +672,10 @@ def verify_inequality_suite(
     params_d0 = Params(d=consts.d0, tau=params.tau, gamma=gamma, beta=beta)
     q_tiny = build_q0(consts.a_q0, consts.b_q0, grid)
     report_tiny, _, _ = evaluate_energy(q_tiny, params_d0)
-    checks.append(
-        margins_to_check(
-            "competitor_gap_on_grid", [-consts.M0 - report_tiny.total], 0.0,
-            f"energy(q0(a_q0, b_q0)) at d=d0 is {report_tiny.total:.3e}; "
-            f"[a, b] = [{consts.a_q0:.3e}, {consts.b_q0:.3e}], h = {grid.h:.3e}",
-        )
-    )
-
-    # energy lower bound -M1 on admissible samples
-    checks.append(
-        margins_to_check("energy_lower_bound", m_lb, tol, "J(w) + M1")
+    margins["competitor_gap_on_grid"].append(-consts.M0 - report_tiny.total)
+    details["competitor_gap_on_grid"] = (
+        f"energy(q0(a_q0, b_q0)) at d=d0 is {report_tiny.total:.3e}; "
+        f"[a, b] = [{consts.a_q0:.3e}, {consts.b_q0:.3e}], h = {grid.h:.3e}"
     )
 
     # two resolvent code paths agree at O(h^2): three analytic bumps on a
@@ -719,13 +697,25 @@ def verify_inequality_suite(
             errs.append(float(np.max(np.abs(vq[left] - vs[left]))))
         ratios.append(errs[0] / errs[1])
         ratios.append(errs[1] / errs[2])
-    m_ratio = [min(r - 2.5, 6.0 - r) for r in ratios]
-    checks.append(
-        margins_to_check(
-            "green_methods_order_h2", m_ratio, 0.0,
-            f"refinement ratios {['%.2f' % r for r in ratios]}",
-        )
+    margins["green_methods_order_h2"].extend(min(r - 2.5, 6.0 - r) for r in ratios)
+    details["green_methods_order_h2"] = (
+        f"refinement ratios {['%.2f' % r for r in ratios]}"
     )
+
+    checks = []
+    for name, uses_tol, detail in _SUITE_CHECKS:
+        m = np.asarray(margins[name], dtype=float)
+        tolerance = tol if uses_tol else 0.0
+        checks.append(
+            SuiteCheck(
+                name=name,
+                n_pass=int(np.count_nonzero(m >= -tolerance)),
+                n_total=len(m),
+                worst_margin=float(np.min(m)) if len(m) else 0.0,
+                tolerance=tolerance,
+                detail=details[name] if detail is None else detail,
+            )
+        )
 
     return InequalitySuiteReport(
         beta=beta,

@@ -823,13 +823,13 @@ def solve_steady(
     m = len(u) - 1
 
     def at_floor(r: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
-        umax = float(np.max(np.abs(u)))
-        vmax = float(np.max(np.abs(v)))
+        umax = _abs_max(u)
+        vmax = _abs_max(v)
         f_bound = umax * (1.0 + umax) * (umax + beta)
         u_floor = 8.0 * _EPS * (4.0 * d * umax / h**2 + f_bound + vmax)
         return (
-            float(np.max(np.abs(r[0]))) <= u_floor
-            and float(np.max(np.abs(r[1]))) <= _inhibitor_floor(vmax, umax, gamma, h)
+            _abs_max(r[0]) <= u_floor
+            and _abs_max(r[1]) <= _inhibitor_floor(vmax, umax, gamma, h)
         )
 
     r = steady_residual(u, v, d, beta, gamma, h)

@@ -417,6 +417,24 @@ class TestInequalitySuite:
             "green_methods_order_h2",
         ]
 
+    def test_tolerance_column(self):
+        # the suite's tol reaches every check but the three single-value
+        # cross-checks, which hold with tolerance 0, and the report order
+        # does not follow the tolerance
+        params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
+        grid = Grid(30.0, 256)
+        default = verify_inequality_suite(params, grid, 2, seed=0)
+        report = verify_inequality_suite(params, grid, 2, seed=0, tol=1e-3)
+        cross = {
+            "competitor_gap_closed_form",
+            "competitor_gap_on_grid",
+            "green_methods_order_h2",
+        }
+        assert [c.name for c in report.checks] == [c.name for c in default.checks]
+        assert len(report.checks) == 15
+        for c in report.checks:
+            assert c.tolerance == (0.0 if c.name in cross else 1e-3), c.name
+
     def test_report_digest(self):
         # the sha256 of a small report, as the suite gave it when it held
         # every sample to the end: the draw order and each margin's

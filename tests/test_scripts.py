@@ -1,6 +1,6 @@
 """The example scripts agree with the CLI on what counts as a standing
-pulse (converged and no active constraint at the end) and on the beta
-window of the gamma1 sweep.
+pulse (converged and no active constraint at the end), on the beta
+window of the gamma1 sweep and on its table.
 
 Most runs execute a script in this process, as `python script.py` would
 (runpy with the script's argv), and read its exit code from the SystemExit
@@ -14,6 +14,8 @@ import subprocess
 import sys
 
 import pytest
+
+from fhn_pulse.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -77,6 +79,31 @@ def test_sweep_gamma1_rejects_bad_arguments(run_script, tmp_path, args, launch):
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "beta_min, beta_max, steps",
+    [("0.34", "0.49", "151"), ("0.35", "0.45", "101")],
+    ids=["script_default", "criterion_1_range"],
+)
+def test_sweep_gamma1_table_matches_cli(run_script, tmp_path, beta_min, beta_max, steps):
+    # the script and `fhn-pulse sweep-gamma1` tabulate the same beta values
+    # and the same direct gamma1 at each, to the last written digit
+    sweep = ["--beta-min", beta_min, "--beta-max", beta_max, "--steps", steps]
+    script_csv = tmp_path / "script.csv"
+    proc = run_script("sweep_gamma1.py", *sweep, "--out", str(script_csv))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert main(["sweep-gamma1", *sweep, "--out", str(tmp_path / "cli")]) == 0
+
+    def columns(path, *names):
+        header, *rows = path.read_text().splitlines()
+        index = [header.split(",").index(name) for name in names]
+        return [[row.split(",")[i] for i in index] for row in rows]
+
+    script = columns(script_csv, "beta", "gamma1_direct")
+    cli = columns(tmp_path / "cli" / "gamma1_curve.csv", "beta", "gamma1")
+    assert len(script) == int(steps)
+    assert script == cli
 
 
 def test_run_pulse_rejects_bad_stopping_controls(run_script):
