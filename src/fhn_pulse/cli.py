@@ -37,7 +37,7 @@ from .dynamics import BlowUpError, evolve, export_trajectory
 from .energy import EnergyReport
 from .grid import Grid, mirror, profile_from_csv, profile_to_csv
 from .minimizer import MinimizeOptions, SolveResult, minimize
-from .model import Params, compute_constants, gamma0, gamma1_direct
+from .model import Params, compute_constants, gamma0, gamma1_direct, gamma1_via_potential
 from .operators import InhibitorError
 from .records import json_text, write_csv, write_json
 
@@ -256,10 +256,16 @@ def _cmd_sweep(cfg: dict) -> int:
     if not (1.0 / 3.0 < lo < hi < 0.5):
         raise ConfigError("beta range must lie strictly inside (1/3, 1/2)")
     betas = np.linspace(lo, hi, steps).tolist()
-    columns = (betas, [gamma0(b) for b in betas], [gamma1_direct(b) for b in betas])
+    # gamma1 by both closed-form routes, so each row cross-checks them
+    columns = (
+        betas,
+        [gamma0(b) for b in betas],
+        [gamma1_direct(b) for b in betas],
+        [gamma1_via_potential(b) for b in betas],
+    )
 
     out = _prepare_out(cfg)
-    write_csv(out / "gamma1_curve.csv", "beta,gamma0,gamma1", columns)
+    write_csv(out / "gamma1_curve.csv", "beta,gamma0,gamma1,gamma1_potential", columns)
     write_manifest(out, "sweep-gamma1", cfg, t0)
     print(f"sweep-gamma1: {steps} points on [{lo}, {hi}] -> {out}")
     return 0
@@ -302,7 +308,7 @@ def load_solve_run(run_dir: str | pathlib.Path) -> SolveResult:
         )
     except (AttributeError, KeyError, TypeError) as err:
         raise ConfigError(f"malformed {path}: {err!r}") from err
-    if grid != u0.grid:
+    if not grid == u0.grid == v0.grid:
         raise ConfigError("stored profiles disagree with the recorded grid")
     return result
 

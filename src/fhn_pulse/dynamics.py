@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, Profile, profile_to_csv
-from .model import Params, compute_constants
+from .model import Params, negative_tail_cutoff
 from .operators import factor_shifted, solve_factored
 from .records import Record, write_json
 
@@ -115,8 +115,7 @@ def evolve(
     n_steps = max(1, int(round(t_final / dt)))
 
     d, tau, gamma, beta = params.d, params.tau, params.gamma, params.beta
-    M = compute_constants(beta, gamma).M
-    bound = 10.0 * (M + 2.0)
+    bound = 10.0 * (negative_tail_cutoff(beta, gamma) + 2.0)
 
     h = grid.h
     m = grid.n  # unknowns per solve; the last node stays pinned at 0

@@ -9,7 +9,8 @@ import pytest
 
 from fhn_pulse import analysis, cli
 from fhn_pulse.cli import load_solve_run, main
-from fhn_pulse.grid import profile_from_csv, profile_to_csv
+from fhn_pulse.grid import Grid, Profile, profile_from_csv, profile_to_csv
+from fhn_pulse.model import gamma1_via_potential
 from fhn_pulse.operators import InhibitorError
 
 SOLVE_ARGS = [
@@ -89,14 +90,19 @@ class TestSolve:
         assert rc == 2
         assert f"active={data['active_constraint_count']} " in capsys.readouterr().out
 
-    def test_invalid_params_exit_1_without_files(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--beta", "1.5"], "beta must lie in (0, 1)"),
+         (["--d", "-1"], "d must be positive"),
+         (["--n", "8"], "n must be at least 16")],
+        ids=["beta_outside_window", "negative_d", "too_few_nodes"],
+    )
+    def test_invalid_params_exit_1_without_files(self, tmp_path, capsys, flags, message):
         out = tmp_path / "never"
-        rc = main(
-            ["solve", "--beta", "1.5", "--gamma", "0.1", "--d", "1e-5",
-             "--out", str(out)]
-        )
+        rc = main(SOLVE_ARGS + flags + ["--out", str(out)])
         assert rc == 1
         assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"fhn-pulse: error: {message}")
 
     @pytest.mark.parametrize(
         "flags",
@@ -334,13 +340,34 @@ class TestSweep:
         b = (tmp_path / "b" / "gamma1_curve.csv").read_bytes()
         assert a == b
         lines = a.decode().splitlines()
-        assert lines[0] == "beta,gamma0,gamma1"
+        assert lines[0] == "beta,gamma0,gamma1,gamma1_potential"
         assert len(lines) == 6
 
-    def test_bad_range_rejected(self, tmp_path):
-        rc = main(["sweep-gamma1", "--beta-min", "0.2", "--beta-max", "0.45",
-                   "--steps", "5", "--out", str(tmp_path / "x")])
+    def test_potential_column_cross_checks_gamma1(self, tmp_path):
+        # gamma1 through gamma0 and the potential F, row by row
+        args = ["sweep-gamma1", "--beta-min", "0.34", "--beta-max", "0.49",
+                "--steps", "151", "--out", str(tmp_path)]
+        assert main(args) == 0
+        _, *rows = (tmp_path / "gamma1_curve.csv").read_text().splitlines()
+        assert len(rows) == 151
+        for row in rows:
+            beta, _, direct, via_potential = map(float, row.split(","))
+            assert via_potential == gamma1_via_potential(beta)
+            assert abs(via_potential - direct) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "beta_min, steps, message",
+        [("0.2", "5", "beta range must lie strictly inside (1/3, 1/2)"),
+         ("0.35", "1", "steps must be at least 2")],
+        ids=["beta_min_below_window", "one_step"],
+    )
+    def test_bad_range_rejected(self, tmp_path, capsys, beta_min, steps, message):
+        out = tmp_path / "x"
+        rc = main(["sweep-gamma1", "--beta-min", beta_min, "--beta-max", "0.45",
+                   "--steps", steps, "--out", str(out)])
         assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"fhn-pulse: error: {message}\n"
 
 
 class TestVerify:
@@ -502,6 +529,19 @@ class TestLoadSolveRun:
         assert main(["analyze", "--run", str(old), "--out", str(tmp_path / "a")]) == 0
 
     @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_v0_on_other_grid_exits_1(self, solve_run, tmp_path, capsys, command):
+        broken = tmp_path / "broken"
+        shutil.copytree(
+            solve_run, broken, ignore=shutil.ignore_patterns("analyze_report.json", "evolve")
+        )
+        profile_to_csv(Profile(Grid(12.0, 1024), np.zeros(1025)), broken / "v0.csv")
+        args = [command, "--run", str(broken), "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err == "fhn-pulse: error: stored profiles disagree with the recorded grid\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
     @pytest.mark.parametrize(
         "edit",
         [
@@ -560,6 +600,19 @@ class TestEvolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"fhn-pulse: error: {message}\n"
+
+    def test_runs_wherever_solve_finds_a_pulse(self, tmp_path):
+        # beta = 0.3 lies outside the window (1/3, 1/2) of the paper's
+        # constants, but solve finds a pulse there, which analyze accepts
+        run = tmp_path / "beta03"
+        args = ["solve", "--beta", "0.3", "--gamma", "0.1", "--d", "1e-5",
+                "--x-max", "12", "--n", "1024", "--out", str(run)]
+        assert main(args) == 0
+        assert main(["analyze", "--run", str(run)]) == 0
+        rc = main(["evolve", "--run", str(run), "--dt", "1e-2", "--t-final", "0.1"])
+        assert rc == 0
+        index = json.loads((run / "evolve" / "trajectory.json").read_text())
+        assert index["beta"] == 0.3 and index["n_steps"] == 10
 
     def test_rerun_byte_identical(self, solve_run, tmp_path):
         args = ["evolve", "--run", str(solve_run), "--dt", "1e-2",
