@@ -205,10 +205,10 @@ def _prepare_out(cfg: dict) -> pathlib.Path:
 
 
 def _cmd_constants(cfg: dict) -> int:
+    t0 = time.monotonic()
     report = compute_constants(cfg["beta"], cfg["gamma"])
     sys.stdout.write(json_text(report.to_dict()))
     if cfg["out"]:
-        t0 = time.monotonic()
         out = _prepare_out(cfg)
         write_json(out / "constants.json", report.to_dict())
         write_manifest(out, "constants", cfg, t0)

@@ -3,15 +3,17 @@ set, with a coupled Newton polish once no constraint is active.
 
 Each descent iteration takes a gradient trial step, re-detects the band
 crossing indices from the pre-projection iterate, projects onto the
-resulting bands, and accepts by Armijo backtracking. The Armijo test
-allows a slack of the roundoff of the energy sum (the approximate Armijo
-condition of Hager and Zhang), so a step that moves J by single ULPs near
-a minimum is not a line-search failure and the verdict does not hang on
-the last bits. The initial step is a Barzilai-Borwein estimate clamped to
-[1e-6, 1e2]. Line-search comparisons use the variational form of the
-energy (alt_total), which is stationary in the inner inhibitor iterate and
-therefore robust to its solver tolerance; the two energy forms agree to
-the reported form_gap.
+resulting bands, and accepts by Armijo backtracking. A trial whose
+inhibitor solve fails is backtracked like one that fails the test, and
+either kind ends the search once the step drops below STEP_MIN. The
+Armijo test allows a slack of the roundoff of the energy sum (the
+approximate Armijo condition of Hager and Zhang), so a step that moves J
+by single ULPs near a minimum is not a line-search failure and the
+verdict does not hang on the last bits. The initial step is a
+Barzilai-Borwein estimate clamped to [1e-6, 1e2]. Line-search
+comparisons use the variational form of the energy (alt_total), which is
+stationary in the inner inhibitor iterate and therefore robust to its
+solver tolerance; the two energy forms agree to the reported form_gap.
 
 With no constraint active, the pulse is a root of the two discrete
 steady equations, so descent is only needed to find its basin. The
@@ -26,25 +28,25 @@ descent goes on from where it was.
 One rule schedules the polish. With no constraint active, it is due
 after accepted steps 1, 2, 4, 8, ... (and at step 0 for a supplied
 start) while a step is left, until a rest state is refused, and always
-at a gtol stop. A kept root ends the descent and counts as one step. A
-start from the default scan is not polished at step 0: it is an
-asymptotic composite or a ramp, outside Newton's contraction region, and
-polished from there Newton wanders (at n = 4096 to a saddle), while one
-descent step later it converges in a few steps. A refused root (a stall
-short of a root, a saddle, a root outside the bands) is usually left
-behind by a few descent steps; a refused rest state (no leading
-excursion above beta) lies past the fold, where no pulse is left to
-find. That bounds the attempts by 2 + log2(iterations), one more from a
-supplied start. SolveResult records the outcome in `polish` and the
-coupled Newton steps of every attempt, refused ones included, in
-`polish_steps`. The outcome is newton (a root was kept), skipped (no
-attempt ran), saddle (descent stopped by gtol on a root with a negative
-determinant, which is then no pulse) or fallback (any other refusal).
-Cold, warm-started and refined solves that polish reach the same
-discrete pulse once the grid resolves the head (at d = 1e-6 on [0, 12],
-from n = 8192 on); on coarser grids different starts can keep
-neighbouring discrete pulses, whose head ends sit a node or two apart
-(see the README).
+at a gtol stop. A kept root ends the descent and counts as one step. The
+default start (default_initial_profile: the reduced-problem composite,
+or a wide ramp where no singular-limit head exists) is not polished at
+step 0: it lies outside Newton's contraction region, and polished from
+there Newton wanders (at n = 4096 to a saddle), while one descent step
+later it converges in a few steps. A refused root (a stall short of a
+root, a saddle, a root outside the bands) is usually left behind by a
+few descent steps; a refused rest state (no leading excursion above
+beta) lies past the fold, where no pulse is left to find. That bounds
+the attempts by 2 + log2(iterations), one more from a supplied start.
+SolveResult records the outcome in `polish` and the coupled Newton steps
+of every attempt, refused ones included, in `polish_steps`. The outcome
+is newton (a root was kept), skipped (no attempt ran), saddle (descent
+stopped by gtol on a root with a negative determinant, which is then no
+pulse) or fallback (any other refusal). Cold, warm-started and refined
+solves that polish reach the same discrete pulse once the grid resolves
+the head (at d = 1e-6 on [0, 12], from n = 8192 on); on coarser grids
+different starts can keep neighbouring discrete pulses, whose head ends
+sit a node or two apart (see the README).
 
 The far-end node is pinned at zero (Dirichlet truncation); the anchor band
 [beta, 1] at the origin prevents translation and collapse to the rest
@@ -61,7 +63,7 @@ import numpy as np
 from .admissible import BAND_TOL, band_bounds, build_q0, detect_crossings, project
 from .energy import EnergyReport, evaluate_energy
 from .grid import Grid, Profile, crossing_location
-from .model import HeadGeometry, Params, head_geometry, interface_width, negative_tail_cutoff
+from .model import Params, head_geometry, interface_width, negative_tail_cutoff
 from .operators import InhibitorError, solve_steady
 from .records import Record
 
@@ -159,12 +161,10 @@ def build_outer_profile(params: Params, grid: Grid) -> Profile:
     inhibitor sag up to the predicted head length, tanh transition layer
     of interface width, lower-branch tail under the exponentially decaying
     inhibitor. Close to the true pulse once the layer is thin relative to
-    the head, so it makes a strong descent start."""
-    return _outer_profile(params, grid, head_geometry(params))
-
-
-def _outer_profile(params: Params, grid: Grid, head: HeadGeometry) -> Profile:
+    the head, so it makes a strong descent start. Raises ValueError where
+    the singular-limit head does not exist (beta >= 1/2)."""
     beta = params.beta
+    head = head_geometry(params)
     v_m, rate, curv, x1 = head.v_m, head.rate, head.curv, head.x1
     x = grid.nodes()
     v = np.where(
@@ -181,56 +181,41 @@ def _outer_profile(params: Params, grid: Grid, head: HeadGeometry) -> Profile:
 
 
 def default_initial_profile(params: Params, grid: Grid) -> tuple[Profile, dict]:
-    """Scan a short list of admissible starts and keep the first with
-    negative energy, else the lowest found: the reduced-problem composite
-    first, then competitor ramps q0(a, b) sized to the predicted head
-    length, then wide unit-scale ramps. The negative-energy basin is
-    microscopic (the head mass must hold the inhibitor below the upper
-    fold of f), so the structured candidates matter at small d while the
-    wide ramps keep moderate-d behaviour unchanged."""
-    tried: list[tuple[float, str, Profile, dict]] = []
-
-    def consider(label: str, prof: Profile, meta: dict) -> bool:
-        report, _, _ = evaluate_energy(prof, params)
-        tried.append((report.alt_total, label, prof, meta))
-        return report.alt_total < 0.0
-
+    """The reduced-problem composite (build_outer_profile) whenever the
+    singular-limit head exists and has a node above beta on the grid. It
+    is returned without evaluating its energy, which minimize does anyway.
+    Only where no composite is available (beta >= 1/2, or a head below the
+    grid) are wide unit-scale ramps q0(a, a + 0.8) scanned, keeping the
+    first with negative energy, else the lowest."""
     try:
-        head = head_geometry(params)
+        outer = build_outer_profile(params, grid)
     except ValueError:
-        head = None
-    done = False
-    if head is not None:
-        try:
-            outer = _outer_profile(params, grid, head)
-            i1, _ = detect_crossings(outer, params.beta)
-            if i1 is not None:
-                done = consider("outer", outer, {})
-        except (ValueError, InhibitorError):
-            pass
-    if not done:
-        spans: list[tuple[float, float]] = []
-        if head is not None:
-            ramp = min(max(2.0 * interface_width(params), 2.0 * grid.h), 1.0)
-            spans = [(c * head.x1, c * head.x1 + ramp) for c in (1.0, 1.8, 3.0)]
-        spans += [(a, a + 0.8) for a in (1.0, 0.5, 2.0, 4.0)]
-        for a, b in spans:
-            if not (grid.h <= a < b <= grid.x_max and b - a <= 1.0):
-                continue
-            if consider("q0", build_q0(a, b, grid), {"a": a, "b": b}):
-                break
+        outer = None
+    if outer is not None and detect_crossings(outer, params.beta)[0] is not None:
+        return outer, {"source": "default_scan", "chosen": "outer"}
+    tried: list[tuple[float, float, float, Profile]] = []
+    for a in (1.0, 0.5, 2.0, 4.0):
+        b = a + 0.8
+        if a < grid.h or b > grid.x_max:
+            continue
+        ramp = build_q0(a, b, grid)
+        j = evaluate_energy(ramp, params)[0].alt_total
+        tried.append((j, a, b, ramp))
+        if j < 0.0:
+            break
     if not tried:
         raise ValueError("grid too short for any default start")
-    j_best, label, prof, meta = min(tried, key=lambda t: t[0])
+    j_best, a, b, ramp = min(tried, key=lambda t: t[0])
     info = {
         "source": "default_scan",
-        "chosen": label,
-        **meta,
+        "chosen": "q0",
+        "a": a,
+        "b": b,
         "init_energy": j_best,
         "init_energy_negative": j_best < 0.0,
-        "scan": [{"kind": lab, **m, "energy": j} for j, lab, _, m in tried],
+        "scan": [{"kind": "q0", "a": a, "b": b, "energy": j} for j, a, b, _ in tried],
     }
-    return prof, info
+    return ramp, info
 
 
 def _band_assignment(z: Profile, beta: float) -> tuple[int | None, int | None]:
@@ -360,7 +345,7 @@ def minimize(
     init: Profile | None = None,
     options: MinimizeOptions | None = None,
 ) -> SolveResult:
-    """Run projected descent from init (default start scan when None),
+    """Run projected descent from init (default_initial_profile when None),
     with the coupled Newton polish on the module's one schedule: with no
     constraint active, after accepted steps 1, 2, 4, ... (and at step 0
     for a supplied init) while a step is left, until a rest state is
@@ -413,8 +398,8 @@ def minimize(
     scheduled = True  # until a rest state is refused
     while iterations < opts.max_iters:
         stop = gnorm <= opts.gtol
-        # iterations & (iterations - 1) is 0 at 0, 1, 2, 4, ...; a start
-        # from the default scan, which Newton wanders from, is not polished
+        # iterations & (iterations - 1) is 0 at 0, 1, 2, 4, ...; the
+        # default start, which Newton wanders from, is not polished
         due = (
             scheduled
             and iterations & (iterations - 1) == 0
@@ -462,17 +447,19 @@ def minimize(
                 i1_t, i2_t = i1, i2
             w_try = project(z, i1_t, i2_t, params.beta, M).values.copy()
             w_try[-1] = 0.0
+            # a trial whose inhibitor solve fails is refused like one that
+            # misses the Armijo test
             try:
                 report_t, grad_t, sol_t = evaluate_energy(
                     Profile(grid, w_try), params, v_init=sol.v
                 )
             except InhibitorError:
-                t *= BACKTRACK
-                continue
-            predicted = float(np.dot(weights, g * (w_try - w)))
-            if report_t.alt_total <= J + ARMIJO_C * min(predicted, 0.0) + floor:
-                accepted = True
-                break
+                pass
+            else:
+                predicted = float(np.dot(weights, g * (w_try - w)))
+                if report_t.alt_total <= J + ARMIJO_C * min(predicted, 0.0) + floor:
+                    accepted = True
+                    break
             t *= BACKTRACK
             if t < STEP_MIN:
                 break

@@ -154,6 +154,23 @@ class TestConfigMerging:
         cfg.write_text("[1, 2]")
         assert main(["constants", "--config", str(cfg)]) == 1
 
+    def test_missing_required_key_exits_1_without_files(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        args = ["solve", "--gamma", "0.1", "--d", "1e-5", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "fhn-pulse: error: missing required keys: beta\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not_json"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["constants", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"fhn-pulse: error: cannot read config {cfg}: ")
+
     def test_usage_errors_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--beta", "not-a-number"])
@@ -474,6 +491,28 @@ class TestAnalyze:
     def test_missing_run_exits_1(self, tmp_path):
         assert main(["analyze", "--run", str(tmp_path / "nope")]) == 1
 
+    @pytest.mark.parametrize(
+        "moved, message",
+        [(1e-3, "non-uniform x column in"), (None, "malformed profile CSV")],
+        ids=["non_uniform_x", "too_few_rows"],
+    )
+    def test_bad_profile_csv_exits_1(self, solve_run, tmp_path, capsys, moved, message):
+        broken = tmp_path / "broken"
+        shutil.copytree(
+            solve_run, broken, ignore=shutil.ignore_patterns("analyze_report.json", "evolve")
+        )
+        lines = (broken / "u0.csv").read_text().splitlines()
+        if moved is None:
+            lines = lines[:3]  # the header and two nodes
+        else:
+            x, value = lines[5].split(",")
+            lines[5] = f"{float(x) + moved!r},{value}"
+        (broken / "u0.csv").write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--run", str(broken), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fhn-pulse: error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_pinned_run_exits_2(self, tmp_path, capsys):
         # complex far-field eigenvalues and a state pinned all the way out
         # (the zero crossing lands so close to x_max that no tail is left):
@@ -600,6 +639,23 @@ class TestEvolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"fhn-pulse: error: {message}\n"
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+    def test_blow_up_exits_2_without_manifest(self, solve_run, tmp_path, capsys, sign):
+        # an activator at +-100 leaves the a-priori bound in the first step
+        run = tmp_path / "big"
+        shutil.copytree(
+            solve_run, run, ignore=shutil.ignore_patterns("analyze_report.json", "evolve")
+        )
+        grid = load_solve_run(solve_run).grid
+        profile_to_csv(Profile(grid, np.full(grid.n + 1, sign * 100.0)), run / "u0.csv")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["evolve", "--run", str(run), "--dt", "1e-2", "--t-final", "0.1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("evolve: state norm exceeded")
+        assert not (out / "manifest.json").exists()
 
     def test_runs_wherever_solve_finds_a_pulse(self, tmp_path):
         # beta = 0.3 lies outside the window (1/3, 1/2) of the paper's

@@ -22,7 +22,7 @@ from fhn_pulse import (
 )
 from fhn_pulse import minimizer, model
 from fhn_pulse.minimizer import _band_assignment, _newton_polish
-from fhn_pulse.operators import solve_steady
+from fhn_pulse.operators import InhibitorError, solve_steady
 from tests.conftest import CHEAP_GRID, CHEAP_PARAMS, FINE_PARAMS, refine_onto
 
 
@@ -110,17 +110,49 @@ class TestInitialization:
 
     def test_default_scan_info(self):
         prof, info = default_initial_profile(CHEAP_PARAMS, CHEAP_GRID)
-        assert info["source"] == "default_scan"
-        assert info["chosen"] in {"outer", "q0"}
-        assert isinstance(info["scan"], list) and info["scan"]
-        assert info["init_energy"] == min(e["energy"] for e in info["scan"])
-        i1, _ = detect_crossings(prof, CHEAP_PARAMS.beta)
-        assert i1 is not None
+        assert info == {"source": "default_scan", "chosen": "outer"}
+        assert np.array_equal(
+            prof.values, build_outer_profile(CHEAP_PARAMS, CHEAP_GRID).values
+        )
+        # minimize fills in the start's energy, which the start leaves out
+        res = minimize(CHEAP_PARAMS, CHEAP_GRID, options=MinimizeOptions(max_iters=0))
+        J = evaluate_energy(prof, CHEAP_PARAMS)[0].alt_total
+        assert res.init_info == {
+            **info, "init_energy": J, "init_energy_negative": J < 0.0
+        }
+
+    def test_composite_start_evaluates_no_energy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the composite start evaluated an energy")
+
+        monkeypatch.setattr(minimizer, "evaluate_energy", refuse)
+        _, info = default_initial_profile(CHEAP_PARAMS, CHEAP_GRID)
+        assert info["chosen"] == "outer"
+
+    @pytest.mark.parametrize("beta", [0.5, 0.6])
+    def test_ramp_scan_without_singular_limit_head(self, beta):
+        # from beta = 1/2 on the equal-area level has no root, so no
+        # composite exists and the wide ramps are scanned; none has
+        # negative energy here, so all four are tried and the lowest,
+        # q0(0.5, 1.3), is kept
+        params = dataclasses.replace(CHEAP_PARAMS, beta=beta)
+        grid = Grid(12.0, 1024)
+        with pytest.raises(ValueError):
+            build_outer_profile(params, grid)
+        prof, info = default_initial_profile(params, grid)
+        assert (info["source"], info["chosen"]) == ("default_scan", "q0")
+        assert (info["a"], info["b"]) == (0.5, 1.3)
+        assert [(e["kind"], e["a"]) for e in info["scan"]] == [
+            ("q0", a) for a in (1.0, 0.5, 2.0, 4.0)
+        ]
+        assert info["init_energy"] == min(e["energy"] for e in info["scan"]) > 0.0
+        assert info["init_energy_negative"] is False
+        assert np.array_equal(prof.values, build_q0(0.5, 1.3, grid).values)
 
     def test_equal_area_bisection_runs_once(self, monkeypatch):
-        # the scan passes the composite to the q0 ramps sized by the same
-        # head length: one equal-area bisection serves both. Within model,
-        # only that bisection's gap function evaluates potential_F
+        # the composite takes its head geometry, equal-area level included,
+        # from one head_geometry call. Within model, only that bisection's
+        # gap function evaluates potential_F
         calls = []
         potential = model.potential_F
 
@@ -132,8 +164,7 @@ class TestInitialization:
         model.equal_area_level(CHEAP_PARAMS.beta)
         one_bisection = len(calls)
         calls.clear()
-        _, info = default_initial_profile(CHEAP_PARAMS, CHEAP_GRID)
-        assert [e["kind"] for e in info["scan"]][:2] == ["outer", "q0"]
+        default_initial_profile(CHEAP_PARAMS, CHEAP_GRID)
         assert one_bisection > 0 and len(calls) == one_bisection
 
     def test_user_init_grid_mismatch(self):
@@ -149,8 +180,8 @@ class TestInitialization:
 
     def test_head_sized_start_beats_wide_ramp(self, cheap_pulse):
         # at d = 1e-5 the pulse head is ~0.028 long; a unit-scale ramp start
-        # descends into a wide high-energy basin instead. The default scan
-        # exists precisely to size the start to the predicted head length.
+        # descends into a wide high-energy basin instead. The default start,
+        # the reduced-problem composite, has the predicted head length.
         res = minimize(
             CHEAP_PARAMS,
             CHEAP_GRID,
@@ -239,6 +270,39 @@ class TestOptions:
         assert res.polish == "skipped" and res.polish_steps == 0
 
 
+class TestLineSearch:
+    def test_inhibitor_failures_stop_at_step_min(self, cheap_pulse, monkeypatch):
+        # every energy evaluation after the start's raises. The entry
+        # polish is refused for its inhibitor solve, and each trial of step
+        # 1 is backtracked like an Armijo miss, so the unit step halves
+        # below STEP_MIN in 20 trials rather than running all LS_MAX
+        calls, refusals = [], []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                return evaluate_energy(*args, **kwargs)
+            raise InhibitorError("inhibitor solve failed")
+
+        def recorded(*args):
+            attempt, kept = _newton_polish(*args)
+            refusals.append(attempt.refusal)
+            return attempt, kept
+
+        monkeypatch.setattr(minimizer, "evaluate_energy", failing)
+        monkeypatch.setattr(minimizer, "_newton_polish", recorded)
+        # a gtol no state meets, so the start is no stop
+        res = minimize(
+            CHEAP_PARAMS, CHEAP_GRID, init=cheap_pulse.u0,
+            options=MinimizeOptions(gtol=1e-20),
+        )
+        assert cheap_pulse.active_constraint_count == 0
+        assert refusals == ["inhibitor"] and res.polish == "fallback"
+        assert res.termination == "line_search" and not res.converged
+        assert res.iterations == 0
+        assert len(calls) - 2 == 20 < minimizer.LS_MAX
+
+
 class TestNewtonPolish:
     def test_cold_and_warm_solves_agree(self, fine_chain):
         # the cold solve polishes from the default start, the chain level
@@ -295,7 +359,7 @@ class TestNewtonPolish:
     def test_rejected_root_falls_back(self):
         # the saddle is rejected at entry; the one descent step leaves no
         # budget for a retry, whose kept root would count as a second step.
-        # The start-scan profile is passed in, so the entry polish runs
+        # The default start is passed in, so the entry polish runs
         grid = Grid(12.0, 4096)
         res = minimize(
             FINE_PARAMS, grid, init=default_initial_profile(FINE_PARAMS, grid)[0],
@@ -305,7 +369,7 @@ class TestNewtonPolish:
         assert res.termination == "max_iters" and res.iterations == 1
 
     def test_refused_saddle_retried(self, fine_chain):
-        # the start-scan profile is first polished after one descent
+        # the default start is first polished after one descent
         # step, which already reaches the minimizer
         res = minimize(FINE_PARAMS, Grid(12.0, 4096), options=MinimizeOptions(gtol=1e-8))
         assert res.polish == "newton" and res.termination == "gtol"
@@ -314,7 +378,7 @@ class TestNewtonPolish:
         assert np.array_equal(res.u0.values, fine_chain[4096].u0.values)
 
     def test_start_scan_defers_polish(self):
-        # from the start scan the first polish comes after one descent step:
+        # from the default start the first polish comes after one descent step:
         # with no step left there is none, and the one after step 1 keeps
         # the minimizer in a few Newton steps
         grid = Grid(12.0, 4096)
@@ -457,8 +521,8 @@ class TestNewtonPolish:
 
     def test_active_start_polished_after_step_1(self):
         # a constraint is active at this supplied start and none after one
-        # descent step: the polish is tried there, as for a start-scan
-        # profile, not first after a gtol stop
+        # descent step: the polish is tried there, as for the default
+        # start, not first after a gtol stop
         grid = Grid(12.0, 4096)
         init = build_q0(0.03, 0.06, grid)
         entry = minimize(FINE_PARAMS, grid, init=init, options=MinimizeOptions(max_iters=0))

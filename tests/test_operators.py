@@ -551,6 +551,31 @@ class TestSolveInhibitor:
         with pytest.raises(InhibitorError, match=f"^{re.escape(message)}$"):
             solve_inhibitor(w, GAMMA, max_iters=0)
 
+    def test_stall_at_roundoff_reported(self, monkeypatch):
+        # with the roundoff floor dropped and tol = 0 no iterate converges:
+        # Newton reaches roundoff, where none of the 40 trials of a step
+        # lowers ||r||, and the solve raises there, before max_iters
+        log = []
+
+        def residual(*args):
+            log.append("r")
+            return fd_residual(*args)
+
+        def traced(*args):
+            log.append("S")
+            return ptsv(*args)
+
+        ptsv, fd_residual = operators._ptsv, operators._fd_residual
+        monkeypatch.setattr(operators, "_ptsv", traced)
+        monkeypatch.setattr(operators, "_fd_residual", residual)
+        monkeypatch.setattr(operators, "_inhibitor_floor", lambda *args: 0.0)
+        with pytest.raises(InhibitorError) as exc:
+            solve_inhibitor(bump_profile(GRID, 13), GAMMA, tol=0.0)
+        steps = int(re.search(r"after (\d+) Newton steps$", str(exc.value)).group(1))
+        assert 0 < steps < 50
+        assert log.count("S") == steps + 1
+        assert "".join(log).endswith("S" + "r" * 40)
+
     def test_tolerance_floor_prevents_false_failure(self):
         # an unreachable tolerance is widened to the h^-2 roundoff floor
         # instead of reporting a spurious non-convergence
@@ -585,13 +610,18 @@ class TestSolveInhibitor:
         # so steps 2.. and their backtracking trials allocate no
         # state-sized array (8 (n + 1) = 256 KiB here). The peak is taken
         # from the second step's tridiagonal solve to each later one and
-        # to the return, whose Profile check takes n + 1 bytes.
+        # to the return, whose Profile check takes n + 1 bytes. From the
+        # start v = -3, far below the response, step 6 backtracks.
         grid = Grid(12.0, 32768)
         u = bump_profile(grid, 21, lo=-1.5, hi=1.5, span=8.0)
-        calls, peaks = [], []
+        start = np.full(grid.n + 1, -3.0)
+        start[-1] = 0.0
+        v_init = Profile(grid, start)
+        calls, peaks, log = [], [], []
 
         def traced(*args):
             calls.append(None)
+            log.append("S")
             if len(calls) == 2:
                 tracemalloc.reset_peak()
                 calls[0] = tracemalloc.get_traced_memory()[0]
@@ -599,15 +629,23 @@ class TestSolveInhibitor:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             return ptsv(*args)
 
-        ptsv = operators._ptsv
+        def residual(*args):
+            log.append("r")
+            return fd_residual(*args)
+
+        ptsv, fd_residual = operators._ptsv, operators._fd_residual
         monkeypatch.setattr(operators, "_ptsv", traced)
+        monkeypatch.setattr(operators, "_fd_residual", residual)
         tracemalloc.start()
         try:
-            sol = solve_inhibitor(u, GAMMA)
+            sol = solve_inhibitor(u, GAMMA, v_init=v_init)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert sol.newton_iters == len(calls) >= 3
+        # a refused trial (two residuals between solves) after step 2's solve
+        trace = "".join(log)
+        assert "rr" in trace[trace.index("S", trace.index("S") + 1):]
         assert max(peaks) - calls[0] <= 64 * 1024
 
 
@@ -638,11 +676,30 @@ class TestInhibitorNewtonBits:
         nearby = Profile(u.grid, 0.9 * u.values)
         return Profile(u.grid, reference_inhibitor_newton(nearby, gamma)[0])
 
-    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("start", ["cold", "nearby", "zero"])
     @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_bump_profiles(self, seed, warm):
+    def test_bump_profiles(self, seed, start, monkeypatch):
         u = bump_profile(GRID, seed, lo=-1.5, hi=1.5)
-        self.assert_same_bits(u, GAMMA, self.warm_start(u, GAMMA) if warm else None)
+        v_init = None
+        if start == "nearby":
+            v_init = self.warm_start(u, GAMMA)
+        elif start == "zero":
+            # far from the response: the first Newton step backtracks
+            v_init = Profile(GRID, np.zeros(GRID.n + 1))
+        residuals = []
+
+        def counted(*args):
+            residuals.append(None)
+            return fd_residual(*args)
+
+        fd_residual = operators._fd_residual
+        monkeypatch.setattr(operators, "_fd_residual", counted)
+        self.assert_same_bits(u, GAMMA, v_init)
+        if start == "zero":
+            # one residual at the start and one per trial, a step per
+            # accepted trial: the rest were refused
+            iters = reference_inhibitor_newton(u, GAMMA, v_init=v_init)[2]
+            assert len(residuals) - 1 > iters
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_pulse_with_negative_tail(self, cheap_pulse, warm):
