@@ -94,7 +94,6 @@ SUBCOMMANDS: dict[str, tuple[str, object, dict[str, _Key]]] = {
     }),
     "verify": ("run the randomized operator and energy inequality suite", None, {
         "beta": _Key(float), "gamma": _Key(float), "d": _Key(float),
-        "tau": _Key(float, 1.0),
         "x_max": _Key(float, 30.0),
         "n": _Key(int, 4096),
         "samples": _Key(int, 100),
@@ -277,7 +276,8 @@ def _cmd_verify(cfg: dict) -> int:
     # leaves them nothing to check
     if cfg["samples"] < 2:
         raise ConfigError("samples must be at least 2")
-    params = Params(d=cfg["d"], tau=cfg["tau"], gamma=cfg["gamma"], beta=cfg["beta"])
+    # the suite's checks are steady: tau enters none of them
+    params = Params(d=cfg["d"], tau=1.0, gamma=cfg["gamma"], beta=cfg["beta"])
     grid = Grid(x_max=cfg["x_max"], n=cfg["n"])
     report = verify_inequality_suite(
         params, grid, n_samples=cfg["samples"], seed=cfg["seed"], tol=cfg["tol"]

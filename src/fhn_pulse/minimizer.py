@@ -63,7 +63,7 @@ import numpy as np
 from .admissible import BAND_TOL, band_bounds, build_q0, detect_crossings, project
 from .energy import EnergyReport, evaluate_energy
 from .grid import Grid, Profile, crossing_location
-from .model import Params, head_geometry, interface_width, negative_tail_cutoff
+from .model import Params, _outer_roots, head_geometry, interface_width, negative_tail_cutoff
 from .operators import InhibitorError, solve_steady
 from .records import Record
 
@@ -142,20 +142,6 @@ class SolveResult(Record):
         )
 
 
-def _branch_values(v: np.ndarray, beta: float, u_start: float) -> np.ndarray:
-    """Vectorized Newton for the outer roots of f(u) = v, one branch at a
-    time; u_start must sit on the wanted branch for every entry of v."""
-    u = np.full(v.shape, u_start, dtype=float)
-    for _ in range(50):
-        fu = u * (1.0 - u) * (u - beta) - v
-        du = -3.0 * u * u + 2.0 * (1.0 + beta) * u - beta
-        un = u - fu / du
-        if float(np.max(np.abs(un - u))) < 1e-14:
-            return un
-        u = un
-    return u
-
-
 def build_outer_profile(params: Params, grid: Grid) -> Profile:
     """Reduced-problem composite: upper-branch head over a parabolic
     inhibitor sag up to the predicted head length, tanh transition layer
@@ -163,7 +149,6 @@ def build_outer_profile(params: Params, grid: Grid) -> Profile:
     inhibitor. Close to the true pulse once the layer is thin relative to
     the head, so it makes a strong descent start. Raises ValueError where
     the singular-limit head does not exist (beta >= 1/2)."""
-    beta = params.beta
     head = head_geometry(params)
     v_m, rate, curv, x1 = head.v_m, head.rate, head.curv, head.x1
     x = grid.nodes()
@@ -172,8 +157,7 @@ def build_outer_profile(params: Params, grid: Grid) -> Profile:
         v_m + 0.5 * curv * (x1**2 - x**2),
         v_m * np.exp(-rate * np.maximum(x - x1, 0.0)),
     )
-    upper = _branch_values(v, beta, head.u_plus)
-    tail = _branch_values(v, beta, -v_m / beta)
+    tail, upper = _outer_roots(v, params.beta)
     blend = 0.5 * (1.0 - np.tanh((x - x1) / max(interface_width(params), grid.h)))
     u = blend * upper + (1.0 - blend) * tail
     u[-1] = 0.0

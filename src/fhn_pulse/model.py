@@ -6,8 +6,9 @@ The steady system on the half line is
     v'' - gamma v - v^3 + u = 0,
 
 with Neumann conditions at x = 0. All thresholds computed here are
-closed-form functions of (beta, gamma) except the negative-tail cutoff M,
-which is pinned down by a scalar bisection.
+closed-form functions of (beta, gamma). Those taken from the cubic, the
+negative-tail cutoff M and the outer branches of f(u) = v, are its roots
+in Viete's trigonometric and hyperbolic forms (_outer_roots).
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .records import Record
-
-#: Bisection bracket and absolute tolerance for the tail cutoff M.
-_M_BRACKET = (0.0, 10.0)
-_M_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Params:
@@ -80,21 +76,13 @@ def negative_tail_cutoff(beta: float, gamma: float) -> float:
     """Smallest M >= 0 with f(xi) >= 1 + 1/gamma for all xi <= -M, i.e. the
     root of f(-M) = M (1 + M) (M + beta) = 1 + 1/gamma.
 
-    Bisection on [0, 10] to 1e-12 absolute tolerance; the left-hand side is
-    strictly increasing in M, so the root is unique. Raises ValueError
-    unless gamma is positive and finite.
+    The level 1 + 1/gamma lies above both knee values of f, so f(u) = v has
+    one real root there and M is minus it, for every gamma > 0. Raises
+    ValueError unless gamma is positive and finite.
     """
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"tail cutoff requires gamma > 0 and finite, got {gamma}")
-    target = 1.0 + 1.0 / gamma
-
-    def g(m: float) -> float:
-        return m * (1.0 + m) * (m + beta) - target
-
-    lo, hi = _M_BRACKET
-    if g(hi) <= 0.0:
-        raise ValueError(f"tail cutoff bracket exhausted at gamma={gamma}")
-    return _bisect_root(g, lo, hi, tol=_M_TOL)
+    return -float(_outer_roots(1.0 + 1.0 / gamma, beta)[0])
 
 
 def gamma0(beta: float) -> float:
@@ -241,25 +229,29 @@ def regime_report(params: Params) -> RegimeReport:
     )
 
 
-def _bisect_root(g, lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Sign-change bisection; requires g(lo) and g(hi) of opposite sign."""
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0.0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if glo * gm < 0.0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+def _outer_roots(v, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper real roots of f(u) = v, elementwise in v.
+
+    About the inflection point s = (1 + beta)/3, u = s + w turns f(u) = v
+    into w^3 - p w - q = 0 with p = (1 - beta + beta^2)/3 and q = f(s) - v
+    (Press et al., Numerical Recipes, section 5.6). With
+    x = q / (2 (p/3)^(3/2)), three real roots exist for |x| <= 1 (v between
+    the knee values): the upper one is s + 2 sqrt(p/3) cos(arccos(x)/3) and
+    the lower one comes from the product of the roots, -v / (upper middle),
+    which keeps its relative accuracy in the tail, where u ~ -v/beta. For
+    |x| > 1 the one real root, s + 2 sign(x) sqrt(p/3) cosh(arccosh(|x|)/3),
+    is returned as both.
+    """
+    s = (1.0 + beta) / 3.0
+    r = math.sqrt((1.0 - beta + beta * beta) / 9.0)
+    # f(s) inline: evolve takes its bound from M and calls no reaction_f
+    x = (s * (1.0 - s) * (s - beta) - v) / (2.0 * r**3)
+    three = np.abs(x) <= 1.0
+    phi = np.arccos(np.clip(x, -1.0, 1.0)) / 3.0
+    upper = s + 2.0 * r * np.cos(phi)
+    middle = s + 2.0 * r * np.cos(phi - 2.0 * math.pi / 3.0)
+    one = s + np.copysign(2.0 * r, x) * np.cosh(np.arccosh(np.maximum(np.abs(x), 1.0)) / 3.0)
+    return np.where(three, -v / (upper * middle), one), np.where(three, upper, one)
 
 
 def reaction_knees(beta: float) -> tuple[float, float]:
@@ -271,35 +263,32 @@ def reaction_knees(beta: float) -> tuple[float, float]:
 
 def nullcline_branch(v: float, beta: float, branch: str) -> float:
     """Outer solution branches of f(u) = v: the 'upper' root near 1 and the
-    'lower' root near 0. Defined for finite v strictly between the knee
-    values."""
+    'lower' root near 0, in closed form (_outer_roots). Defined for finite v
+    strictly between the knee values."""
     if not math.isfinite(v):
         raise ValueError(f"v must be finite, got {v}")
     knee_lo, knee_hi = reaction_knees(beta)
     if branch == "upper":
         if v >= reaction_f(knee_hi, beta):
             raise ValueError(f"v={v} is above the upper branch fold")
-        return _bisect_root(lambda u: reaction_f(u, beta) - v, knee_hi, 2.0)
+        return float(_outer_roots(v, beta)[1])
     if branch == "lower":
         if v <= reaction_f(knee_lo, beta):
             raise ValueError(f"v={v} is below the lower branch fold")
-        return _bisect_root(lambda u: reaction_f(u, beta) - v, -2.0, knee_lo)
+        return float(_outer_roots(v, beta)[0])
     raise ValueError(f"unknown branch {branch!r}")
 
 
 def equal_area_level(beta: float) -> float:
     """Inhibitor level v at which a stationary interface between the two
     outer branches of f(u) = v exists: the wells of F(u) - v u are level
-    (equal-area rule). Approximately (1 - 2 beta)/12 for beta near 1/2."""
-
-    def gap(v: float) -> float:
-        up = nullcline_branch(v, beta, "upper")
-        um = nullcline_branch(v, beta, "lower")
-        return (potential_F(um, beta) - potential_F(up, beta)) - v * (up - um)
-
-    _, knee_hi = reaction_knees(beta)
-    v_max = reaction_f(knee_hi, beta)
-    return _bisect_root(gap, 1e-8, 0.999 * v_max)
+    (equal-area rule). The cubic is point-symmetric about its inflection
+    point s = (1 + beta)/3, so the level is f(s) = (1 + beta)(2 - beta)
+    (1 - 2 beta)/27, about (1 - 2 beta)/12 near beta = 1/2. Raises
+    ValueError for beta >= 1/2, where it is not positive."""
+    if beta >= 0.5:
+        raise ValueError(f"no positive equal-area level at beta={beta}")
+    return (1.0 + beta) * (2.0 - beta) * (1.0 - 2.0 * beta) / 27.0
 
 
 def interface_width(params: Params) -> float:
@@ -332,7 +321,7 @@ def head_geometry(params: Params) -> HeadGeometry:
     """
     v_m = equal_area_level(params.beta)
     rate = math.sqrt(params.gamma + 1.0 / params.beta)
-    u_plus = nullcline_branch(v_m, params.beta, "upper")
+    u_plus = float(_outer_roots(v_m, params.beta)[1])
     curv = u_plus - params.gamma * v_m - v_m**3
     return HeadGeometry(v_m=v_m, u_plus=u_plus, rate=rate, curv=curv, x1=rate * v_m / curv)
 

@@ -520,8 +520,9 @@ def _abs_max(x: np.ndarray) -> float:
 
 def _inhibitor_floor(vmax: float, umax: float, gamma: float, h: float) -> float:
     """Roundoff floor of _fd_residual from max |v| and max |u|: 8 ulps of
-    its largest terms, led by the 1/h^2 difference stencil."""
-    return 8.0 * _EPS * (4.0 * vmax / h**2 + gamma * vmax + vmax**3 + umax)
+    its largest terms, led by the 1/h^2 difference stencil. It is +inf,
+    not an OverflowError, once vmax^3 overflows."""
+    return 8.0 * _EPS * (4.0 * vmax / h**2 + gamma * vmax + vmax * vmax * vmax + umax)
 
 
 def _cubic_balance(vl: np.ndarray, gamma: float) -> np.ndarray:
@@ -600,14 +601,15 @@ def solve_inhibitor(
 
     umax = _abs_max(uu)
 
-    def tol_floor(vv: np.ndarray) -> float:
-        return max(tol, _inhibitor_floor(_abs_max(vv), umax, gamma, h))
+    def at_tol(res: float, vv: np.ndarray) -> bool:
+        # only a finite bound: an infinite one would pass an infinite residual
+        return res <= max(tol, _inhibitor_floor(_abs_max(vv), umax, gamma, h)) < math.inf
 
     iters = 0
     r = _fd_residual(v, uu, gamma, h)
     res = _abs_max(r)
     rn2 = float(np.dot(r, r))
-    converged = res <= tol_floor(v)
+    converged = at_tol(res, v)
 
     if not converged and max_iters > 0:
         # the Newton steps' work arrays, allocated once per solve that
@@ -646,7 +648,7 @@ def solve_inhibitor(
         rn2 = rn2_try
         iters += 1
         res = _abs_max(r)
-        converged = res <= tol_floor(v)
+        converged = at_tol(res, v)
 
     interior_res = _abs_max(r[1:]) if len(r) > 1 else res
     if not converged:
@@ -827,9 +829,10 @@ def solve_steady(
         vmax = _abs_max(v)
         f_bound = umax * (1.0 + umax) * (umax + beta)
         u_floor = 8.0 * _EPS * (4.0 * d * umax / h**2 + f_bound + vmax)
+        # only finite floors: an infinite one would pass an infinite residual
         return (
-            _abs_max(r[0]) <= u_floor
-            and _abs_max(r[1]) <= _inhibitor_floor(vmax, umax, gamma, h)
+            _abs_max(r[0]) <= u_floor < math.inf
+            and _abs_max(r[1]) <= _inhibitor_floor(vmax, umax, gamma, h) < math.inf
         )
 
     r = steady_residual(u, v, d, beta, gamma, h)

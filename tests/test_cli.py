@@ -215,7 +215,6 @@ SURFACE = {
     ("verify", "beta", float, REQ),
     ("verify", "gamma", float, REQ),
     ("verify", "d", float, REQ),
-    ("verify", "tau", float, 1.0),
     ("verify", "x_max", float, 30.0),
     ("verify", "n", int, 4096),
     ("verify", "samples", int, 100),

@@ -20,7 +20,7 @@ from fhn_pulse import (
     negative_tail_cutoff,
     project,
 )
-from fhn_pulse import minimizer, model
+from fhn_pulse import minimizer
 from fhn_pulse.minimizer import _band_assignment, _newton_polish
 from fhn_pulse.operators import InhibitorError, solve_steady
 from tests.conftest import CHEAP_GRID, CHEAP_PARAMS, FINE_PARAMS, refine_onto
@@ -149,23 +149,30 @@ class TestInitialization:
         assert info["init_energy_negative"] is False
         assert np.array_equal(prof.values, build_q0(0.5, 1.3, grid).values)
 
-    def test_equal_area_bisection_runs_once(self, monkeypatch):
+    def test_head_geometry_runs_once(self, monkeypatch):
         # the composite takes its head geometry, equal-area level included,
-        # from one head_geometry call. Within model, only that bisection's
-        # gap function evaluates potential_F
+        # from one head_geometry call, and both branches of f(u) = v from
+        # the closed-form roots
         calls = []
-        potential = model.potential_F
+        geometry = minimizer.head_geometry
 
-        def counted(xi, beta):
-            calls.append(xi)
-            return potential(xi, beta)
+        def counted(params):
+            calls.append(params)
+            return geometry(params)
 
-        monkeypatch.setattr(model, "potential_F", counted)
-        model.equal_area_level(CHEAP_PARAMS.beta)
-        one_bisection = len(calls)
-        calls.clear()
+        monkeypatch.setattr(minimizer, "head_geometry", counted)
         default_initial_profile(CHEAP_PARAMS, CHEAP_GRID)
-        assert one_bisection > 0 and len(calls) == one_bisection
+        assert calls == [CHEAP_PARAMS]
+
+    def test_pulse_at_small_gamma(self):
+        # at gamma = 5e-4 the tail cutoff M ~ 12 lies outside the [0, 10]
+        # bracket of test_model's bisection reference; the composite start
+        # descends to a pulse with negative energy (65 iterations, ~0.1 s)
+        params = Params(d=1e-6, tau=1.0, gamma=5e-4, beta=0.4)
+        res = minimize(params, Grid(12.0, 4096))
+        assert negative_tail_cutoff(params.beta, params.gamma) > 10.0
+        assert res.is_pulse and res.polish == "newton"
+        assert res.energy.total < 0.0
 
     def test_user_init_grid_mismatch(self):
         other = Grid(12.0, 1024)

@@ -26,6 +26,7 @@ from fhn_pulse import (
     reaction_f,
     reaction_knees,
 )
+from fhn_pulse import model
 from fhn_pulse.model import head_geometry, potential_roots, regime_report
 
 # mpmath oracles at beta = 0.4, gamma = 0.3
@@ -112,9 +113,9 @@ class TestPotentialRoots:
 
 
 def loop_tail_cutoff(beta: float, gamma: float) -> float:
-    """Oracle for negative_tail_cutoff: the dedicated bisection on [0, 10]
-    to 1e-12 that it ran before it shared the module's sign-change
-    bisection."""
+    """Oracle for negative_tail_cutoff: the bisection on [0, 10] to 1e-12
+    that computed M before the closed form. Its bracket holds the root only
+    down to gamma ~ 1/1100."""
     target = 1.0 + 1.0 / gamma
 
     def g(m: float) -> float:
@@ -132,29 +133,40 @@ def loop_tail_cutoff(beta: float, gamma: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def tail_residual(beta: float, gamma: float) -> float:
+    """Relative residual of M (1 + M)(M + beta) = 1 + 1/gamma, in eps."""
+    M = negative_tail_cutoff(beta, gamma)
+    target = 1.0 + 1.0 / gamma
+    return abs(M * (1.0 + M) * (M + beta) - target) / (target * np.finfo(float).eps)
+
+
 class TestTailCutoff:
     def test_frozen_value(self):
         assert negative_tail_cutoff(0.4, 0.3) == pytest.approx(M_REF, abs=1e-11)
 
     def test_agrees_with_loop(self):
-        # bit for bit over the beta window and six decades of gamma, except
-        # where the shared bisection stops on a midpoint that is an exact
-        # root (twice on this grid), which the loop walks past to within its
-        # tolerance
+        # within the loop's own tolerance over the beta window and six
+        # decades of gamma (measured 2.8e-13)
         for beta in np.linspace(0.01, 0.99, 49):
             for gamma in np.geomspace(1e-3, 1e3, 49):
                 m, ref = negative_tail_cutoff(beta, gamma), loop_tail_cutoff(beta, gamma)
-                if m != ref:
-                    assert m * (1.0 + m) * (m + beta) == 1.0 + 1.0 / gamma
-                    assert abs(m - ref) <= 1e-12
+                assert abs(m - ref) <= 1e-12
+
+    def test_solves_its_equation_to_roundoff(self):
+        # to 64 eps relative over the beta window, down to gamma = 1e-10
+        # (measured 17.6 eps; the loop's 1e-12 in M left up to ~4400 eps)
+        for beta in np.linspace(0.01, 0.99, 49):
+            for gamma in np.geomspace(1e-10, 1e3, 79):
+                assert tail_residual(beta, gamma) <= 64.0
 
     @pytest.mark.parametrize("gamma", [1e-4, 8e-4])
-    def test_bracket_exhausted(self, gamma):
-        # M (1 + M) (M + beta) = 1 + 1/gamma has no root in [0, 10] once
-        # gamma drops below about 1 / 1100
-        for cutoff in (negative_tail_cutoff, loop_tail_cutoff):
-            with pytest.raises(ValueError, match="tail cutoff bracket exhausted"):
-                cutoff(0.4, gamma)
+    def test_small_gamma(self, gamma):
+        # below gamma ~ 1/1100 the root leaves the loop's bracket [0, 10];
+        # the closed form holds there too
+        with pytest.raises(ValueError, match="tail cutoff bracket exhausted"):
+            loop_tail_cutoff(0.4, gamma)
+        assert negative_tail_cutoff(0.4, gamma) > 10.0
+        assert tail_residual(0.4, gamma) <= 64.0
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0, 0.0, -0.0])
     def test_rejects_gamma_not_positive_finite(self, gamma):
@@ -327,6 +339,86 @@ class TestSingularLimitGeometry:
         assert vm == pytest.approx(0.016592592592593814, rel=1e-10)
         # leading order (1 - 2 beta) / 12 in the small-level expansion
         assert vm == pytest.approx((1 - 0.8) / 12.0, rel=5e-3)
+
+    def test_equal_area_level_against_bisection(self):
+        # the closed form f((1 + beta)/3) against the equal-area rule solved
+        # directly: bisection on the level for a zero well gap, each branch
+        # root bisected in turn, every bisection run down to the last bit
+        def bisect(g, lo, hi):
+            glo = g(lo)
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    return mid
+                if (g(mid) < 0.0) == (glo < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+
+        for beta in np.linspace(0.3, 0.49, 20):
+            knee_lo, knee_hi = reaction_knees(beta)
+
+            def gap(v):
+                up = bisect(lambda u: reaction_f(u, beta) - v, knee_hi, 2.0)
+                um = bisect(lambda u: reaction_f(u, beta) - v, -2.0, knee_lo)
+                return (potential_F(um, beta) - potential_F(up, beta)) - v * (up - um)
+
+            ref = bisect(gap, 1e-8, 0.999 * reaction_f(knee_hi, beta))
+            assert equal_area_level(beta) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.6])
+    def test_no_equal_area_level_from_one_half(self, beta):
+        # the level (1 + beta)(2 - beta)(1 - 2 beta)/27 is not positive
+        with pytest.raises(ValueError, match="equal-area"):
+            equal_area_level(beta)
+
+
+def knee_values(beta):
+    lo, hi = reaction_knees(beta)
+    return reaction_f(lo, beta), reaction_f(hi, beta)
+
+
+class TestOuterRoots:
+    """The closed-form roots of f(u) = v against numpy.roots, the
+    eigenvalues of the companion matrix of u^3 - (1+beta) u^2 + beta u + v."""
+
+    @staticmethod
+    def companion_roots(v, beta):
+        return np.roots([1.0, -(1.0 + beta), beta, v])
+
+    @given(st.floats(0.05, 0.95), st.floats(0.01, 0.99))
+    def test_three_real_roots(self, beta, t):
+        # v between the knee values, kept off the folds where two roots
+        # merge and the eigenvalues lose half their digits
+        f_lo, f_hi = knee_values(beta)
+        v = f_lo + t * (f_hi - f_lo)
+        roots = np.sort(self.companion_roots(v, beta).real)
+        lower, upper = model._outer_roots(v, beta)
+        assert lower == pytest.approx(roots[0], abs=1e-11)
+        assert upper == pytest.approx(roots[2], abs=1e-11)
+
+    @given(st.floats(0.05, 0.95), st.floats(1e-2, 1e6), st.booleans())
+    def test_one_real_root(self, beta, gap, above):
+        # above the upper knee value or below the lower one, both roots
+        # are the one real root
+        f_lo, f_hi = knee_values(beta)
+        v = f_hi + gap if above else f_lo - gap
+        roots = self.companion_roots(v, beta)
+        real = roots[np.argmin(np.abs(roots.imag))].real
+        lower, upper = model._outer_roots(v, beta)
+        assert lower == upper == pytest.approx(real, rel=1e-12)
+
+    @given(st.floats(0.3, 0.5, exclude_max=True), st.floats(-300.0, -3.0))
+    def test_lower_root_in_the_tail(self, beta, exponent):
+        # u ~ -v/beta under the decaying inhibitor: the product of the
+        # roots keeps the lower one to a few eps relative (measured 4.6)
+        # down to v = 1e-300, against the fixed point u = v / ((1-u)(u-beta))
+        v = 10.0**exponent
+        ref = -v / beta
+        for _ in range(20):
+            ref = v / ((1.0 - ref) * (ref - beta))
+        lower = model._outer_roots(np.array([v]), beta)[0]
+        assert abs(lower[0] - ref) <= 16.0 * np.finfo(float).eps * abs(ref)
 
     def test_head_length_and_interface(self):
         p = Params(d=1e-5, tau=1.0, gamma=0.1, beta=0.4)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
-from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbcon, dgbsv, dgbtrf, dgbtrs
 
 from fhn_pulse import (
     GreenKind,
@@ -551,6 +551,15 @@ class TestSolveInhibitor:
         with pytest.raises(InhibitorError, match=f"^{re.escape(message)}$"):
             solve_inhibitor(w, GAMMA, max_iters=0)
 
+    def test_overflowing_warm_start_reported(self):
+        # past max |v| ~ 5.6e102 the floor's v^3 overflows: it is +inf, not
+        # an OverflowError, and the infinite residual there is no root, so
+        # the solve raises the error minimize and the CLI catch
+        grid = Grid(12.0, 2048)
+        v = np.full(grid.n + 1, 6e102)
+        with np.errstate(all="ignore"), pytest.raises(InhibitorError, match="residual inf"):
+            solve_inhibitor(Profile(grid, np.zeros(grid.n + 1)), GAMMA, v_init=Profile(grid, v))
+
     def test_stall_at_roundoff_reported(self, monkeypatch):
         # with the roundoff floor dropped and tol = 0 no iterate converges:
         # Newton reaches roundoff, where none of the 40 trials of a step
@@ -1041,10 +1050,15 @@ class TestSteadySystem:
     @pytest.mark.parametrize("scale", [0.0, 1e-3])
     def test_schur_step_solves_the_interleaved_system(self, fine_pulse, scale):
         # the step from P, (du, dv) and the residual's two blocks of rows
-        # interleaved, against steady_jacobian's band: normwise backward error (Rigal-Gaches)
-        # within one ulp (measured <= 5.4e-17, 2.5e-18 for the interleaved
-        # LU) and the interleaved LU's step to 1e-8 (measured 2.1e-9)
+        # interleaved, against steady_jacobian's band and its LU's step:
+        # both within one ulp of normwise backward error (Rigal-Gaches;
+        # measured <= 3.3e-17 and 1.7e-18). Then step - ref = J^-1 (e_step
+        # - e_ref) for the residuals e = J x + r, each at most
+        # eps (||J|| ||x|| + ||r||) in the inf-norm, and ||J^-1|| =
+        # 1 / (rcond ||J||) with dgbcon's estimate of rcond (kappa ~ 2e10):
+        # the bound the forward check takes (measured 1e-3 of it)
         p = FINE_PARAMS
+        eps = np.finfo(float).eps
         h = fine_pulse.grid.h
         u = fine_pulse.u0.values.copy()
         v = fine_pulse.v0.values
@@ -1058,13 +1072,19 @@ class TestSteadySystem:
         du, dv = _schur_solve(lub, piv, ja, jb, p.d, h, r)
         step, r = interleaved((du, dv)), interleaved(r)
         jac = steady_jacobian(u, v, p.d, p.beta, p.gamma, h)
+        lu, ipiv, ref, info = dgbsv(STEADY_KL, STEADY_KU, jac, -r)
+        assert info == 0
         norm_j = np.max(self.band_matvec(np.abs(jac), np.ones(2 * m)))
-        backward = np.max(np.abs(self.band_matvec(jac, step) + r)) / (
-            norm_j * np.max(np.abs(step)) + np.max(np.abs(r))
-        )
-        assert backward <= np.finfo(float).eps
-        ref = dgbsv(STEADY_KL, STEADY_KU, jac, -r)[2]
-        assert np.max(np.abs(step - ref)) <= 1e-8 * np.max(np.abs(ref))
+        norm_r = np.max(np.abs(r))
+        for x in (step, ref):
+            backward = np.max(np.abs(self.band_matvec(jac, x) + r)) / (
+                norm_j * np.max(np.abs(x)) + norm_r
+            )
+            assert backward <= eps
+        rcond, info = dgbcon(STEADY_KL, STEADY_KU, lu, ipiv, norm_j, norm="I")
+        assert info == 0 and rcond > 0.0
+        bound = eps * (np.max(np.abs(step)) + np.max(np.abs(ref)) + 2.0 * norm_r / norm_j) / rcond
+        assert np.max(np.abs(step - ref)) <= bound
 
     def test_factor_only_sign_on_saddle_and_pulse(self, fine_chain):
         # the n = 4096 odd-index saddle and the pulse: the sign from P's LU,
@@ -1147,6 +1167,19 @@ class TestSteadySystem:
         assert st.steps <= 3 and len(evals) == st.steps + 1
         assert st.det_sign == 1
         assert np.max(np.abs(st.u - res.u0.values)) <= 1e-12
+
+    def test_overflowing_state_not_converged(self):
+        # v = f(u) = 6e102 meets the activator rows' floor, while v^3
+        # overflows: the inhibitor rows' infinite residual meets no floor,
+        # not even the infinite one of that max |v|
+        u = np.full(33, -1.82e34)
+        u[-1] = 0.0
+        v = u * (1.0 - u) * (u - self.BETA)
+        with np.errstate(all="ignore"):
+            r = steady_residual(u, v, self.D, self.BETA, self.GAMMA_S, self.H)
+            st = solve_steady(u, v, self.D, self.BETA, self.GAMMA_S, self.H)
+        assert np.max(np.abs(r[0])) < 1e-12 * np.max(v) and np.isinf(r[1]).all()
+        assert not st.converged and st.steps == 0
 
     def test_exact_root_stops_at_once(self):
         # the rest state is an exact root: no step can lower ||R||^2 = 0
