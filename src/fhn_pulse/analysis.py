@@ -411,70 +411,37 @@ class InequalitySuiteReport(Record):
         return "\n".join(lines)
 
 
-def _draw_bumps(
-    rng: np.random.Generator, span: float
-) -> list[tuple[float, float, float]]:
-    """Draw 3-6 Gaussians as (center, width, amplitude), centers in
-    [0, span]; _sum_bumps builds them."""
-    return [
-        (rng.uniform(0.0, span), rng.uniform(0.3, 1.5), rng.uniform(-1.5, 1.5))
-        for _ in range(int(rng.integers(3, 7)))
-    ]
-
-
-def _sum_bumps(x: np.ndarray, bumps: list[tuple[float, float, float]]) -> np.ndarray:
-    """Superpose the drawn Gaussians on the nodes x. Each term,
-    amp exp(-(x - c)^2 / (2 width^2)), is formed in one scratch array,
-    one operation at a time in the order of that expression."""
-    out = np.zeros_like(x)
-    t = np.empty_like(x)
-    for c, width, amp in bumps:
-        np.subtract(x, c, out=t)
-        np.square(t, out=t)
-        np.negative(t, out=t)
-        t /= 2.0 * width**2
-        np.exp(t, out=t)
-        t *= amp
-        out += t
-    return out
-
-
 def random_bumps(rng: np.random.Generator, grid: Grid, span: float) -> np.ndarray:
     """Smooth random superposition of 3-6 Gaussians supported (to machine
-    precision) inside [0, span]."""
-    return _sum_bumps(grid.nodes(), _draw_bumps(rng, span))
+    precision) inside [0, span]: draws the bump count, then each bump's
+    center in [0, span], width and amplitude."""
+    x = grid.nodes()
+    out = np.zeros_like(x)
+    for _ in range(int(rng.integers(3, 7))):
+        c, width, amp = (
+            rng.uniform(0.0, span), rng.uniform(0.3, 1.5), rng.uniform(-1.5, 1.5)
+        )
+        out += amp * np.exp(-((x - c) ** 2) / (2.0 * width**2))
+    return out
 
 
 # random_admissible_profile draws its crossing indices from ranges that are
 # empty on a grid of fewer nodes
 _MIN_SAMPLE_NODES = 30
 
-# an admissible sample's draws: crossing indices i1 < i2 and its bumps
-_AdmissibleDraw = tuple[int, int, list[tuple[float, float, float]]]
-
-
-def _draw_admissible(rng: np.random.Generator, grid: Grid) -> _AdmissibleDraw:
-    n = grid.n
-    i1 = int(rng.integers(max(4, n // 40), n // 6))
-    i2 = int(rng.integers(i1 + max(4, n // 40), n // 3))
-    return i1, i2, _draw_bumps(rng, grid.x_max / 2.0)
-
-
-def _admissible_sample(
-    grid: Grid, x: np.ndarray, draw: _AdmissibleDraw, beta: float, M: float
-) -> Profile:
-    i1, i2, bumps = draw
-    raw = _sum_bumps(x, bumps)
-    raw[: i1 + 1] += 1.0  # bias the head into [beta, 1]
-    return project(Profile(grid, raw), i1, i2, beta, M)
-
 
 def random_admissible_profile(
     rng: np.random.Generator, grid: Grid, beta: float, M: float
 ) -> Profile:
     """Seeded admissible sample: a smooth bump superposition plus a leading
-    plateau, projected onto bands at random crossing indices."""
-    return _admissible_sample(grid, grid.nodes(), _draw_admissible(rng, grid), beta, M)
+    plateau, projected onto bands at random crossing indices i1 < i2, which
+    are drawn before the bumps."""
+    n = grid.n
+    i1 = int(rng.integers(max(4, n // 40), n // 6))
+    i2 = int(rng.integers(i1 + max(4, n // 40), n // 3))
+    raw = random_bumps(rng, grid, grid.x_max / 2.0)
+    raw[: i1 + 1] += 1.0  # bias the head into [beta, 1]
+    return project(Profile(grid, raw), i1, i2, beta, M)
 
 
 # The inequality suite's checks in report order, each as (name, held to the
@@ -519,13 +486,13 @@ def verify_inequality_suite(
     grid-refinement order check for the two resolvent code paths runs on
     three analytic bump profiles.
 
-    Every random scalar is drawn first: each admissible sample's crossing
-    indices and bumps, each smooth sample's bumps, the n_samples // 2
-    monotonicity bumps, then the ladder's three (center, width) pairs. One
-    pass over k then builds admissible and smooth sample k, solves their
-    responses and records their margins; the pair checks keep only the
-    previous sample, so the suite holds a fixed number of state-sized
-    arrays whatever n_samples is.
+    One seeded generator feeds every sample where it is used. One pass
+    over k draws admissible sample k, then smooth sample k, then (for k <
+    n_samples // 2) the monotonicity bump, solves their responses and
+    records their margins; the ladder's three (center, width) pairs are
+    drawn after the pass. The pair checks keep only the previous sample, so
+    the suite holds a fixed number of state-sized arrays whatever n_samples
+    is.
 
     The competitor gap lemma is carried by competitor_gap_closed_form, the
     closed-form bound chain. competitor_gap_on_grid evaluates the same
@@ -549,18 +516,10 @@ def verify_inequality_suite(
     beta, gamma = params.beta, params.gamma
     consts = compute_constants(beta, gamma)
     M = consts.M
-    x = grid.nodes()
     weights = grid.weights()
     lip_const = max(1.0, 1.0 / gamma)
     half = n_samples // 2
     span = grid.x_max / 2.0
-
-    admissible_draws = [_draw_admissible(rng, grid) for _ in range(n_samples)]
-    smooth_draws = [_draw_bumps(rng, span) for _ in range(n_samples)]
-    monotone_draws = [_draw_bumps(rng, span) for _ in range(half)]
-    ladder_draws = [
-        (rng.uniform(1.0, grid.x_max / 4.0), rng.uniform(0.5, 1.5)) for _ in range(3)
-    ]
 
     # each check's margins, and its detail where the run formats it
     margins: dict[str, list[float]] = {name: [] for name, _, _ in _SUITE_CHECKS}
@@ -568,9 +527,9 @@ def verify_inequality_suite(
     prev_w = prev_nw = prev_s = prev_ns = None
     for k in range(n_samples):
         # admissible sample w and smooth sample s, with responses N w, N s
-        w = _admissible_sample(grid, x, admissible_draws[k], beta, M)
+        w = random_admissible_profile(rng, grid, beta, M)
         nw = solve_inhibitor(w, gamma).v
-        s = Profile(grid, _sum_bumps(x, smooth_draws[k]))
+        s = Profile(grid, random_bumps(rng, grid, span))
         ns = solve_inhibitor(s, gamma).v
 
         # H1 bound of the response on smooth input
@@ -592,7 +551,7 @@ def verify_inequality_suite(
 
         if k < half:
             # monotonicity: w and w minus a nonnegative bump
-            bump = np.abs(_sum_bumps(x, monotone_draws[k]))
+            bump = np.abs(random_bumps(rng, grid, span))
             n_low = solve_inhibitor(Profile(grid, w.values - bump), gamma).v
             margins["response_monotone"].append(
                 float(np.min(nw.values - n_low.values))
@@ -604,10 +563,11 @@ def verify_inequality_suite(
         # bounds go through the quadrature kernels so it doubles as a
         # cross-method agreement test against the Newton solve (the
         # half-line kernel sits above the truncated resolvent, which only
-        # widens the upper margin)
+        # widens the upper margin). A sample with no negative node is its
+        # own positive part, whose response is N w
         pos = Profile(grid, np.maximum(w.values, 0.0))
         neg = Profile(grid, np.maximum(-w.values, 0.0))
-        n_pos = solve_inhibitor(pos, gamma).v
+        n_pos = solve_inhibitor(pos, gamma).v if neg.values.any() else nw
         if k < half:
             v = n_pos.values
             low = apply_green(GreenKind.L0, pos, gamma, method="quadrature").values
@@ -650,8 +610,9 @@ def verify_inequality_suite(
         margins["energy_two_form_gap"].append(-report.form_gap)
         margins["energy_lower_bound"].append(report.total + consts.M1)
         dv = np.diff(vv)
+        vv2 = vv * vv
         rhs = float(np.dot(dv, dv)) / grid.h + float(
-            np.dot(weights, gamma * vv**2 + vv**4)
+            np.dot(weights, gamma * vv2 + vv2 * vv2)
         )
         margins["response_energy_identity"].append(-abs(w_nw - rhs))
 
@@ -685,7 +646,8 @@ def verify_inequality_suite(
     # every gamma > 0; the unshifted kind is cross-checked in the sandwich.
     ratios = []
     base_n = max(grid.n // 4, 64)
-    for c, width in ladder_draws:
+    for _ in range(3):
+        c, width = rng.uniform(1.0, grid.x_max / 4.0), rng.uniform(0.5, 1.5)
         errs = []
         for mult in (1, 2, 4):
             g_ref = Grid(grid.x_max, base_n * mult)

@@ -811,12 +811,12 @@ def solve_steady(
     and also keeps a trial at which each block of rows is at the roundoff
     floor of its 1/h^2 stencil: there the inhibitor rows' rounding, which
     sits below their floor but dominates ||R||^2, can refuse a step that
-    took the activator rows below theirs. The iteration stops at the floor,
-    or when no step along the Newton direction lowers ||R||^2 (a singular
-    P counts as such). The solve has converged when it stops at the floor,
-    or where ||R||^2 is zero or subnormal: there the floors, which scale
-    with max |u| and max |v|, can sit below what the Armijo test resolves
-    (the rest state).
+    took the activator rows below theirs. The solve stops, converged, at
+    the first iterate that meets the floor or whose ||R||^2 is zero or
+    subnormal: there the floors, which scale with max |u| and max |v|, can
+    sit below what the Armijo test resolves (the rest state). It stops
+    short of a root when no step along the Newton direction lowers ||R||^2
+    (a singular P or an overflowed ||R||^2 counts as such).
     """
     u = np.array(u, dtype=float)
     v = np.array(v, dtype=float)
@@ -843,8 +843,10 @@ def solve_steady(
         ja, jb = _fill_schur(u, v, d, beta, gamma, h, ab)
         lub, piv, info = dgbtrf(ab, STEADY_KL, STEADY_KU, overwrite_ab=1)
         det_sign = 0 if info != 0 else _band_lu_det_sign(lub, piv)
-        converged = at_floor(r, u, v)
-        if converged or info != 0:
+        # a zero or subnormal ||R||^2 is a root to the last representable
+        # bit, and an overflowed one admits no decrease: no step can help
+        converged = rn2 < _TINY or at_floor(r, u, v)
+        if converged or info != 0 or rn2 == math.inf:
             break
         du, dv = _schur_solve(lub, piv, ja, jb, d, h, r)
         t = 1.0
@@ -856,15 +858,11 @@ def solve_steady(
             v_try[:-1] += t * dv
             r_try = steady_residual(u_try, v_try, d, beta, gamma, h)
             rn2_try = float(np.vdot(r_try, r_try))
-            # the target equals rn2 only when rn2 is zero or subnormal: a
-            # root to the last representable bit, where no step can help
-            target = (1.0 - 2e-4 * t) * rn2
-            if rn2_try <= target < rn2 or at_floor(r_try, u_try, v_try):
+            if rn2_try <= (1.0 - 2e-4 * t) * rn2 or at_floor(r_try, u_try, v_try):
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
-            converged = rn2 < _TINY
             break
         u, v, r, rn2 = u_try, v_try, r_try, rn2_try
         steps += 1

@@ -24,6 +24,7 @@ from fhn_pulse import (
     verify_inequality_suite,
 )
 from fhn_pulse import analysis, energy
+from fhn_pulse.admissible import project
 from fhn_pulse.analysis import (
     default_decay_window,
     random_admissible_profile,
@@ -347,14 +348,13 @@ class TestInequalitySuite:
     def test_unconverged_smooth_response_raises(self, monkeypatch):
         # the first smooth sample's response falls short of tolerance: the
         # suite stops on that solve, before the response feeds a margin.
-        # The sample is rebuilt from the draw order (every admissible
-        # sample, then the smooth ones) and recognized by its values
+        # The sample is rebuilt from the draw order (admissible sample 0,
+        # then smooth sample 0) and recognized by its values
         samples, seed, grid = 4, 0, Grid(30.0, 512)
         params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
         M = compute_constants(params.beta, params.gamma).M
         rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            random_admissible_profile(rng, grid, params.beta, M)
+        random_admissible_profile(rng, grid, params.beta, M)
         first_smooth = random_bumps(rng, grid, span=grid.x_max / 2.0)
         solve = analysis.solve_inhibitor
         inputs = []
@@ -390,12 +390,24 @@ class TestInequalitySuite:
             energy, "solve_inhibitor", counted("energy", energy.solve_inhibitor)
         )
         params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
-        samples = 10
-        report = verify_inequality_suite(params, Grid(30.0, 512), samples, seed=0)
+        samples, grid = 10, Grid(30.0, 512)
+        M = compute_constants(params.beta, params.gamma).M
+        report = verify_inequality_suite(params, grid, samples, seed=0)
         # each admissible and smooth sample, half the admissible ones minus
-        # a bump (monotonicity), and each admissible sample's positive and
-        # negative parts: the sandwich reuses the positive parts' responses
-        assert calls["suite"] == 4.5 * samples
+        # a bump (monotonicity), and each admissible sample's negative part
+        # and, when it has a negative node, its positive part: the sandwich
+        # reuses the positive parts' responses. The samples are replayed in
+        # the suite's draw order
+        rng = np.random.default_rng(0)
+        expected = 0
+        for k in range(samples):
+            w = random_admissible_profile(rng, grid, params.beta, M)
+            random_bumps(rng, grid, span=grid.x_max / 2.0)
+            if k < samples // 2:
+                random_bumps(rng, grid, span=grid.x_max / 2.0)
+            expected += 3 + (k < samples // 2) + bool(np.any(w.values < 0.0))
+        assert expected < 4.5 * samples  # some sample has no negative node
+        assert calls["suite"] == expected
         # the admissible samples' energies reuse their responses: the
         # competitor on the grid is the one energy that solves
         assert calls["energy"] == 1
@@ -436,8 +448,8 @@ class TestInequalitySuite:
             assert c.tolerance == (0.0 if c.name in cross else 1e-3), c.name
 
     def test_report_digest(self):
-        # the sha256 of a small report, as the suite gave it when it held
-        # every sample to the end: the draw order and each margin's
+        # the sha256 of a small report, as the suite gives it drawing each
+        # sample where it is used: the draw order and each margin's
         # arithmetic fix every byte. The bytes also follow numpy's exp and
         # BLAS dot kernels (numpy 2.4, OpenBLAS 0.3.31 on AVX-512), so a
         # build whose kernels round differently needs the digest re-taken
@@ -447,14 +459,14 @@ class TestInequalitySuite:
         report = verify_inequality_suite(params, Grid(30.0, 512), 7, seed=3)
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "3992294c08b97a31743ad4ccdf4f48e8b82d7c6262c2e147ac6720a7f9e838f2"
+            "fc9ed0127fb6c40bb29756d394a3f9c1c801addbcf017b960ebd0f7640a2af7b"
         )
 
     def test_memory_does_not_grow_with_samples(self):
         # each sample's arrays live only while its own checks run: from 8
-        # to 64 samples the traced peak grows by the scalar draws and the
-        # margins, far less than 32 state-sized arrays (holding every
-        # sample to the end grew it by some 240 of them)
+        # to 64 samples the traced peak grows by the margins, far less than
+        # 32 state-sized arrays (holding every sample to the end grew it by
+        # some 240 of them)
         params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
         grid = Grid(30.0, 1024)
         verify_inequality_suite(params, grid, 2, seed=0)  # warm-up
@@ -511,3 +523,41 @@ class TestInequalitySuite:
         a = random_admissible_profile(np.random.default_rng(5), g, 0.4, M)
         b = random_admissible_profile(np.random.default_rng(5), g, 0.4, M)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_samplers_keep_bits_and_draw_order(self, seed):
+        # the samplers against the in-place bump sum they replaced: same
+        # scalars in the same order (the generators end in the same state)
+        # and the same bits, term by term in the order of the expression
+        grid = Grid(30.0, 4096)
+        n, x = grid.n, grid.nodes()
+        M = negative_tail_cutoff(0.4, 0.3)
+
+        def old_bumps(rng, span):
+            bumps = [
+                (rng.uniform(0.0, span), rng.uniform(0.3, 1.5), rng.uniform(-1.5, 1.5))
+                for _ in range(int(rng.integers(3, 7)))
+            ]
+            out, t = np.zeros_like(x), np.empty_like(x)
+            for c, width, amp in bumps:
+                np.subtract(x, c, out=t)
+                np.square(t, out=t)
+                np.negative(t, out=t)
+                t /= 2.0 * width**2
+                np.exp(t, out=t)
+                t *= amp
+                out += t
+            return out
+
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            i1 = int(old.integers(max(4, n // 40), n // 6))
+            i2 = int(old.integers(i1 + max(4, n // 40), n // 3))
+            raw = old_bumps(old, grid.x_max / 2.0)
+            raw[: i1 + 1] += 1.0
+            want = project(Profile(grid, raw), i1, i2, 0.4, M)
+            got = random_admissible_profile(new, grid, 0.4, M)
+            assert np.array_equal(got.values, want.values)
+            want = old_bumps(old, 10.0)
+            assert np.array_equal(random_bumps(new, grid, span=10.0), want)
+            assert old.bit_generator.state == new.bit_generator.state

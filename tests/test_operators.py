@@ -937,6 +937,28 @@ class TestSteadySystem:
         if case == "stall":
             assert np.max(np.abs(r[0])) > 1e-6
 
+    def test_stops_at_underflowed_residual(self, monkeypatch):
+        # past the fold Newton runs into the rest state: the first iterate
+        # whose ||R||^2 underflows ends the solve, with no line search
+        # after it
+        params = Params(d=0.005, tau=1.0, gamma=0.1, beta=0.4)
+        grid = Grid(20.0, 1024)
+        start = default_initial_profile(params, grid)[0]
+        res = minimize(params, grid, init=start, options=MinimizeOptions(max_iters=0))
+        rn2 = []
+
+        def counted(*args):
+            r = steady_residual(*args)
+            rn2.append(float(np.vdot(r, r)))
+            return r
+
+        monkeypatch.setattr(operators, "steady_residual", counted)
+        p = res.params
+        st = solve_steady(res.u0.values, res.v0.values, p.d, p.beta, p.gamma, grid.h)
+        tiny = np.finfo(float).tiny
+        assert st.converged and st.steps > 0
+        assert [x < tiny for x in rn2] == [False] * (len(rn2) - 1) + [True]
+
     def column_pattern_band(self, u, v):
         """Oracle for steady_jacobian's strided row fill: the band built
         column by column, each column one contiguous 7-vector and the
@@ -1179,6 +1201,15 @@ class TestSteadySystem:
             r = steady_residual(u, v, self.D, self.BETA, self.GAMMA_S, self.H)
             st = solve_steady(u, v, self.D, self.BETA, self.GAMMA_S, self.H)
         assert np.max(np.abs(r[0])) < 1e-12 * np.max(v) and np.isinf(r[1]).all()
+        assert not st.converged and st.steps == 0
+        # a finite residual whose ||R||^2 overflows: no step can lower it
+        z = np.zeros(33)
+        v = np.full(33, 1e100)
+        v[-1] = 0.0
+        with np.errstate(all="ignore"):
+            r = steady_residual(z, v, self.D, self.BETA, self.GAMMA_S, self.H)
+            st = solve_steady(z, v, self.D, self.BETA, self.GAMMA_S, self.H)
+        assert np.isfinite(r).all() and np.vdot(r, r) == np.inf
         assert not st.converged and st.steps == 0
 
     def test_exact_root_stops_at_once(self):
