@@ -6,7 +6,7 @@
 on [0, x_max] with a no-flux condition at 0 and the truncation zero at
 x_max. Diffusion and the linear inhibitor drag are implicit, the cubic
 terms explicit, so each step is two tridiagonal solves with operators
-factored once per run (operators.factor_shifted, solved by
+factored once per run (operators.ShiftedFactor, solved by
 solve_factored in blocks of unknowns). The implicit operators reuse the
 steady-state stencils, which makes a converged pulse a fixed point of the
 map up to its gradient tolerance. A step is
@@ -17,10 +17,12 @@ map up to its gradient tolerance. A step is
 with the explicit terms in Horner form: five array passes form the u
 right-hand side and four the v one.
 
-A step allocates no state-sized array: each right-hand side is formed
-in the scratch of its operator's factor, where solve_factored reads it,
-and solved into one of two preallocated buffers, which is then swapped
-with the field it updates.
+A step allocates no state-sized array. The two factors share one blocked
+scratch: each right-hand side is formed there, where solve_factored
+reads it, the u one read by its solve before the v one is formed. u and
+v are the two rows of one (2, n + 1) state array, solved into the rows
+of a second array, which is then swapped with the state, so the bound
+check is one max and one min over both fields.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .grid import Grid, Profile, profile_to_csv
 from .model import Params, negative_tail_cutoff
-from .operators import factor_shifted, solve_factored
+from .operators import ShiftedFactor, factor_shifted, solve_factored
 from .records import Record, write_json
 
 
@@ -89,12 +91,13 @@ def evolve(
         (tau/dt + gamma - D2) v' = v (tau/dt - v v) + u',
 
     the explicit terms u/dt + f(u) - v and (tau/dt) v - v^3 + u' written
-    in Horner form. Each right-hand side is formed in place in its
-    factor's scratch `rhs`, five passes for u and four for v, and
-    solve_factored reads it there and writes the solution into a
-    preallocated (n + 1) buffer; the buffer then becomes the field and
-    the old field the next buffer. The trajectory is bit for bit that of
-    the formulas above evaluated on fresh arrays.
+    in Horner form. Each right-hand side is formed in place in the
+    scratch `rhs` the two factors share, five passes for u and four for
+    v, and solve_factored reads it there and writes the solution into a
+    row of a preallocated (2, n + 1) buffer; the buffer then becomes the
+    state (u and v as its rows) and the old state the next buffer. The
+    trajectory is bit for bit that of the formulas above evaluated on
+    fresh arrays.
 
     Snapshots are copies, recorded at t = 0, every `snapshot_every` steps
     when positive, and at the final time. dt, t_final and their ratio
@@ -120,52 +123,50 @@ def evolve(
     h = grid.h
     m = grid.n  # unknowns per solve; the last node stays pinned at 0
     factor_u = factor_shifted(1.0 / dt, h, m, d)
-    factor_v = factor_shifted(tau / dt + gamma, h, m)
-    b_u, b_v = factor_u.rhs, factor_v.rhs
+    # the u solve has read the blocked scratch before the v right-hand
+    # side is formed there, so the two factors share it
+    factor_v = ShiftedFactor(tau / dt + gamma, h, m, _scratch=factor_u.x)
+    b_u, b_v = factor_u.rhs, factor_v.rhs  # one memory, two factors' views
     shift_u = 1.0 / dt - beta
     shift_v = tau / dt
 
-    u = np.array(u_init.values, dtype=float)
-    v = np.array(v_init.values, dtype=float)
-    u[-1] = 0.0
-    v[-1] = 0.0
-    buf_u = np.empty_like(u)
-    buf_v = np.empty_like(v)
+    # rows u and v; the solves write the next state into `buf`
+    state = np.array([u_init.values, v_init.values], dtype=float)
+    state[:, -1] = 0.0
+    buf = np.empty_like(state)
 
     times = [0.0]
-    snaps = [(Profile(grid, u.copy()), Profile(grid, v.copy()))]
-    u_start, v_start = u.copy(), v.copy()
+    snaps = [(Profile(grid, state[0].copy()), Profile(grid, state[1].copy()))]
+    start = state.copy()
 
     for step in range(1, n_steps + 1):
         # u ((1/dt - beta) + u ((1 + beta) - u)) - v, in the formula's order
-        uu, vv = u[:-1], v[:-1]
+        uu, vv = state[0, :-1], state[1, :-1]
         np.subtract(1.0 + beta, uu, out=b_u)
         np.multiply(uu, b_u, out=b_u)
         np.add(shift_u, b_u, out=b_u)
         np.multiply(uu, b_u, out=b_u)
         np.subtract(b_u, vv, out=b_u)
-        u, buf_u = solve_factored(factor_u, b_u, out=buf_u), u
+        solve_factored(factor_u, b_u, out=buf[0])
         # v (tau/dt - v v) + u'
         np.multiply(vv, vv, out=b_v)
         np.subtract(shift_v, b_v, out=b_v)
         np.multiply(vv, b_v, out=b_v)
-        np.add(b_v, u[:-1], out=b_v)
-        v, buf_v = solve_factored(factor_v, b_v, out=buf_v), v
+        np.add(b_v, buf[0, :-1], out=b_v)
+        solve_factored(factor_v, b_v, out=buf[1])
+        state, buf = buf, state
 
         t = step * dt
         # a NaN propagates through max and min and fails every comparison
-        if not (
-            u.max() <= bound and u.min() >= -bound
-            and v.max() <= bound and v.min() >= -bound
-        ):
+        if not (state.max() <= bound and state.min() >= -bound):
             raise BlowUpError(t, bound)
 
         if (snapshot_every > 0 and step % snapshot_every == 0) or step == n_steps:
             times.append(t)
-            snaps.append((Profile(grid, u.copy()), Profile(grid, v.copy())))
+            snaps.append((Profile(grid, state[0].copy()), Profile(grid, state[1].copy())))
 
-    u_drift = float(np.max(np.abs(u - u_start)))
-    v_drift = float(np.max(np.abs(v - v_start)))
+    u_drift = float(np.max(np.abs(state[0] - start[0])))
+    v_drift = float(np.max(np.abs(state[1] - start[1])))
     return Trajectory(
         params=params,
         grid=grid,

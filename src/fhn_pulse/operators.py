@@ -22,10 +22,13 @@ solve applies: away from the ghost row the L D L^T factors have a
 constant pivot and multiplier, so solve_factored evaluates their two
 recurrences on blocks of unknowns as small GEMMs, the carries between
 blocks by the same scheme one level up (Blelloch 1990), and the ghost
-row by one Sherman-Morrison correction. It reads the right-hand side
-from the factor's scratch, where a caller may form it, and writes the
-solution into the caller's buffer. LAPACK's dpttrs runs the same
-recurrences one unknown at a time, bound by the latency of each step.
+row by one Sherman-Morrison correction. The factor precomputes every
+view of that plan, and its levels stop at the first whose multiplier
+flushes to 0, where the carries are one multiply. A solve reads the
+right-hand side from the factor's scratch, where a caller may form it,
+and writes the solution into the caller's buffer. LAPACK's dpttrs runs
+the same recurrences one unknown at a time, bound by the latency of
+each step.
 
 The nonlinear inhibitor solve v = N(u) is damped Newton on these
 tridiagonal systems. A cold solve starts from the linear response v_L
@@ -199,11 +202,21 @@ class _Level:
     and x @ gemv is each block's last value with no carry-in; those last
     values obey the same recurrence with multiplier r^_BLOCK, one level
     up. gemm is scaled by `scale`, the multiplier of the level below,
-    which adds y to the first entries of its blocks."""
+    which adds y to the first entries of its blocks.
+
+    A level whose r flushes to 0 is the identity recurrence, y = scale x:
+    it holds its n values flat, has no gemm or gemv (None), and no level
+    goes above it."""
 
     def __init__(self, log_r: float, n: int, scale: float):
         p = _powers(log_r)
         self.r = float(p[1])
+        self.scale = scale
+        if self.r == 0.0:
+            self.gemm = self.gemv = None
+            self.x = np.zeros(n)
+            self.y = np.zeros(n)
+            return
         powers = _toeplitz_upper(p)
         self.gemv = powers[:, -1].copy()
         self.gemm = scale * powers
@@ -212,26 +225,6 @@ class _Level:
         self.n_blocks = self.x.shape[0] * self.x.shape[1]
         # the blocks holding values take carries; the rest stay 0
         self.first = self.x.reshape(-1, _BLOCK)[1 : -(-n // _BLOCK), 0]
-
-    def link(self, up: _Level) -> None:
-        """Views of the level above: its input, which takes this level's
-        block ends, and its output, which holds r times the solved end of
-        each block before the last."""
-        self.ends = up.x.reshape(-1)[: self.n_blocks].reshape(self.x.shape[:2])
-        self.carry = up.y.reshape(-1)[: self.first.size]
-
-
-def _scan(levels: list[_Level], k: int = 0) -> None:
-    """levels[k].y = scale times the recurrence of levels[k] over
-    levels[k].x, whose first n values the caller wrote: the block ends go
-    up a level, r times each one joins the next block's first entry, and
-    one GEMM finishes every block."""
-    lv = levels[k]
-    if k + 1 < len(levels):
-        np.matmul(lv.x, lv.gemv, out=lv.ends)
-        _scan(levels, k + 1)
-        np.add(lv.first, lv.carry, out=lv.first)
-    np.matmul(lv.x, lv.gemm, out=lv.y)
 
 
 class ShiftedFactor:
@@ -253,18 +246,31 @@ class ShiftedFactor:
     What crosses block edges enters as two entries of b: r times the
     previous block's last y joins the first entry, delta r times the next
     block's first x the last. Both carries obey the recurrences with
-    multiplier r^_BLOCK over the blocks (_scan, the backward one
-    reversed), from each block's last y and delta times its first x with
-    no carry-in, b @ edge_gemm. The corner is one Sherman-Morrison
-    correction along w = S^{-1} e0 (Golub & Van Loan, section 2.1.4), kept
-    on the prefix where it is not flushed to 0.
+    multiplier r^_BLOCK over the blocks, from each block's last y and
+    delta times its first x with no carry-in, b @ edge_gemm: one scan of
+    the levels, forward, then one over the start values, last block
+    first. The corner is one Sherman-Morrison correction along
+    w = S^{-1} e0 (Golub & Van Loan, section 2.1.4), kept on the prefix
+    where it is not flushed to 0.
+
+    The levels stop at the first whose multiplier r^(_BLOCK^k) flushes to
+    0: its carries are the block values times the multiplier below, one
+    multiply (a strongly damped r, such as the activator's at a small
+    time step, takes no GEMM for its carries). The constructor builds
+    every view a solve works through, the level links included, so a
+    solve runs the scan as loops over precomputed tuples.
 
     A solve reads b from `rhs`, the m entries of the blocked scratch after
     the padding, and overwrites it; a caller may form b there. A factor is
     not safe to share between threads: its solves write its scratch
-    arrays."""
+    arrays. `_scratch`, private, is the blocked scratch of another factor
+    on m unknowns to work in instead of its own, for a caller whose
+    solves on the two factors never interleave with a right-hand side
+    still in the scratch."""
 
-    def __init__(self, c: float, h: float, m: int, a: float = 1.0):
+    def __init__(
+        self, c: float, h: float, m: int, a: float = 1.0, _scratch: np.ndarray | None = None
+    ):
         if not (a > 0.0 and math.isfinite(a)):
             raise ValueError(f"diffusion coefficient must be positive and finite, got {a}")
         c = c / a
@@ -294,26 +300,38 @@ class ShiftedFactor:
         self.m = m
         shape = _block_shape(m)
         self.pad = shape[0] * shape[1] * _BLOCK - m
-        self.x = np.zeros(shape)
-        self.rhs = self.x.reshape(-1)[self.pad :]
+        if _scratch is None:
+            self.x = np.zeros(shape)
+        elif _scratch.shape == shape:
+            self.x = _scratch
+        else:
+            raise ValueError(f"scratch of shape {_scratch.shape}, the factor needs {shape}")
+        flat = self.x.reshape(-1)
+        self.rhs = flat[self.pad :]
+        self._head = flat[: self.pad]
         # the GEMM writes straight into the solution when the blocks tile m
         self.y = np.zeros(shape) if self.pad else None
+        self._y_tail = None if self.y is None else self.y.reshape(-1)[self.pad :]
         self.edge_values = np.zeros(shape[:2] + (2,))
         self.levels: list[_Level] = []
         n, scale = shape[0] * shape[1], float(p[1])
         while n > 1:
             log_r *= _BLOCK
             self.levels.append(_Level(log_r, n, scale))
+            if self.levels[-1].gemm is None:
+                break
             n, scale = self.levels[-1].n_blocks, self.levels[-1].r
-        for lv, up in zip(self.levels, self.levels[1:]):
-            lv.link(up)
+        if self.levels:
+            self._plan_carries()
 
+        flat[:] = 0.0  # a shared scratch holds the other factor's last solve
         self.rhs[0] = 1.0
         w = np.empty(m)
         self._solve_stationary(w)
         self.gemm /= a
         w[np.abs(w) < _FLUSH * abs(w[0])] = 0.0
         self.w = w[: np.flatnonzero(w)[-1] + 1].copy()
+        self._corner_scratch = flat[: self.w.size]
         shift = diag0 - delta
         denom = 1.0 + shift * self.w[0]
         if not denom > 0.0:
@@ -322,6 +340,39 @@ class ShiftedFactor:
             )
         self.corner = shift / denom
 
+    def _plan_carries(self) -> None:
+        """The views a solve's carries go through. Each level below the
+        top climbs (its block ends into the input of the level above) and
+        descends (the carries from the output above into its first
+        entries, then its GEMM); the top applies its matrix or, flushed,
+        its scale."""
+        climb, descend = [], []
+        for lv, up in zip(self.levels, self.levels[1:]):
+            ends = up.x.reshape(-1)[: lv.n_blocks].reshape(lv.x.shape[:2])
+            carry = up.y.reshape(-1)[: lv.first.size]
+            climb.append((lv.x, lv.gemv, ends))
+            descend.append((lv.first, carry, lv.x, lv.gemm, lv.y))
+        self._climb, self._descend = climb, descend[::-1]
+        top = self.levels[-1]
+        if top.gemm is None:
+            self._top = (np.multiply, top.x, top.scale, top.y)
+        else:
+            self._top = (np.matmul, top.x, top.gemm, top.y)
+        # for _carry_in: the blocks' first and last entries; in
+        # edge_values, each block's end and its start value (the first
+        # block's apart); the first level's input, which takes the ends
+        # and then the start values, last block first; its output, r
+        # times the solved values, read forward and then reversed
+        blocks = self.x.reshape(-1, _BLOCK)
+        edges = self.edge_values.reshape(-1, 2)
+        up = self.levels[0].x.reshape(-1)[: edges.shape[0]]
+        solved = self.levels[0].y.reshape(-1)[: edges.shape[0] - 1]
+        starts = up[::-1]
+        self._edges = (
+            blocks[1:, 0], blocks[:-1, -1], edges[:, 0], edges[1:, 1], edges[:1, 1],
+            up, solved, starts[1:], starts[:1], solved[::-1],
+        )
+
     @property
     def nbytes(self) -> int:
         """Total size of the factor's arrays, scratch included."""
@@ -329,47 +380,55 @@ class ShiftedFactor:
         if self.y is not None:
             arrays.append(self.y)
         for lv in self.levels:
-            arrays += [lv.gemm, lv.gemv, lv.x, lv.y]
+            arrays += [a for a in (lv.gemm, lv.gemv, lv.x, lv.y) if a is not None]
         return sum(a.nbytes for a in arrays)
+
+    def _scan(self) -> None:
+        """levels[0].y = r times the recurrence over the first n values of
+        levels[0].x, the multiplier r^_BLOCK: the block ends climb to the
+        top, the top is solved, and each level below takes its carries
+        and finishes its blocks with one GEMM."""
+        for x, gemv, ends in self._climb:
+            np.matmul(x, gemv, out=ends)
+        op, x, operand, y = self._top
+        op(x, operand, out=y)
+        for first, carry, x, gemm, y in self._descend:
+            np.add(first, carry, out=first)
+            np.matmul(x, gemm, out=y)
 
     def _carry_in(self) -> None:
         """Add the carries across block edges to the blocked b in x. A
         scan of the block ends gives r times the forward carries; a second
         one, over delta times each block's first x with the forward carry
         in, last block first, gives delta r times the backward ones."""
-        blocks = self.x.reshape(-1, _BLOCK)
-        edges = self.edge_values.reshape(-1, 2)
+        (firsts, lasts, ends, starts_in, start_in, up, solved,
+         starts, start, solved_back) = self._edges
         np.matmul(self.x, self.edge_gemm, out=self.edge_values)
-        top = self.levels[0]
-        up = top.x.reshape(-1)[: edges.shape[0]]
-        solved = top.y.reshape(-1)[: edges.shape[0] - 1]
-        up[:] = edges[:, 0]
-        _scan(self.levels)
-        np.add(blocks[1:, 0], solved, out=blocks[1:, 0])
-        # each block's first x with the forward carry in, last block first
-        starts = up[::-1]
-        np.multiply(solved, self.start_carry, out=starts[1:])
-        np.add(starts[1:], edges[1:, 1], out=starts[1:])
-        starts[0] = edges[0, 1]
-        _scan(self.levels)
-        np.add(blocks[:-1, -1], solved[::-1], out=blocks[:-1, -1])
+        np.copyto(up, ends)
+        self._scan()
+        np.add(firsts, solved, out=firsts)
+        np.multiply(solved, self.start_carry, out=starts)
+        np.add(starts, starts_in, out=starts)
+        np.copyto(start, start_in)
+        self._scan()
+        np.add(lasts, solved_back, out=lasts)
 
     def _solve_stationary(self, out: np.ndarray) -> None:
         """out = S^{-1} b / a for the b in rhs (out contiguous, length m)."""
-        self.x.reshape(-1)[: self.pad] = 0.0
+        self._head.fill(0.0)
         if self.levels:
             self._carry_in()
         if self.y is None:
             np.matmul(self.x, self.gemm, out=out.reshape(self.x.shape))
         else:
             np.matmul(self.x, self.gemm, out=self.y)
-            out[:] = self.y.reshape(-1)[self.pad :]
+            out[:] = self._y_tail
 
     def solve(self, out: np.ndarray) -> None:
         """out = A^{-1} b / a for the b in rhs (out contiguous, length m)."""
         self._solve_stationary(out)
-        p = self.w.size
-        t = self.x.reshape(-1)[:p]
+        t = self._corner_scratch
+        p = t.size
         np.multiply(self.w, self.corner * out[0], out=t)
         np.subtract(out[:p], t, out=out[:p])
 

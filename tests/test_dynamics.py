@@ -280,9 +280,10 @@ class TestStepping:
 
     def test_non_finite_inhibitor_alone_detected(self):
         # v = -+1e103 on neighbouring nodes: v^3 overflows to +-inf there,
-        # and the solve's block products (0 * inf, inf - inf) spread NaN
-        # over every node of v; dt = 1e-104 keeps the activator's step
-        # dt * v at 0.1
+        # and the solve turns it into NaN (0 * inf, inf - inf), which the
+        # bound check catches wherever it lands; at n = 64, two blocks,
+        # it reaches every node of v. dt = 1e-104 keeps the activator's
+        # step dt * v at 0.1
         g = Grid(10.0, 64)
         vals = np.zeros(65)
         vals[10:12] = (-1e103, 1e103)
@@ -298,10 +299,10 @@ class TestStepping:
 
     def test_non_finite_state_detected(self):
         # Profile refuses a non-finite start, so make the first step NaN:
-        # the cubic overflows to +inf and -inf on neighbouring nodes, and
-        # the solve's block products (0 * inf, inf - inf) spread NaN over
-        # every node of u, and the inhibitor step takes it to every node
-        # of v
+        # the cubic overflows to +inf and -inf on neighbouring nodes, the
+        # solve turns it into NaN (0 * inf, inf - inf), and the bound
+        # check catches it wherever it lands; at n = 64, two blocks, it
+        # reaches every node of u, and the inhibitor step every node of v
         g = Grid(10.0, 64)
         vals = np.zeros(65)
         vals[10:12] = (-1e200, 1e200)
@@ -314,6 +315,26 @@ class TestStepping:
         assert exc.value.time == pytest.approx(0.01)
         assert np.all(np.isnan(u1[:-1]))
         assert np.all(np.isnan(v1[:-1]))
+
+    def test_non_finite_state_detected_on_flushed_scan(self):
+        # at d = 1e-6, dt = 0.01 the activator's multiplier (1.2e-3) flushes
+        # at the first carry level, which then scans nothing: a NaN from
+        # the overflowing cubic reaches only the blocks next to it, and
+        # the bound check catches it there
+        n = 4096
+        g = Grid(10.0, n)
+        vals = np.zeros(n + 1)
+        vals[1000:1002] = (-1e200, 1e200)
+        z = Profile(g, np.zeros(n + 1))
+        u0 = Profile(g, vals)
+        params = Params(d=1e-6, tau=1.0, gamma=0.3, beta=0.4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as exc:
+                evolve(params, u0, z, 0.01, 1.0)
+            (u1, _), = formula_snapshots(params, u0, z, 0.01, 1, 1)[1:]
+        assert exc.value.time == pytest.approx(0.01)
+        assert np.any(np.isnan(u1))
+        assert np.count_nonzero(np.isnan(u1)) <= 3 * 32
 
 
 class TestExport:

@@ -276,9 +276,17 @@ class TestSolveFactored:
     # the time-stepping coefficients 1/(dt d) and tau/dt + gamma at the
     # criterion-7 run (dt = 1e-3, d = 1e-6, gamma = 0.1), weak shifts, the
     # v operator of the dt = 1e-104 blow-up test, and sizes below, at and
-    # off the 32-unknown blocks of the stationary solve
-    @pytest.mark.parametrize("c", [1e9, 1000.1, 0.1, 1e-3, 1e104])
-    @pytest.mark.parametrize("m", [16, 17, 33, 64, 1000, 4096, 4097, 32768])
+    # off the 32-unknown blocks of the stationary solve. The carry scan's
+    # levels run to the first whose multiplier flushes to 0: c = 1e9
+    # flushes at level 0 (one multiply, no GEMM level), c = 1000.1 at
+    # m = 4096 at level 1 (multiplier 0.052, then flushed), and
+    # m = 131072 at c = 0.1 keeps three GEMM levels (0.9991, 0.971 and
+    # 0.387)
+    @pytest.mark.parametrize(
+        "m, c",
+        [(m, c) for m in (16, 17, 33, 64, 1000, 4096, 4097, 32768)
+         for c in (1e9, 1000.1, 0.1, 1e-3, 1e104)] + [(131072, 0.1)],
+    )
     def test_matches_unfactored_solve(self, m, c):
         h = 12.0 / m
         rhs = np.random.default_rng(m).standard_normal(m)
@@ -320,6 +328,23 @@ class TestSolveFactored:
         assert np.array_equal(solve_factored(factor, factor.rhs), ref)
         assert factor.rhs.shape == (m,)
         assert np.shares_memory(factor.rhs, factor.x)
+
+    @pytest.mark.parametrize("m", [17, 32768])
+    def test_shared_scratch_matches_own_scratch(self, m):
+        # a factor built over another's blocked scratch solves to the bits
+        # of one with its own, and the other factor's solves are unchanged
+        h = 12.0 / m
+        rhs = np.random.default_rng(m).standard_normal(m)
+        own_u = factor_shifted(1000.0, h, m, 1e-6)
+        own_v = factor_shifted(1000.1, h, m)
+        factor_u = factor_shifted(1000.0, h, m, 1e-6)
+        factor_v = operators.ShiftedFactor(1000.1, h, m, _scratch=factor_u.x)
+        assert factor_v.x is factor_u.x
+        for _ in range(2):
+            assert np.array_equal(solve_factored(factor_u, rhs), solve_factored(own_u, rhs))
+            assert np.array_equal(solve_factored(factor_v, rhs), solve_factored(own_v, rhs))
+        with pytest.raises(ValueError, match="scratch of shape"):
+            operators.ShiftedFactor(1000.1, h, m + 64, _scratch=factor_u.x)
 
     @pytest.mark.parametrize("a", [0.0, -1e-6, np.nan, np.inf])
     def test_diffusion_coefficient_validated(self, a):
