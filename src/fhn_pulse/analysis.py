@@ -564,10 +564,16 @@ def verify_inequality_suite(
         # cross-method agreement test against the Newton solve (the
         # half-line kernel sits above the truncated resolvent, which only
         # widens the upper margin). A sample with no negative node is its
-        # own positive part, whose response is N w
+        # own positive part, whose response is N w. The linear responses
+        # L(pos) and L(neg) are the cold starts of N(pos) and N(neg)
         pos = Profile(grid, np.maximum(w.values, 0.0))
         neg = Profile(grid, np.maximum(-w.values, 0.0))
-        n_pos = solve_inhibitor(pos, gamma).v if neg.values.any() else nw
+        lf = apply_green(GreenKind.L, pos, gamma)
+        lg = apply_green(GreenKind.L, neg, gamma)
+        if neg.values.any():
+            n_pos = solve_inhibitor(pos, gamma, v_linear=lf).v
+        else:
+            n_pos = nw
         if k < half:
             v = n_pos.values
             low = apply_green(GreenKind.L0, pos, gamma, method="quadrature").values
@@ -575,9 +581,7 @@ def verify_inequality_suite(
             margins["resolvent_sandwich"].append(
                 min(float(np.min(v - low)), float(np.min(high - v)))
             )
-        n_neg = solve_inhibitor(neg, gamma).v
-        lf = apply_green(GreenKind.L, pos, gamma)
-        lg = apply_green(GreenKind.L, neg, gamma)
+        n_neg = solve_inhibitor(neg, gamma, v_linear=lg).v
         w_nw = inner_l2(w, nw)
         rhs = (
             float(

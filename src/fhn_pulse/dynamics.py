@@ -20,9 +20,15 @@ right-hand side and four the v one.
 A step allocates no state-sized array. The two factors share one blocked
 scratch: each right-hand side is formed there, where solve_factored
 reads it, the u one read by its solve before the v one is formed. u and
-v are the two rows of one (2, n + 1) state array, solved into the rows
-of a second array, which is then swapped with the state, so the bound
-check is one max and one min over both fields.
+v are the two rows of one (2, n + 1) state array, and each solve writes
+its row in place: the old u is last read by the u right-hand side, the
+old v by the v one.
+
+The bound check, one max and one min over both fields, runs once per
+window of up to _CHECK_EVERY steps, not after every step. A passed check
+copies the state into a second array, the checkpoint; a failed one
+restores it and replays the window one checked step at a time, so a
+blow-up is reported at the same step as by a check after every step.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ from .grid import Grid, Profile, profile_to_csv
 from .model import Params, negative_tail_cutoff
 from .operators import ShiftedFactor, factor_shifted, solve_factored
 from .records import Record, write_json
+
+# steps between two bound checks of evolve; a failed check replays at
+# most this many steps
+_CHECK_EVERY = 64
 
 
 class BlowUpError(RuntimeError):
@@ -93,17 +103,28 @@ def evolve(
     the explicit terms u/dt + f(u) - v and (tau/dt) v - v^3 + u' written
     in Horner form. Each right-hand side is formed in place in the
     scratch `rhs` the two factors share, five passes for u and four for
-    v, and solve_factored reads it there and writes the solution into a
-    row of a preallocated (2, n + 1) buffer; the buffer then becomes the
-    state (u and v as its rows) and the old state the next buffer. The
-    trajectory is bit for bit that of the formulas above evaluated on
-    fresh arrays.
+    v, and solve_factored reads it there and writes the solution over
+    its field's row of the (2, n + 1) state. The trajectory is bit for
+    bit that of the formulas above evaluated on fresh arrays.
 
     Snapshots are copies, recorded at t = 0, every `snapshot_every` steps
     when positive, and at the final time. dt, t_final and their ratio
     must be positive and finite and snapshot_every nonnegative
     (ValueError otherwise). Raises BlowUpError when either field exceeds
     ten times the a-priori bound in either sign or stops being finite.
+
+    The bound is checked at the end of each window of steps: the first
+    step alone, then up to the next multiple of _CHECK_EVERY, the next
+    snapshot or the last step, whichever comes first. The unchecked
+    steps run with floating-point errors ignored, since a window that
+    leaves the bound may overflow. A failed check restores the state of
+    the window's start and replays the window, checking after every step
+    in the caller's error state, and raises at the first step out of
+    bound, with the time and message of a check after every step and the
+    warnings of the window's steps. A state that leaves the bound and
+    comes back inside one window is not caught. The start is not
+    checked, so it has a window of its own: a start outside the bound
+    whose first step is still outside fails at t = dt.
     """
     for name, value in (("dt", dt), ("t_final", t_final)):
         if not (value > 0.0 and math.isfinite(value)):
@@ -130,43 +151,67 @@ def evolve(
     shift_u = 1.0 / dt - beta
     shift_v = tau / dt
 
-    # rows u and v; the solves write the next state into `buf`
+    # u and v are the rows of one state array; a step overwrites each
+    # row with its solve once the row's old values have been read
     state = np.array([u_init.values, v_init.values], dtype=float)
     state[:, -1] = 0.0
-    buf = np.empty_like(state)
+    uu, vv = state[0, :-1], state[1, :-1]
 
-    times = [0.0]
-    snaps = [(Profile(grid, state[0].copy()), Profile(grid, state[1].copy()))]
-    start = state.copy()
-
-    for step in range(1, n_steps + 1):
+    def step() -> None:
         # u ((1/dt - beta) + u ((1 + beta) - u)) - v, in the formula's order
-        uu, vv = state[0, :-1], state[1, :-1]
         np.subtract(1.0 + beta, uu, out=b_u)
         np.multiply(uu, b_u, out=b_u)
         np.add(shift_u, b_u, out=b_u)
         np.multiply(uu, b_u, out=b_u)
         np.subtract(b_u, vv, out=b_u)
-        solve_factored(factor_u, b_u, out=buf[0])
-        # v (tau/dt - v v) + u'
-        np.multiply(vv, vv, out=b_v)
+        solve_factored(factor_u, b_u, out=state[0])
+        # v (tau/dt - v v) + u'; square rounds v v as multiply does, in
+        # about half the time of multiply(vv, vv) on this row
+        np.square(vv, out=b_v)
         np.subtract(shift_v, b_v, out=b_v)
         np.multiply(vv, b_v, out=b_v)
-        np.add(b_v, buf[0, :-1], out=b_v)
-        solve_factored(factor_v, b_v, out=buf[1])
-        state, buf = buf, state
+        np.add(b_v, uu, out=b_v)
+        solve_factored(factor_v, b_v, out=state[1])
 
-        t = step * dt
+    def in_bound() -> bool:
         # a NaN propagates through max and min and fails every comparison
-        if not (state.max() <= bound and state.min() >= -bound):
-            raise BlowUpError(t, bound)
+        return bool(state.max() <= bound and state.min() >= -bound)
 
-        if (snapshot_every > 0 and step % snapshot_every == 0) or step == n_steps:
-            times.append(t)
+    times = [0.0]
+    snaps = [(Profile(grid, state[0].copy()), Profile(grid, state[1].copy()))]
+    checkpoint = state.copy()  # the state at the last passed check
+
+    done = 0
+    while done < n_steps:
+        # a window ends at the next multiple of _CHECK_EVERY, the next
+        # snapshot or the last step; the first step is a window of its
+        # own, so a start outside the bound (which is not checked) fails
+        # at t = dt whenever its first step is still outside
+        stop = min(n_steps, (done // _CHECK_EVERY + 1) * _CHECK_EVERY) if done else 1
+        if snapshot_every > 0:
+            stop = min(stop, (done // snapshot_every + 1) * snapshot_every)
+        # a window that leaves the bound may overflow; it is replayed
+        with np.errstate(all="ignore"):
+            for _ in range(done, stop):
+                step()
+        if not in_bound():
+            # replay the window from its start, checking every step, in
+            # the caller's error state: the same steps, bits and warnings
+            # as a check after every step
+            np.copyto(state, checkpoint)
+            for k in range(done + 1, stop + 1):
+                step()
+                if not in_bound():
+                    raise BlowUpError(k * dt, bound)
+        np.copyto(checkpoint, state)
+        done = stop
+
+        if (snapshot_every > 0 and done % snapshot_every == 0) or done == n_steps:
+            times.append(done * dt)
             snaps.append((Profile(grid, state[0].copy()), Profile(grid, state[1].copy())))
 
-    u_drift = float(np.max(np.abs(state[0] - start[0])))
-    v_drift = float(np.max(np.abs(state[1] - start[1])))
+    u_drift = float(np.max(np.abs(state[0] - snaps[0][0].values)))
+    v_drift = float(np.max(np.abs(state[1] - snaps[0][1].values)))
     return Trajectory(
         params=params,
         grid=grid,

@@ -621,6 +621,7 @@ def solve_inhibitor(
     tol: float = 1e-11,
     max_iters: int = 50,
     v_init: Profile | None = None,
+    v_linear: Profile | None = None,
 ) -> InhibitorSolution:
     """Solve v'' - gamma v - v^3 + u = 0 with Neumann at 0 and the
     truncation Dirichlet condition, by damped Newton.
@@ -630,7 +631,10 @@ def solve_inhibitor(
     root w of w^3 + gamma w = gamma v_L: the local balance of the v^3 term
     that the linear response leaves out, so that it overshoots wherever |v|
     is O(1). That start saves about a third of the Newton steps of a cold
-    solve. Each Newton step solves the tridiagonal system
+    solve. A caller that has v_L already, as apply_green(GreenKind.L, u,
+    gamma), passes it as v_linear and the cold start is formed from it
+    without a second linear solve (at most one of v_init and v_linear;
+    ValueError otherwise). Each Newton step solves the tridiagonal system
     (-D2 + gamma + 3 v^2) delta = -residual and backtracks on the residual
     norm (Armijo on ||r||^2/2; the Newton direction is a descent direction
     for it at every iterate since the Jacobian is invertible), so the
@@ -651,10 +655,16 @@ def solve_inhibitor(
     m = len(uu)
 
     if v_init is not None:
+        if v_linear is not None:
+            raise ValueError("pass a warm start or a linear response, not both")
         if v_init.grid != grid:
             raise ValueError("warm start lives on a different grid")
         v = v_init.values.copy()
         v[-1] = 0.0
+    elif v_linear is not None:
+        if v_linear.grid != grid:
+            raise ValueError("linear response lives on a different grid")
+        v = _cubic_balance(v_linear.values, gamma)
     else:
         v = _cubic_balance(solve_shifted(gamma, uu, h), gamma)
 

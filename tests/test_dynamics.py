@@ -1,12 +1,14 @@
 """Semi-implicit evolution: exact invariants, the pulse as a fixed point,
 first-order accuracy in dt, the in-place step against the step written
 as formulas (bit for bit) and in its divided form (to roundoff), blow-up
-detection, and trajectory export."""
+detection, the windowed bound check against a check after every step,
+and trajectory export."""
 
 import json
 import pathlib
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +16,11 @@ import pytest
 from fhn_pulse import Grid, Params, Profile, dynamics, evolve
 from fhn_pulse.dynamics import BlowUpError, export_trajectory
 from fhn_pulse.grid import profile_from_csv
-from fhn_pulse.model import reaction_f
+from fhn_pulse.model import negative_tail_cutoff, reaction_f
 from fhn_pulse.operators import factor_shifted, solve_factored
 
 PARAMS = Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4)
+CHECK = dynamics._CHECK_EVERY  # steps between two of evolve's bound checks
 RELAX_STATE = (
     pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "relax_state.npz"
 )
@@ -74,10 +77,9 @@ class TestAccuracy:
         assert 1.7 <= e1 / e2 <= 2.3  # measured 1.993
 
 
-def formula_snapshots(params, u0, v0, dt, n_steps, snapshot_every):
-    """evolve's schedule with each step written as formulas on fresh
-    arrays and copying solves: the reference the in-place step must
-    reproduce bit for bit."""
+def formula_states(params, u0, v0, dt, n_steps):
+    """The start, then the state after each of n_steps steps, each step
+    written as formulas on fresh arrays with copying solves."""
     d, tau, gamma, beta = params.d, params.tau, params.gamma, params.beta
     h, m = u0.grid.h, u0.grid.n
     factor_u = factor_shifted(1.0 / dt, h, m, d)
@@ -85,15 +87,36 @@ def formula_snapshots(params, u0, v0, dt, n_steps, snapshot_every):
     u = np.array(u0.values)
     v = np.array(v0.values)
     u[-1] = v[-1] = 0.0
-    snaps = [(u, v)]
-    for step in range(1, n_steps + 1):
+    yield u, v
+    for _ in range(n_steps):
         rhs_u = u * ((1.0 / dt - beta) + u * ((1.0 + beta) - u)) - v
         u = solve_factored(factor_u, rhs_u[:-1])
         rhs_v = v * (tau / dt - v * v) + u
         v = solve_factored(factor_v, rhs_v[:-1])
-        if step % snapshot_every == 0 or step == n_steps:
-            snaps.append((u, v))
-    return snaps
+        yield u, v
+
+
+def formula_snapshots(params, u0, v0, dt, n_steps, snapshot_every):
+    """evolve's schedule on the formula step: the reference the in-place
+    step must reproduce bit for bit."""
+    return [
+        (u, v)
+        for step, (u, v) in enumerate(formula_states(params, u0, v0, dt, n_steps))
+        if step % snapshot_every == 0 or step == n_steps
+    ]
+
+
+def formula_blow_up_step(params, u0, v0, dt, n_steps):
+    """The first step whose state leaves evolve's bound (NaN included),
+    from the formula step checked after every step; None if none does."""
+    bound = 10.0 * (negative_tail_cutoff(params.beta, params.gamma) + 2.0)
+    states = formula_states(params, u0, v0, dt, n_steps)
+    next(states)
+    for step, (u, v) in enumerate(states, start=1):
+        for x in (u, v):
+            if not (x.max() <= bound and x.min() >= -bound):
+                return step
+    return None
 
 
 def divided_formula_snapshots(params, u0, v0, dt, n_steps, snapshot_every):
@@ -142,7 +165,7 @@ class TestInPlaceStep:
             assert np.array_equal(u.values, u_ref)
             assert np.array_equal(v.values, v_ref)
         # the state moves between snapshots, and no snapshot shares memory
-        # with another, so a snapshot aliasing a swapped buffer (written
+        # with another, so a snapshot aliasing the state (written
         # by a later step) would have failed the comparisons above
         arrays = [p.values for pair in traj.snapshots for p in pair]
         for a, b in zip(ref, ref[1:]):
@@ -172,11 +195,14 @@ class TestInPlaceStep:
 class TestStepAllocation:
     def test_step_allocates_no_state_array(self, monkeypatch):
         # evolve's step forms each right-hand side in its factor's scratch
-        # and solves it into a preallocated buffer, so it allocates no
-        # state-sized array (8 (n + 1) = 256 KiB here). The peak is taken
-        # over steps 2..51, from the first solve_factored call of step 2
-        # to the first of step 52.
+        # and solves it over its row of the state, and its bound check and
+        # checkpoint copy work on preallocated arrays, so it allocates no
+        # state-sized array (8 (n + 1) = 256 KiB here). The peak is
+        # taken over steps 2..2 CHECK + 3, from the first solve_factored
+        # call of step 2 to the first of step 2 CHECK + 4, which holds the
+        # checks after steps CHECK and 2 CHECK.
         n = 32768
+        n_steps = 2 * CHECK + 10
         calls = []
         marks = {}
 
@@ -185,7 +211,7 @@ class TestStepAllocation:
             if len(calls) == 3:
                 tracemalloc.reset_peak()
                 marks["start"] = tracemalloc.get_traced_memory()[0]
-            elif len(calls) == 103:
+            elif len(calls) == 2 * (2 * CHECK + 3) + 1:
                 marks["peak"] = tracemalloc.get_traced_memory()[1]
             return solve_factored(*args, **kwargs)
 
@@ -193,10 +219,10 @@ class TestStepAllocation:
         u0, v0 = gaussian_state(Grid(10.0, n))
         tracemalloc.start()
         try:
-            evolve(PARAMS, u0, v0, dt=1e-3, t_final=0.06)
+            evolve(PARAMS, u0, v0, dt=1e-3, t_final=n_steps * 1e-3)
         finally:
             tracemalloc.stop()
-        assert len(calls) == 120
+        assert len(calls) == 2 * n_steps
         assert marks["peak"] - marks["start"] <= 64 * 1024
 
 
@@ -256,12 +282,17 @@ class TestStepping:
         with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
             evolve(PARAMS, u0, v0, **args)
 
-    def test_blow_up_detected(self):
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+    def test_blow_up_detected(self, sign):
+        # the start at +-100 leaves the bound in its first step and would
+        # overflow over the next ones: BlowUpError, and no warning
         g = Grid(10.0, 64)
-        big = Profile(g, np.full(65, 100.0))
+        big = Profile(g, np.full(65, sign * 100.0))
         z = Profile(g, np.zeros(65))
-        with pytest.raises(BlowUpError) as exc:
-            evolve(Params(d=0.01, tau=1.0, gamma=0.1, beta=0.4), big, z, 0.01, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as exc:
+                evolve(Params(d=0.01, tau=1.0, gamma=0.1, beta=0.4), big, z, 0.01, 1.0)
         assert exc.value.time == pytest.approx(0.01)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
@@ -335,6 +366,122 @@ class TestStepping:
         assert exc.value.time == pytest.approx(0.01)
         assert np.any(np.isnan(u1))
         assert np.count_nonzero(np.isnan(u1)) <= 3 * 32
+
+
+# A flat start at eps in the activator, 0 in the inhibitor: at dt = 3 the
+# rest state is unstable for the step map (about 4.3-fold per step, with
+# flipping sign), so the first step out of bound falls later the smaller
+# eps is, from step 1 at eps = 5 to step ~460 at eps = 1e-290
+LADDER_DT = 3.0
+LADDER_GRID = Grid(10.0, 64)
+LADDER_SNAPSHOTS = 50  # not a multiple of CHECK
+LADDER_STEPS = 2 * CHECK + 12  # a multiple of neither
+LADDER_TARGETS = [1, 2, CHECK - 1, CHECK, CHECK + 1, LADDER_SNAPSHOTS, LADDER_STEPS]
+
+
+def ladder_start(eps):
+    return Profile(LADDER_GRID, np.full(65, eps)), Profile(LADDER_GRID, np.zeros(65))
+
+
+def ladder_blow_up_step(eps):
+    with np.errstate(all="ignore"):
+        return formula_blow_up_step(PARAMS, *ladder_start(eps), LADDER_DT, LADDER_STEPS)
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """For each target step k, an eps whose first step out of bound is k
+    under the per-step formula reference, by bisection on log10 eps."""
+    found = {}
+    for k in LADDER_TARGETS:
+        lo, hi = -300.0, 1.0
+        for _ in range(60):
+            eps = 10.0 ** ((lo + hi) / 2.0)
+            step = ladder_blow_up_step(eps)
+            if step == k:
+                found[k] = eps
+                break
+            if step is None or step > k:
+                lo = (lo + hi) / 2.0
+            else:
+                hi = (lo + hi) / 2.0
+        assert k in found, f"no ladder start fails first at step {k}"
+    return found
+
+
+def window_around(k, snapshot_every, n_steps):
+    """The (start, end] of evolve's check window that holds step k: the
+    first step alone, then windows ending at multiples of CHECK, at
+    snapshots and at the last step."""
+    ends = {1, n_steps, *range(CHECK, n_steps, CHECK)}
+    if snapshot_every:
+        ends.update(range(snapshot_every, n_steps, snapshot_every))
+    ends = sorted(ends)
+    end = min(e for e in ends if e >= k)
+    return max([0] + [e for e in ends if e < k]), end
+
+
+class TestWindowedCheck:
+    # evolve checks the bound once per window and replays a failed window
+    # step by step; each blow-up must be the per-step code's
+
+    @pytest.mark.parametrize("snapshot_every", [0, LADDER_SNAPSHOTS])
+    @pytest.mark.parametrize("k", LADDER_TARGETS)
+    def test_blow_up_step_matches_per_step_check(
+        self, ladder, monkeypatch, k, snapshot_every
+    ):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return solve_factored(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_factored", counted)
+        u0, v0 = ladder_start(ladder[k])
+        bound = 10.0 * (negative_tail_cutoff(PARAMS.beta, PARAMS.gamma) + 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as exc:
+                evolve(PARAMS, u0, v0, LADDER_DT, LADDER_STEPS * LADDER_DT,
+                       snapshot_every=snapshot_every)
+        assert exc.value.time == k * LADDER_DT
+        assert str(exc.value) == str(BlowUpError(k * LADDER_DT, bound))
+        # the window holding step k ran to its end, then replayed up to k
+        start, end = window_around(k, snapshot_every, LADDER_STEPS)
+        assert 0 < k - start <= CHECK
+        assert len(calls) == 2 * (end + k - start)
+
+    def test_unchecked_steps_leak_no_warnings(self, ladder):
+        # from the step-2 start the formula steps of the window [2, CHECK]
+        # overflow, warn and end on NaN, which the window's check must
+        # catch; evolve runs them unchecked with errors ignored, and its
+        # replay stops at step 2, before the overflow, so with warnings as
+        # errors it raises BlowUpError and nothing else
+        u0, v0 = ladder_start(ladder[2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            states = list(formula_states(PARAMS, u0, v0, LADDER_DT, CHECK))
+        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert np.isnan(states[CHECK][0]).any() or np.isnan(states[CHECK][1]).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as exc:
+                evolve(PARAMS, u0, v0, LADDER_DT, 2 * CHECK * LADDER_DT)
+        assert exc.value.time == 2 * LADDER_DT
+
+    def test_start_outside_bound_fails_after_one_step(self):
+        # a start at 100 with dt = 1e-5 is still past the bound 32.1 after
+        # one step (about 90) but decays back inside it before step CHECK,
+        # so only a check after the first step sees it
+        g = Grid(10.0, 64)
+        big = Profile(g, np.full(65, 100.0))
+        z = Profile(g, np.zeros(65))
+        states = list(formula_states(PARAMS, big, z, 1e-5, CHECK))
+        assert formula_blow_up_step(PARAMS, big, z, 1e-5, CHECK) == 1
+        assert np.max(np.abs(states[CHECK][0])) < 32.0
+        with pytest.raises(BlowUpError) as exc:
+            evolve(PARAMS, big, z, 1e-5, 2 * CHECK * 1e-5)
+        assert exc.value.time == 1e-5
 
 
 class TestExport:

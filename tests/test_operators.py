@@ -566,6 +566,29 @@ class TestSolveInhibitor:
         assert warm.newton_iters <= 1
         assert np.allclose(warm.v.values, cold.v.values, atol=1e-9)
 
+    def test_linear_response_start_is_the_cold_start(self, monkeypatch):
+        # the caller's L u is the linear solve a cold start makes, so the
+        # solve takes the same steps to the same bits, with no linear solve
+        w = bump_profile(GRID, 9, lo=-1.0, hi=1.0)
+        cold = solve_inhibitor(w, GAMMA)
+        lw = apply_green(GreenKind.L, w, GAMMA)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return solve_shifted(*args)
+
+        monkeypatch.setattr(operators, "solve_shifted", counted)
+        started = solve_inhibitor(w, GAMMA, v_linear=lw)
+        assert calls == []
+        assert started.newton_iters == cold.newton_iters > 0
+        assert np.array_equal(started.v.values, cold.v.values)
+        with pytest.raises(ValueError, match="not both"):
+            solve_inhibitor(w, GAMMA, v_init=cold.v, v_linear=lw)
+        other = Grid(GRID.x_max, 2 * GRID.n)
+        with pytest.raises(ValueError, match="different grid"):
+            solve_inhibitor(w, GAMMA, v_linear=Profile(other, np.zeros(other.n + 1)))
+
     def test_nonconvergence_reported(self):
         # a miss raises with the interior residual of the last iterate, here
         # the cold start
