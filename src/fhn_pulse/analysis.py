@@ -466,52 +466,36 @@ _SUITE_CHECKS: tuple[tuple[str, bool, str | None], ...] = (
 )
 
 
-def verify_inequality_suite(
-    params: Params,
-    grid: Grid,
-    n_samples: int = 100,
-    seed: int = 0,
-    tol: float = 1e-6,
-) -> InequalitySuiteReport:
-    """Randomized verification of the operator and energy inequalities.
+def _pair_margins(
+    prev: tuple[Profile, ...], cur: tuple[Profile, ...], lip_const: float
+) -> tuple[float, float]:
+    """response_lipschitz and nonlocal_difference_positive margins of two
+    consecutive samples, each given as (w, N w, s, N s)."""
+    w0, nw0, s0, ns0 = prev
+    w1, nw1, s1, ns1 = cur
+    grid = w1.grid
+    # Lipschitz continuity between the smooth samples
+    ds = Profile(grid, s1.values - s0.values)
+    dns = Profile(grid, ns1.values - ns0.values)
+    lipschitz = lip_const * norm_l2(ds) - norm_h1(dns)
+    # nonlocal positivity, difference form, on the admissible samples
+    dw = Profile(grid, w1.values - w0.values)
+    dnw = Profile(grid, nw1.values - nw0.values)
+    return lipschitz, inner_l2(dw, dnw)
 
-    Draws n_samples seeded admissible profiles (plus smooth unconstrained
-    ones) and checks: the H1 bound and Lipschitz continuity of the inhibitor
-    response, its monotonicity, the resolvent sandwich for nonnegative
-    input, the pointwise response bounds on admissible input, resolvent
-    self-adjointness, positivity of the nonlocal quadratic form (both the
-    plain and difference forms), the positive/negative-part decomposition
-    lower bound, the two-form energy identity, the response-energy identity,
-    the competitor gap against -M0, and the energy lower bound -M1. A
-    grid-refinement order check for the two resolvent code paths runs on
-    three analytic bump profiles.
 
-    One seeded generator feeds every sample where it is used. One pass
-    over k draws admissible sample k, then smooth sample k, then (for k <
-    n_samples // 2) the monotonicity bump, solves their responses and
-    records their margins; the ladder's three (center, width) pairs are
-    drawn after the pass. The pair checks keep only the previous sample, so
-    the suite holds a fixed number of state-sized arrays whatever n_samples
-    is.
+def _sample_range(
+    params: Params, grid: Grid, n_samples: int, seed: int, lo: int, hi: int
+):
+    """Margins of the suite's samples lo..hi-1 (lo even).
 
-    The competitor gap lemma is carried by competitor_gap_closed_form, the
-    closed-form bound chain. competitor_gap_on_grid evaluates the same
-    competitor q0(a_q0, b_q0) at d = d0 on the grid, as a cross-check that
-    depends on resolution: its ramp [a_q0, b_q0] is far narrower than any
-    grid spacing a run can afford (a ~ 8e-7 at the criterion-2 parameters,
-    against h = 7.3e-3 at n = 4096), so on the grid q0 is a one-node spike
-    whose energy scales with h, and the check fails on coarse grids (n =
-    256 there) where no inequality is violated. Its detail prints [a, b]
-    and h.
-
-    solve_inhibitor's InhibitorError passes through when any inhibitor
-    solve of the suite falls short of tolerance, before that response
-    feeds a margin.
-    """
-    if grid.n < _MIN_SAMPLE_NODES:
-        raise ValueError(
-            f"the inequality suite needs n >= {_MIN_SAMPLE_NODES}, got n = {grid.n}"
-        )
+    Draws every sample k < hi from the generator seeded by seed, in the
+    suite's order; the samples before lo are drawn and skipped, not
+    solved. Returns the margins in sample order (the pairs inside the
+    range only), the generator's state at hi, and the (w, N w, s, N s) of
+    the range's first and last samples, from which _join_ranges forms the
+    pair that straddles two adjacent ranges. No self-adjoint pair (k - 1,
+    k), k odd, straddles an even lo."""
     rng = np.random.default_rng(seed)
     beta, gamma = params.beta, params.gamma
     consts = compute_constants(beta, gamma)
@@ -521,37 +505,41 @@ def verify_inequality_suite(
     half = n_samples // 2
     span = grid.x_max / 2.0
 
-    # each check's margins, and its detail where the run formats it
     margins: dict[str, list[float]] = {name: [] for name, _, _ in _SUITE_CHECKS}
-    details: dict[str, str] = {}
-    prev_w = prev_nw = prev_s = prev_ns = None
-    for k in range(n_samples):
-        # admissible sample w and smooth sample s, with responses N w, N s
+    first = prev = prev_ls = None
+    for k in range(hi):
+        # admissible sample w, smooth sample s and, for k < n_samples // 2,
+        # the monotonicity bump
         w = random_admissible_profile(rng, grid, beta, M)
-        nw = solve_inhibitor(w, gamma).v
         s = Profile(grid, random_bumps(rng, grid, span))
-        ns = solve_inhibitor(s, gamma).v
+        bump = np.abs(random_bumps(rng, grid, span)) if k < half else None
+        if k < lo:
+            continue
+
+        # each linear response is solved once. L(pos) and L(neg) start N(pos)
+        # and N(neg); a sample with no negative node is its own positive
+        # part, whose L(pos) starts N w and whose N(pos) is N w. L(s) starts
+        # N s and serves the self-adjoint pair
+        pos = Profile(grid, np.maximum(w.values, 0.0))
+        neg = Profile(grid, np.maximum(-w.values, 0.0))
+        has_neg = bool(neg.values.any())
+        lf = apply_green(GreenKind.L, pos, gamma)
+        lg = apply_green(GreenKind.L, neg, gamma)
+        nw = solve_inhibitor(w, gamma, v_linear=None if has_neg else lf).v
+        ls = apply_green(GreenKind.L, s, gamma)
+        ns = solve_inhibitor(s, gamma, v_linear=ls).v
 
         # H1 bound of the response on smooth input
         margins["response_h1_bound"].append(lip_const * norm_l2(s) - norm_h1(ns))
-        if k > 0:
-            # Lipschitz continuity between consecutive smooth samples
-            ds = Profile(grid, s.values - prev_s.values)
-            dns = Profile(grid, ns.values - prev_ns.values)
-            margins["response_lipschitz"].append(
-                lip_const * norm_l2(ds) - norm_h1(dns)
-            )
         if k % 2 == 1:
-            # self-adjointness of the linear resolvent on the pair (k-1, k)
-            l_s = apply_green(GreenKind.L, s, gamma)
-            l_prev = apply_green(GreenKind.L, prev_s, gamma)
+            # self-adjointness of the linear resolvent on the pair (k-1, k),
+            # where prev[2] is s of sample k - 1
             margins["resolvent_self_adjoint"].append(
-                -abs(inner_l2(prev_s, l_s) - inner_l2(s, l_prev))
+                -abs(inner_l2(prev[2], ls) - inner_l2(s, prev_ls))
             )
 
-        if k < half:
+        if bump is not None:
             # monotonicity: w and w minus a nonnegative bump
-            bump = np.abs(random_bumps(rng, grid, span))
             n_low = solve_inhibitor(Profile(grid, w.values - bump), gamma).v
             margins["response_monotone"].append(
                 float(np.min(nw.values - n_low.values))
@@ -563,18 +551,9 @@ def verify_inequality_suite(
         # bounds go through the quadrature kernels so it doubles as a
         # cross-method agreement test against the Newton solve (the
         # half-line kernel sits above the truncated resolvent, which only
-        # widens the upper margin). A sample with no negative node is its
-        # own positive part, whose response is N w. The linear responses
-        # L(pos) and L(neg) are the cold starts of N(pos) and N(neg)
-        pos = Profile(grid, np.maximum(w.values, 0.0))
-        neg = Profile(grid, np.maximum(-w.values, 0.0))
-        lf = apply_green(GreenKind.L, pos, gamma)
-        lg = apply_green(GreenKind.L, neg, gamma)
-        if neg.values.any():
-            n_pos = solve_inhibitor(pos, gamma, v_linear=lf).v
-        else:
-            n_pos = nw
-        if k < half:
+        # widens the upper margin)
+        n_pos = solve_inhibitor(pos, gamma, v_linear=lf).v if has_neg else nw
+        if bump is not None:
             v = n_pos.values
             low = apply_green(GreenKind.L0, pos, gamma, method="quadrature").values
             high = apply_green(GreenKind.L, pos, gamma, method="quadrature").values
@@ -600,12 +579,8 @@ def verify_inequality_suite(
             min(float(np.min(vv + M + 1.0)), float(np.min(1.0 - vv)))
         )
 
-        # nonlocal positivity, both forms
+        # nonlocal positivity
         margins["nonlocal_positive"].append(w_nw)
-        if k > 0:
-            dw = Profile(grid, w.values - prev_w.values)
-            dnw = Profile(grid, vv - prev_nw.values)
-            margins["nonlocal_difference_positive"].append(inner_l2(dw, dnw))
 
         # energy two-form identity, the energy lower bound -M1 and the
         # response-energy identity, from the sample's response: a solve
@@ -620,7 +595,157 @@ def verify_inequality_suite(
         )
         margins["response_energy_identity"].append(-abs(w_nw - rhs))
 
-        prev_w, prev_nw, prev_s, prev_ns = w, nw, s, ns
+        cur = (w, nw, s, ns)
+        if k == lo:
+            first = cur
+        else:
+            lipschitz, difference = _pair_margins(prev, cur, lip_const)
+            margins["response_lipschitz"].append(lipschitz)
+            margins["nonlocal_difference_positive"].append(difference)
+        prev, prev_ls = cur, ls
+
+    return margins, rng.bit_generator.state, first, prev
+
+
+def _join_ranges(low, high, lip_const: float):
+    """Margins of two adjacent _sample_range results in sample order, with
+    the pair that straddles their split, and the generator state at the
+    end of the second."""
+    margins, _, _, last = low
+    high_margins, state, first, _ = high
+    lipschitz, difference = _pair_margins(last, first, lip_const)
+    margins["response_lipschitz"].append(lipschitz)
+    margins["nonlocal_difference_positive"].append(difference)
+    for name, values in high_margins.items():
+        margins[name].extend(values)
+    return margins, state
+
+
+def _in_two_processes(low, high):
+    """(low(), high()), with high() run in a child forked for it while this
+    process runs low().
+
+    The child sends its pickled result, or the exception it raised, down a
+    pipe and leaves by os._exit on every path, so it runs none of this
+    process's exit handlers and flushes none of its buffers. An exception
+    of high() is raised here once low() has returned; one of low() (or an
+    interrupt) kills and reaps the child before it propagates, so low()'s
+    error wins when both fail. A child that dies without a result raises
+    RuntimeError."""
+    import os
+    import pickle
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, high())
+            except Exception as err:
+                outcome = (False, err)
+            data = pickle.dumps(outcome)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            low_result = low()
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise RuntimeError(f"the suite's second process exited with status {status}")
+    # bytes that the forked copy of this program wrote
+    ok, high_result = pickle.loads(data)
+    if not ok:
+        raise high_result
+    return low_result, high_result
+
+
+def verify_inequality_suite(
+    params: Params,
+    grid: Grid,
+    n_samples: int = 100,
+    seed: int = 0,
+    tol: float = 1e-6,
+) -> InequalitySuiteReport:
+    """Randomized verification of the operator and energy inequalities.
+
+    Draws n_samples seeded admissible profiles (plus smooth unconstrained
+    ones) and checks: the H1 bound and Lipschitz continuity of the inhibitor
+    response, its monotonicity, the resolvent sandwich for nonnegative
+    input, the pointwise response bounds on admissible input, resolvent
+    self-adjointness, positivity of the nonlocal quadratic form (both the
+    plain and difference forms), the positive/negative-part decomposition
+    lower bound, the two-form energy identity, the response-energy identity,
+    the competitor gap against -M0, and the energy lower bound -M1. A
+    grid-refinement order check for the two resolvent code paths runs on
+    three analytic bump profiles.
+
+    One seeded generator feeds every sample where it is used. Sample k is
+    admissible sample w, then smooth sample s, then (for k < n_samples //
+    2) the monotonicity bump; the ladder's three (center, width) pairs are
+    drawn after the last sample. The pair checks keep only the previous
+    sample, so the suite holds a fixed number of state-sized arrays
+    whatever n_samples is.
+
+    Where two CPUs are usable (os.sched_getaffinity) and n_samples >= 4,
+    the suite uses two processes: a child forked for it solves the samples
+    from a = 2 (n_samples // 4) on, drawing and skipping the ones before,
+    while this process solves samples 0..a-1; this process then forms the
+    pair (a - 1, a) and draws the ladder from the child's generator state.
+    Each margin is the same arithmetic on the same samples either way, so
+    the report's bytes do not depend on the split or on the CPU count.
+    Spans that a tracer records in this process cover only its own half.
+
+    The competitor gap lemma is carried by competitor_gap_closed_form, the
+    closed-form bound chain. competitor_gap_on_grid evaluates the same
+    competitor q0(a_q0, b_q0) at d = d0 on the grid, as a cross-check that
+    depends on resolution: its ramp [a_q0, b_q0] is far narrower than any
+    grid spacing a run can afford (a ~ 8e-7 at the criterion-2 parameters,
+    against h = 7.3e-3 at n = 4096), so on the grid q0 is a one-node spike
+    whose energy scales with h, and the check fails on coarse grids (n =
+    256 there) where no inequality is violated. Its detail prints [a, b]
+    and h.
+
+    solve_inhibitor's InhibitorError passes through when any inhibitor
+    solve of the suite falls short of tolerance, before that response
+    feeds a margin; a child's error is raised in this process, and when
+    both halves fail, the lower half's error is raised, as in a run on one
+    CPU.
+    """
+    if grid.n < _MIN_SAMPLE_NODES:
+        raise ValueError(
+            f"the inequality suite needs n >= {_MIN_SAMPLE_NODES}, got n = {grid.n}"
+        )
+    beta, gamma = params.beta, params.gamma
+    consts = compute_constants(beta, gamma)
+
+    def sample_range(lo: int, hi: int):
+        return _sample_range(params, grid, n_samples, seed, lo, hi)
+
+    import os
+
+    split = n_samples // 4 * 2
+    if split and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        low, high = _in_two_processes(
+            lambda: sample_range(0, split), lambda: sample_range(split, n_samples)
+        )
+        margins, state = _join_ranges(low, high, max(1.0, 1.0 / gamma))
+    else:
+        margins, state, _, _ = sample_range(0, n_samples)
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.state = state
+    details: dict[str, str] = {}
 
     # closed-form competitor gap: the bound chain lands exactly on -M0
     ub = q0_energy_upper_bound(consts.d0, beta, gamma, consts.a_q0, consts.b_q0)

@@ -12,8 +12,10 @@ tridiagonal. With a per-node c (a Newton step) a solve runs LAPACK dptsv
 in place on the diagonal and off-diagonal. With a scalar c (a linear
 response, a cold start) it runs dpttrs on the dpttrf factor of the
 matrix, kept read-only in a one-entry cache keyed by (c, h, m): runs of
-scalar solves on one key reuse it (750 of the 760 in a 100-sample
-inequality suite at n = 4096), and dptsv is dpttrf followed by dpttrs
+scalar solves on one key reuse it (426 of the 436 in a 100-sample
+inequality suite at n = 4096, seed 1, on one CPU; the other 10 are the
+first solve and the refinement ladder's, which change the shift and n),
+and dptsv is dpttrf followed by dpttrs
 (Anderson et al., LAPACK Users' Guide, 1999), so the cached factor
 gives the same bits. The fixed operators of
 time stepping, a (-D2) + c with scalars a and c, are factored once by

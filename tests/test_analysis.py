@@ -1,10 +1,16 @@
 """Linearization eigen-structure, decay fitting, the first-integral check,
 pulse property verification, and the randomized inequality suite."""
 
+import collections
 import dataclasses
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,7 +29,7 @@ from fhn_pulse import (
     linearize,
     verify_inequality_suite,
 )
-from fhn_pulse import analysis, energy
+from fhn_pulse import analysis, energy, operators
 from fhn_pulse.admissible import project
 from fhn_pulse.analysis import (
     default_decay_window,
@@ -34,6 +40,14 @@ from fhn_pulse.model import negative_tail_cutoff
 from fhn_pulse.operators import InhibitorError
 
 REF = Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4)
+
+
+def usable_cpus(monkeypatch, count):
+    """Make os.sched_getaffinity report count CPUs, which decides whether
+    the inequality suite forks."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
 
 
 class TestLinearize:
@@ -373,12 +387,16 @@ class TestInequalitySuite:
         matches = [np.array_equal(values, first_smooth) for values in inputs]
         assert matches.count(True) == 1 and matches[-1]
 
-    def test_each_distinct_input_solved_once(self, monkeypatch):
-        calls = {"suite": 0, "energy": 0}
+    def test_each_distinct_input_solved_once(self, monkeypatch, tmp_path):
+        # the suite runs in two processes here, so each call appends a line
+        # naming its kind and process to a file both of them write
+        log = tmp_path / "calls"
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                if key != "linear" or np.ndim(args[0]) == 0:
+                    with open(log, "a") as f:
+                        f.write(f"{key} {os.getpid()}\n")
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -389,10 +407,17 @@ class TestInequalitySuite:
         monkeypatch.setattr(
             energy, "solve_inhibitor", counted("energy", energy.solve_inhibitor)
         )
+        monkeypatch.setattr(
+            operators, "solve_shifted", counted("linear", operators.solve_shifted)
+        )
+        usable_cpus(monkeypatch, 2)
         params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
         samples, grid = 10, Grid(30.0, 512)
         M = compute_constants(params.beta, params.gamma).M
         report = verify_inequality_suite(params, grid, samples, seed=0)
+        lines = [line.split() for line in log.read_text().splitlines()]
+        calls = collections.Counter(key for key, _ in lines)
+        assert len({pid for _, pid in lines}) == 2
         # each admissible and smooth sample, half the admissible ones minus
         # a bump (monotonicity), and each admissible sample's negative part
         # and, when it has a negative node, its positive part: the sandwich
@@ -411,6 +436,11 @@ class TestInequalitySuite:
         # the admissible samples' energies reuse their responses: the
         # competitor on the grid is the one energy that solves
         assert calls["energy"] == 1
+        # each of those solves starts from the one linear solve of its
+        # input (L(pos) serves w itself when w has no negative node, and
+        # L(s) also serves the self-adjoint pairs), and the ladder solves
+        # its 3 bumps on 3 grids
+        assert calls["linear"] == expected + 1 + 9
         assert [c.name for c in report.checks] == [
             "response_h1_bound",
             "response_lipschitz",
@@ -561,3 +591,115 @@ class TestInequalitySuite:
             want = old_bumps(old, 10.0)
             assert np.array_equal(random_bumps(new, grid, span=10.0), want)
             assert old.bit_generator.state == new.bit_generator.state
+
+
+class TestTwoProcessSuite:
+    """Where two CPUs are usable, a forked child solves the second half of
+    the suite's samples; the report must not show it."""
+
+    PARAMS = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
+
+    def test_ranges_join_at_every_even_split(self):
+        grid, n, seed = Grid(30.0, 256), 7, 3
+        whole, state, _, _ = analysis._sample_range(self.PARAMS, grid, n, seed, 0, n)
+        assert len(whole["response_lipschitz"]) == n - 1
+        for split in (2, 4, 6):
+            low = analysis._sample_range(self.PARAMS, grid, n, seed, 0, split)
+            high = analysis._sample_range(self.PARAMS, grid, n, seed, split, n)
+            margins, joined_state = analysis._join_ranges(low, high, 1.0 / 0.3)
+            assert margins == whole, split
+            assert joined_state == state, split
+
+    def test_forked_report_equals_one_cpu_report(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        grid = Grid(30.0, 1024)
+        reports = []
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            report = verify_inequality_suite(self.PARAMS, grid, 10, seed=5)
+            reports.append((json.dumps(report.to_dict()), report.to_text()))
+            assert len(forks) == 1
+        assert reports[0] == reports[1]
+        assert reports[0][1].splitlines()[-1] == "overall: pass"
+
+    def test_child_error_raised_here(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        parent, solve = os.getpid(), analysis.solve_inhibitor
+
+        def failing_in_child(u, *args, **kwargs):
+            if os.getpid() != parent:
+                raise InhibitorError(
+                    "inhibitor solve failed: residual 2.500e-03 after 50 Newton steps"
+                )
+            return solve(u, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve_inhibitor", failing_in_child)
+        with pytest.raises(InhibitorError, match=r"residual 2\.500e-03 after 50"):
+            verify_inequality_suite(self.PARAMS, Grid(30.0, 256), 8, seed=0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("child", ["sleeps", "fails"])
+    def test_parent_error_kills_and_reaps_child(self, monkeypatch, child):
+        # a child still solving is killed, not waited for; when both halves
+        # fail, the lower half's error is the one raised
+        usable_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def failing(u, *args, **kwargs):
+            if os.getpid() == parent:
+                raise InhibitorError("lower half failed")
+            if child == "sleeps":
+                time.sleep(60.0)
+            raise InhibitorError("upper half failed")
+
+        monkeypatch.setattr(analysis, "solve_inhibitor", failing)
+        start = time.monotonic()
+        with pytest.raises(InhibitorError, match="lower half failed"):
+            verify_inequality_suite(self.PARAMS, Grid(30.0, 256), 8, seed=0)
+        assert time.monotonic() - start < 30.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unpinned_blas_threads_keep_digest(self):
+        # the child is forked from a process whose BLAS worker threads are
+        # running; it must neither hang nor change a bit of the report
+        # that test_report_digest pins
+        code = (
+            "import hashlib, json, os\n"
+            "import numpy as np\n"
+            "a = np.ones((600, 600)); a @ a\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from fhn_pulse import Grid, Params, verify_inequality_suite\n"
+            "params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)\n"
+            "report = verify_inequality_suite(params, Grid(30.0, 512), 7, seed=3)\n"
+            "text = json.dumps(report.to_dict(), sort_keys=True)\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, check=True, timeout=120,
+        )
+        threads, digest = proc.stdout.split()
+        if (os.cpu_count() or 1) > 1:
+            assert int(threads) > 1
+        assert digest == (
+            "fc9ed0127fb6c40bb29756d394a3f9c1c801addbcf017b960ebd0f7640a2af7b"
+        )
