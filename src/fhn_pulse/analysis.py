@@ -411,23 +411,41 @@ class InequalitySuiteReport(Record):
         return "\n".join(lines)
 
 
+def _draw_bumps(rng: np.random.Generator, span: float) -> list[tuple[float, float, float]]:
+    """The scalars of random_bumps, in its draw order: the bump count,
+    then each bump's center in [0, span], width and amplitude."""
+    return [
+        (rng.uniform(0.0, span), rng.uniform(0.3, 1.5), rng.uniform(-1.5, 1.5))
+        for _ in range(int(rng.integers(3, 7)))
+    ]
+
+
+def _sum_bumps(x: np.ndarray, bumps: list[tuple[float, float, float]]) -> np.ndarray:
+    """The Gaussians of _draw_bumps summed on the nodes x."""
+    out = np.zeros_like(x)
+    for c, width, amp in bumps:
+        out += amp * np.exp(-((x - c) ** 2) / (2.0 * width**2))
+    return out
+
+
 def random_bumps(rng: np.random.Generator, grid: Grid, span: float) -> np.ndarray:
     """Smooth random superposition of 3-6 Gaussians supported (to machine
     precision) inside [0, span]: draws the bump count, then each bump's
     center in [0, span], width and amplitude."""
-    x = grid.nodes()
-    out = np.zeros_like(x)
-    for _ in range(int(rng.integers(3, 7))):
-        c, width, amp = (
-            rng.uniform(0.0, span), rng.uniform(0.3, 1.5), rng.uniform(-1.5, 1.5)
-        )
-        out += amp * np.exp(-((x - c) ** 2) / (2.0 * width**2))
-    return out
+    return _sum_bumps(grid.nodes(), _draw_bumps(rng, span))
 
 
 # random_admissible_profile draws its crossing indices from ranges that are
 # empty on a grid of fewer nodes
 _MIN_SAMPLE_NODES = 30
+
+
+def _draw_crossings(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """The crossing indices i1 < i2 of random_admissible_profile on n
+    intervals, drawn in that order."""
+    i1 = int(rng.integers(max(4, n // 40), n // 6))
+    i2 = int(rng.integers(i1 + max(4, n // 40), n // 3))
+    return i1, i2
 
 
 def random_admissible_profile(
@@ -436,9 +454,7 @@ def random_admissible_profile(
     """Seeded admissible sample: a smooth bump superposition plus a leading
     plateau, projected onto bands at random crossing indices i1 < i2, which
     are drawn before the bumps."""
-    n = grid.n
-    i1 = int(rng.integers(max(4, n // 40), n // 6))
-    i2 = int(rng.integers(i1 + max(4, n // 40), n // 3))
+    i1, i2 = _draw_crossings(rng, grid.n)
     raw = random_bumps(rng, grid, grid.x_max / 2.0)
     raw[: i1 + 1] += 1.0  # bias the head into [beta, 1]
     return project(Profile(grid, raw), i1, i2, beta, M)
@@ -490,12 +506,13 @@ def _sample_range(
     """Margins of the suite's samples lo..hi-1 (lo even).
 
     Draws every sample k < hi from the generator seeded by seed, in the
-    suite's order; the samples before lo are drawn and skipped, not
-    solved. Returns the margins in sample order (the pairs inside the
-    range only), the generator's state at hi, and the (w, N w, s, N s) of
-    the range's first and last samples, from which _join_ranges forms the
-    pair that straddles two adjacent ranges. No self-adjoint pair (k - 1,
-    k), k odd, straddles an even lo."""
+    suite's order; of the samples before lo only the scalars are drawn,
+    which advances the generator as the whole sample does, and nothing is
+    evaluated or solved. Returns the margins in sample order (the pairs
+    inside the range only), the generator's state at hi, and the (w, N w,
+    s, N s) of the range's first and last samples, from which _join_ranges
+    forms the pair that straddles two adjacent ranges. No self-adjoint
+    pair (k - 1, k), k odd, straddles an even lo."""
     rng = np.random.default_rng(seed)
     beta, gamma = params.beta, params.gamma
     consts = compute_constants(beta, gamma)
@@ -510,11 +527,14 @@ def _sample_range(
     for k in range(hi):
         # admissible sample w, smooth sample s and, for k < n_samples // 2,
         # the monotonicity bump
+        if k < lo:
+            _draw_crossings(rng, grid.n)
+            for _ in range(3 if k < half else 2):
+                _draw_bumps(rng, span)
+            continue
         w = random_admissible_profile(rng, grid, beta, M)
         s = Profile(grid, random_bumps(rng, grid, span))
         bump = np.abs(random_bumps(rng, grid, span)) if k < half else None
-        if k < lo:
-            continue
 
         # each linear response is solved once. L(pos) and L(neg) start N(pos)
         # and N(neg); a sample with no negative node is its own positive
@@ -607,68 +627,30 @@ def _sample_range(
     return margins, rng.bit_generator.state, first, prev
 
 
-def _join_ranges(low, high, lip_const: float):
-    """Margins of two adjacent _sample_range results in sample order, with
-    the pair that straddles their split, and the generator state at the
-    end of the second."""
-    margins, _, _, last = low
-    high_margins, state, first, _ = high
-    lipschitz, difference = _pair_margins(last, first, lip_const)
-    margins["response_lipschitz"].append(lipschitz)
-    margins["nonlocal_difference_positive"].append(difference)
-    for name, values in high_margins.items():
-        margins[name].extend(values)
+def _join_ranges(ranges: list, lip_const: float):
+    """Margins of consecutive _sample_range results in sample order, with
+    the pair that straddles each split, and the generator state at the
+    end of the last."""
+    margins, state, _, last = ranges[0]
+    for high_margins, state, first, high_last in ranges[1:]:
+        lipschitz, difference = _pair_margins(last, first, lip_const)
+        margins["response_lipschitz"].append(lipschitz)
+        margins["nonlocal_difference_positive"].append(difference)
+        for name, values in high_margins.items():
+            margins[name].extend(values)
+        last = high_last
     return margins, state
 
 
-def _in_two_processes(low, high):
-    """(low(), high()), with high() run in a child forked for it while this
-    process runs low().
-
-    The child sends its pickled result, or the exception it raised, down a
-    pipe and leaves by os._exit on every path, so it runs none of this
-    process's exit handlers and flushes none of its buffers. An exception
-    of high() is raised here once low() has returned; one of low() (or an
-    interrupt) kills and reaps the child before it propagates, so low()'s
-    error wins when both fail. A child that dies without a result raises
-    RuntimeError."""
-    import os
-    import pickle
-    import signal
-
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (True, high())
-            except Exception as err:
-                outcome = (False, err)
-            data = pickle.dumps(outcome)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
-        try:
-            low_result = low()
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        raise RuntimeError(f"the suite's second process exited with status {status}")
-    # bytes that the forked copy of this program wrote
-    ok, high_result = pickle.loads(data)
-    if not ok:
-        raise high_result
-    return low_result, high_result
+def _split_points(n_samples: int) -> tuple[int, int]:
+    """The even cuts a < b <= n_samples of a suite in two processes: a
+    child solves the samples [a, b), half of them, and the first process
+    [0, a) and [b, n_samples). Every monotonicity sample sits below
+    n_samples // 2, so with a the even number nearest half of that each
+    process holds about half of those too, the two counts within 2 of
+    each other."""
+    a = max(2, (n_samples // 2 + 2) // 4 * 2)
+    return a, a + n_samples // 4 * 2
 
 
 def verify_inequality_suite(
@@ -699,13 +681,17 @@ def verify_inequality_suite(
     whatever n_samples is.
 
     Where two CPUs are usable (os.sched_getaffinity) and n_samples >= 4,
-    the suite uses two processes: a child forked for it solves the samples
-    from a = 2 (n_samples // 4) on, drawing and skipping the ones before,
-    while this process solves samples 0..a-1; this process then forms the
-    pair (a - 1, a) and draws the ladder from the child's generator state.
-    Each margin is the same arithmetic on the same samples either way, so
-    the report's bytes do not depend on the split or on the CPU count.
-    Spans that a tracer records in this process cover only its own half.
+    the suite uses two processes: a child forked for it solves the middle
+    half of the samples, [a, b), while this process solves [0, a) and
+    [b, n_samples), the cuts even and a about n_samples / 4 (for 100
+    samples, [26, 76) in the child), so that each process holds about
+    half of the monotonicity samples, which all sit in the first half.
+    A skipped sample's scalars are drawn and nothing else. This process
+    then forms the pairs that straddle the cuts and draws the ladder from
+    the generator state at the end. Each margin is the same arithmetic on
+    the same samples either way, so the report's bytes do not depend on
+    the split or on the CPU count. Spans that a tracer records in this
+    process cover only its own samples.
 
     The competitor gap lemma is carried by competitor_gap_closed_form, the
     closed-form bound chain. competitor_gap_on_grid evaluates the same
@@ -720,8 +706,8 @@ def verify_inequality_suite(
     solve_inhibitor's InhibitorError passes through when any inhibitor
     solve of the suite falls short of tolerance, before that response
     feeds a margin; a child's error is raised in this process, and when
-    both halves fail, the lower half's error is raised, as in a run on one
-    CPU.
+    two ranges fail, the error of the lower one is raised, as in a run on
+    one CPU.
     """
     if grid.n < _MIN_SAMPLE_NODES:
         raise ValueError(
@@ -735,12 +721,27 @@ def verify_inequality_suite(
 
     import os
 
-    split = n_samples // 4 * 2
-    if split and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-        low, high = _in_two_processes(
-            lambda: sample_range(0, split), lambda: sample_range(split, n_samples)
-        )
-        margins, state = _join_ranges(low, high, max(1.0, 1.0 / gamma))
+    if n_samples >= 4 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        from ._processes import in_two_processes
+
+        a, b = _split_points(n_samples)
+
+        def outer_ranges(_):
+            low = sample_range(0, a)
+            if b == n_samples:
+                return [low], None
+            try:
+                return [low, sample_range(b, n_samples)], None
+            except Exception as err:
+                # an error of the child's range, which comes first on one
+                # CPU, is raised before this one
+                return [low], err
+
+        (outer, error), middle = in_two_processes(outer_ranges, lambda _: sample_range(a, b))
+        if error is not None:
+            raise error
+        ranges = [outer[0], middle, *outer[1:]]
+        margins, state = _join_ranges(ranges, max(1.0, 1.0 / gamma))
     else:
         margins, state, _, _ = sample_range(0, n_samples)
     rng = np.random.default_rng(seed)

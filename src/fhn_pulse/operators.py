@@ -28,7 +28,9 @@ row by one Sherman-Morrison correction. The factor precomputes every
 view of that plan, and its levels stop at the first whose multiplier
 flushes to 0, where the carries are one multiply. A solve reads the
 right-hand side from the factor's scratch, where a caller may form it,
-and writes the solution into the caller's buffer. LAPACK's dpttrs runs
+and writes the solution into the caller's buffer. Two processes can
+share one solve, each over half of the blocks: only the block ends cross
+between them (ShiftedFactor._over_batches). LAPACK's dpttrs runs
 the same recurrences one unknown at a time, bound by the latency of
 each step.
 
@@ -262,16 +264,40 @@ class ShiftedFactor:
     every view a solve works through, the level links included, so a
     solve runs the scan as loops over precomputed tuples.
 
+    The blocks are stacked in batches of _ROWS or fewer, one matrix
+    product each. _over_batches(lo, hi, barrier) returns a factor that
+    shares this one's arrays and solves over batches lo..hi-1 only, with
+    their unknowns: two of them in two processes, over the two halves of
+    the batches, solve one right-hand side together (Wang's partition
+    method, ACM TOMS 7, 1981, on the blocked recurrence). Each runs the
+    edge GEMM on its batches and waits at the barrier, so that both see
+    every block's edge values; each then runs both scans over all block
+    ends, the same operations on its own level arrays, adds the carries
+    to its own blocks, runs its main GEMM and corrects its share of the
+    corner prefix. When that prefix reaches the second half, the first
+    process publishes the corner value, from out[0], at a second barrier.
+    solve on the factor itself is the same code over all batches with no
+    barrier, so either way every unknown gets the same bits.
+
     A solve reads b from `rhs`, the m entries of the blocked scratch after
     the padding, and overwrites it; a caller may form b there. A factor is
     not safe to share between threads: its solves write its scratch
     arrays. `_scratch`, private, is the blocked scratch of another factor
     on m unknowns to work in instead of its own, for a caller whose
     solves on the two factors never interleave with a right-hand side
-    still in the scratch."""
+    still in the scratch. `_exchange`, private, is the array of each
+    block's two edge values and the corner value to use instead of its
+    own, in memory shared with the process that solves the other batches
+    (see _shared_shapes)."""
 
     def __init__(
-        self, c: float, h: float, m: int, a: float = 1.0, _scratch: np.ndarray | None = None
+        self,
+        c: float,
+        h: float,
+        m: int,
+        a: float = 1.0,
+        _scratch: np.ndarray | None = None,
+        _exchange: np.ndarray | None = None,
     ):
         if not (a > 0.0 and math.isfinite(a)):
             raise ValueError(f"diffusion coefficient must be positive and finite, got {a}")
@@ -300,21 +326,16 @@ class ShiftedFactor:
         self.edge_gemm = np.stack([forward[:, -1], delta * self.gemm[:, 0]], axis=1)
         self.start_carry = delta * self.gemm[0, 0]
         self.m = m
-        shape = _block_shape(m)
+        shape, size = self._shared_shapes(m)
         self.pad = shape[0] * shape[1] * _BLOCK - m
-        if _scratch is None:
-            self.x = np.zeros(shape)
-        elif _scratch.shape == shape:
-            self.x = _scratch
-        else:
-            raise ValueError(f"scratch of shape {_scratch.shape}, the factor needs {shape}")
+        self.x = _given_or_zeros(_scratch, shape, "scratch")
+        self._exchange = _given_or_zeros(_exchange, (size,), "exchange")
         flat = self.x.reshape(-1)
         self.rhs = flat[self.pad :]
         self._head = flat[: self.pad]
         # the GEMM writes straight into the solution when the blocks tile m
         self.y = np.zeros(shape) if self.pad else None
-        self._y_tail = None if self.y is None else self.y.reshape(-1)[self.pad :]
-        self.edge_values = np.zeros(shape[:2] + (2,))
+        self.edge_values = self._exchange[:-1].reshape(shape[:2] + (2,))
         self.levels: list[_Level] = []
         n, scale = shape[0] * shape[1], float(p[1])
         while n > 1:
@@ -325,6 +346,9 @@ class ShiftedFactor:
             n, scale = self.levels[-1].n_blocks, self.levels[-1].r
         if self.levels:
             self._plan_carries()
+        self._barrier = None
+        self._blocks = self._batch_views(0, shape[0])
+        self.unknowns = slice(0, m)  # the unknowns a solve writes
 
         flat[:] = 0.0  # a shared scratch holds the other factor's last solve
         self.rhs[0] = 1.0
@@ -333,7 +357,7 @@ class ShiftedFactor:
         self.gemm /= a
         w[np.abs(w) < _FLUSH * abs(w[0])] = 0.0
         self.w = w[: np.flatnonzero(w)[-1] + 1].copy()
-        self._corner_scratch = flat[: self.w.size]
+        self._corner_part = self._corner_views(0, m, shared=False)
         shift = diag0 - delta
         denom = 1.0 + shift * self.w[0]
         if not denom > 0.0:
@@ -341,6 +365,14 @@ class ShiftedFactor:
                 f"shifted operator is not positive definite (corner pivot {denom})"
             )
         self.corner = shift / denom
+
+    @staticmethod
+    def _shared_shapes(m: int) -> tuple[tuple[int, int, int], int]:
+        """The shape of the blocked scratch of a factor on m unknowns, in
+        batches, and the length of its exchange array: the memory two
+        processes solving over two ranges of the batches share."""
+        shape = _block_shape(m)
+        return shape, 2 * shape[0] * shape[1] + 1
 
     def _plan_carries(self) -> None:
         """The views a solve's carries go through. Each level below the
@@ -360,25 +392,80 @@ class ShiftedFactor:
             self._top = (np.multiply, top.x, top.scale, top.y)
         else:
             self._top = (np.matmul, top.x, top.gemm, top.y)
-        # for _carry_in: the blocks' first and last entries; in
-        # edge_values, each block's end and its start value (the first
-        # block's apart); the first level's input, which takes the ends
-        # and then the start values, last block first; its output, r
-        # times the solved values, read forward and then reversed
-        blocks = self.x.reshape(-1, _BLOCK)
+        # for the carries: in edge_values, each block's end and its start
+        # value (the first block's apart); the first level's input, which
+        # takes the ends and then the start values, last block first; its
+        # output, r times the solved values, which _batch_views splits
+        # among the blocks
         edges = self.edge_values.reshape(-1, 2)
         up = self.levels[0].x.reshape(-1)[: edges.shape[0]]
-        solved = self.levels[0].y.reshape(-1)[: edges.shape[0] - 1]
+        self._solved = self.levels[0].y.reshape(-1)[: edges.shape[0] - 1]
         starts = up[::-1]
         self._edges = (
-            blocks[1:, 0], blocks[:-1, -1], edges[:, 0], edges[1:, 1], edges[:1, 1],
-            up, solved, starts[1:], starts[:1], solved[::-1],
+            edges[:, 0], edges[1:, 1], edges[:1, 1], up, self._solved, starts[1:], starts[:1]
         )
+
+    def _batch_views(self, lo: int, hi: int) -> tuple:
+        """The views a solve over batches lo..hi-1 writes through: their
+        blocks, the padding when they hold it, and for the carries their
+        edge values and the first and last entries of their blocks with
+        the carries those take; the output of the main GEMM when it does
+        not write the solution; and the range of the solution's entries
+        they hold."""
+        rows = self.x.shape[1]
+        k0, k1 = lo * rows, hi * rows  # their blocks
+        first = max(k0 * _BLOCK - self.pad, 0)
+        last = k1 * _BLOCK - self.pad
+        carries = ()
+        if self.levels:
+            blocks = self.x.reshape(-1, _BLOCK)
+            solved = self._solved
+            # block k > 0 takes solved[k - 1] into its first entry, and
+            # block k before the last the backward scan's solved[-1 - k]
+            # into its last
+            f0, l1 = max(k0, 1), min(k1, blocks.shape[0] - 1)
+            carries = (
+                self.edge_values[lo:hi], blocks[f0:k1, 0], solved[f0 - 1 : k1 - 1],
+                blocks[k0:l1, -1], solved[::-1][k0:l1],
+            )
+        head = self._head if lo == 0 else self._head[:0]
+        if self.y is None:
+            y = y_out = None
+        else:
+            y = self.y[lo:hi]
+            y_out = self.y.reshape(-1)[self.pad + first : self.pad + last]
+        return self.x[lo:hi], head, carries, y, y_out, lo, hi, first, last
+
+    def _corner_views(self, first: int, last: int, shared: bool) -> tuple:
+        """The share of the corner prefix among unknowns first..last-1:
+        its range, w there and scratch for the product, and whether the
+        prefix crosses the edge to the other process's unknowns, so that
+        the corner value passes between the two."""
+        p = self.w.size
+        end = max(first, min(last, p))
+        crosses = shared and p > (last if first == 0 else first)
+        return first, end, self.w[first:end], self.rhs[first:end], crosses
+
+    def _over_batches(self, lo: int, hi: int, barrier) -> ShiftedFactor:
+        """A factor sharing every array of this one that solves over
+        batches lo..hi-1 of the blocked scratch and their unknowns only,
+        meeting the factor that solves the other batches in another
+        process at barrier (see the class docstring). The two must be
+        built over one `_exchange` in memory both processes share, and
+        the second range must start where the first ends."""
+        import copy
+
+        part = copy.copy(self)
+        part._barrier = barrier
+        part._blocks = self._batch_views(lo, hi)
+        part.unknowns = slice(*part._blocks[-2:])
+        part._corner_part = self._corner_views(*part._blocks[-2:], shared=True)
+        return part
 
     @property
     def nbytes(self) -> int:
         """Total size of the factor's arrays, scratch included."""
-        arrays = [self.gemm, self.edge_gemm, self.x, self.edge_values, self.w]
+        arrays = [self.gemm, self.edge_gemm, self.x, self._exchange, self.w]
         if self.y is not None:
             arrays.append(self.y)
         for lv in self.levels:
@@ -398,41 +485,67 @@ class ShiftedFactor:
             np.add(first, carry, out=first)
             np.matmul(x, gemm, out=y)
 
-    def _carry_in(self) -> None:
-        """Add the carries across block edges to the blocked b in x. A
-        scan of the block ends gives r times the forward carries; a second
-        one, over delta times each block's first x with the forward carry
-        in, last block first, gives delta r times the backward ones."""
-        (firsts, lasts, ends, starts_in, start_in, up, solved,
-         starts, start, solved_back) = self._edges
-        np.matmul(self.x, self.edge_gemm, out=self.edge_values)
-        np.copyto(up, ends)
-        self._scan()
-        np.add(firsts, solved, out=firsts)
-        np.multiply(solved, self.start_carry, out=starts)
-        np.add(starts, starts_in, out=starts)
-        np.copyto(start, start_in)
-        self._scan()
-        np.add(lasts, solved_back, out=lasts)
-
     def _solve_stationary(self, out: np.ndarray) -> None:
-        """out = S^{-1} b / a for the b in rhs (out contiguous, length m)."""
-        self._head.fill(0.0)
-        if self.levels:
-            self._carry_in()
-        if self.y is None:
-            np.matmul(self.x, self.gemm, out=out.reshape(self.x.shape))
+        """out = S^{-1} b / a for the b in rhs (out contiguous, length m),
+        over this factor's batches. The carries across block edges are
+        added to the blocked b in x first: a scan of the block ends gives
+        r times the forward carries; a second one, over delta times each
+        block's first x with the forward carry in, last block first, gives
+        delta r times the backward ones. The scans read every block's edge
+        values; the carries go into this factor's blocks only."""
+        x, head, carries, y, y_out, lo, hi, first, last = self._blocks
+        head.fill(0.0)
+        if carries:
+            edges, firsts, forward, lasts, backward = carries
+            ends, starts_in, start_in, up, solved, starts, start = self._edges
+            np.matmul(x, self.edge_gemm, out=edges)
+            if self._barrier is not None:
+                self._barrier.wait()  # for the other process's edge values
+            np.copyto(up, ends)
+            self._scan()
+            np.add(firsts, forward, out=firsts)
+            np.multiply(solved, self.start_carry, out=starts)
+            np.add(starts, starts_in, out=starts)
+            np.copyto(start, start_in)
+            self._scan()
+            np.add(lasts, backward, out=lasts)
+        if y is None:
+            np.matmul(x, self.gemm, out=out.reshape(self.x.shape)[lo:hi])
         else:
-            np.matmul(self.x, self.gemm, out=self.y)
-            out[:] = self._y_tail
+            np.matmul(x, self.gemm, out=y)
+            out[first:last] = y_out
 
     def solve(self, out: np.ndarray) -> None:
-        """out = A^{-1} b / a for the b in rhs (out contiguous, length m)."""
+        """out = the solution of the unsymmetrized system for the b in rhs
+        (out contiguous, length m): b's first entry is halved in place, as
+        the symmetrized matrix's ghost row, then out = A^{-1} b / a. A
+        factor from _over_batches does this for its own unknowns only."""
+        first, end, w, t, crosses = self._corner_part
+        if first == 0:
+            self.rhs[0] *= 0.5
         self._solve_stationary(out)
-        t = self._corner_scratch
-        p = t.size
-        np.multiply(self.w, self.corner * out[0], out=t)
-        np.subtract(out[:p], t, out=out[:p])
+        if first == 0:
+            scale = self.corner * out[0]
+        if crosses:
+            # the first process publishes the corner value, the other
+            # reads it
+            if first == 0:
+                self._exchange[-1] = scale
+            self._barrier.wait()
+            scale = self._exchange[-1]
+        if w.size:
+            prefix = out[first:end]
+            np.multiply(w, scale, out=t)
+            np.subtract(prefix, t, out=prefix)
+
+
+def _given_or_zeros(given: np.ndarray | None, shape: tuple, name: str) -> np.ndarray:
+    """`given`, checked to have the shape, or a fresh zero array."""
+    if given is None:
+        return np.zeros(shape)
+    if given.shape != shape:
+        raise ValueError(f"{name} of shape {given.shape}, the factor needs {shape}")
+    return given
 
 
 def factor_shifted(c: float, h: float, m: int, a: float = 1.0) -> ShiftedFactor:
@@ -455,7 +568,9 @@ def solve_factored(
     factor's scratch: rhs is copied there and left unmodified, unless it
     is factor.rhs itself, so a right-hand side formed in factor.rhs is
     solved with no copy (and overwritten). The solution is written
-    straight into the output buffer."""
+    straight into the output buffer. A factor from
+    ShiftedFactor._over_batches solves a right-hand side formed in its rhs
+    and writes only the entries of its own unknowns, and out[-1]."""
     m = factor.m
     if len(rhs) != m:
         raise ValueError(f"rhs has {len(rhs)} entries, the factor {m}")
@@ -467,7 +582,6 @@ def solve_factored(
     b = factor.rhs
     if rhs is not b:
         b[:] = rhs
-    b[0] *= 0.5  # the ghost row, halved as the symmetrized matrix's row 0
     factor.solve(out[:m])
     out[m] = 0.0
     return out

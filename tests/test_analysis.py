@@ -603,12 +603,43 @@ class TestTwoProcessSuite:
         grid, n, seed = Grid(30.0, 256), 7, 3
         whole, state, _, _ = analysis._sample_range(self.PARAMS, grid, n, seed, 0, n)
         assert len(whole["response_lipschitz"]) == n - 1
-        for split in (2, 4, 6):
-            low = analysis._sample_range(self.PARAMS, grid, n, seed, 0, split)
-            high = analysis._sample_range(self.PARAMS, grid, n, seed, split, n)
-            margins, joined_state = analysis._join_ranges(low, high, 1.0 / 0.3)
-            assert margins == whole, split
-            assert joined_state == state, split
+        cuts = [(2,), (4,), (6,), (2, 4), (2, 6), (4, 6)]
+        for cut in cuts:
+            bounds = [0, *cut, n]
+            ranges = [
+                analysis._sample_range(self.PARAMS, grid, n, seed, lo, hi)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            margins, joined_state = analysis._join_ranges(ranges, 1.0 / 0.3)
+            assert margins == whole, cut
+            assert joined_state == state, cut
+
+    def test_skipped_samples_draw_scalars_only(self, monkeypatch):
+        # a range evaluates the bumps of its own samples only: the
+        # admissible and smooth samples, and the monotonicity bump below
+        # n // 2 = 3, of samples 4 and 5
+        sums = []
+        sum_bumps = analysis._sum_bumps
+
+        def counted(x, bumps):
+            sums.append(len(bumps))
+            return sum_bumps(x, bumps)
+
+        monkeypatch.setattr(analysis, "_sum_bumps", counted)
+        analysis._sample_range(self.PARAMS, Grid(30.0, 256), 7, 3, 4, 6)
+        assert len(sums) == 4
+
+    def test_split_balances_the_monotonicity_samples(self):
+        # both cuts even, the child's range half the samples (within 2),
+        # and each process within 2 of the other's monotonicity samples
+        for n in range(4, 201):
+            a, b = analysis._split_points(n)
+            assert 0 < a < b <= n and a % 2 == 0 and b % 2 == 0, n
+            assert abs((b - a) - (n - (b - a))) <= 3, n
+            half = n // 2
+            child = max(0, min(b, half) - a)
+            assert abs(child - (half - child)) <= 2, n
+        assert analysis._split_points(100) == (26, 76)
 
     def test_forked_report_equals_one_cpu_report(self, monkeypatch):
         forks = []
@@ -645,6 +676,25 @@ class TestTwoProcessSuite:
         monkeypatch.setattr(analysis, "solve_inhibitor", failing_in_child)
         with pytest.raises(InhibitorError, match=r"residual 2\.500e-03 after 50"):
             verify_inequality_suite(self.PARAMS, Grid(30.0, 256), 8, seed=0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_middle_error_raised_before_upper_error(self, monkeypatch):
+        # this process's upper range [b, n) and the child's middle one
+        # [a, b) both fail: the middle range's error is raised, as on one
+        # CPU, where it comes first
+        usable_cpus(monkeypatch, 2)
+        sample_range = analysis._sample_range
+
+        def failing(params, grid, n, seed, lo, hi):
+            if lo > 0:
+                raise InhibitorError(f"samples from {lo} failed")
+            return sample_range(params, grid, n, seed, lo, hi)
+
+        monkeypatch.setattr(analysis, "_sample_range", failing)
+        assert analysis._split_points(10) == (2, 6)
+        with pytest.raises(InhibitorError, match="samples from 2 failed"):
+            verify_inequality_suite(self.PARAMS, Grid(30.0, 256), 10, seed=0)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

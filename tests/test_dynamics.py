@@ -2,11 +2,15 @@
 first-order accuracy in dt, the in-place step against the step written
 as formulas (bit for bit) and in its divided form (to roundoff), blow-up
 detection, the windowed bound check against a check after every step,
-and trajectory export."""
+the two-process step against the one-process step (bit for bit), and
+trajectory export."""
 
 import json
+import os
 import pathlib
 import re
+import signal
+import time
 import tracemalloc
 import warnings
 
@@ -17,13 +21,26 @@ from fhn_pulse import Grid, Params, Profile, dynamics, evolve
 from fhn_pulse.dynamics import BlowUpError, export_trajectory
 from fhn_pulse.grid import profile_from_csv
 from fhn_pulse.model import negative_tail_cutoff, reaction_f
-from fhn_pulse.operators import factor_shifted, solve_factored
+from fhn_pulse.operators import ShiftedFactor, factor_shifted, solve_factored
 
 PARAMS = Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4)
 CHECK = dynamics._CHECK_EVERY  # steps between two of evolve's bound checks
 RELAX_STATE = (
     pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "relax_state.npz"
 )
+
+
+def usable_cpus(monkeypatch, count):
+    """Make os.sched_getaffinity report count CPUs, which decides (with
+    the grid's size) whether evolve steps in two processes."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def gaussian_state(grid):
@@ -216,6 +233,7 @@ class TestStepAllocation:
             return solve_factored(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_factored", traced)
+        usable_cpus(monkeypatch, 1)
         u0, v0 = gaussian_state(Grid(10.0, n))
         tracemalloc.start()
         try:
@@ -437,6 +455,7 @@ class TestWindowedCheck:
             return solve_factored(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_factored", counted)
+        usable_cpus(monkeypatch, 1)
         u0, v0 = ladder_start(ladder[k])
         bound = 10.0 * (negative_tail_cutoff(PARAMS.beta, PARAMS.gamma) + 2.0)
         with warnings.catch_warnings():
@@ -482,6 +501,263 @@ class TestWindowedCheck:
         with pytest.raises(BlowUpError) as exc:
             evolve(PARAMS, big, z, 1e-5, 2 * CHECK * 1e-5)
         assert exc.value.time == 1e-5
+
+
+# two processes step evolve where two CPUs are usable and each owns at
+# least two of the solvers' batches (n > 6144)
+RELAX_PARAMS = Params(d=1e-6, tau=1.0, gamma=0.1, beta=0.4)
+SPLIT_N = 8192
+
+
+def counted_forks(monkeypatch):
+    """The process ids of the children os.fork starts from here on."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def trajectory_bytes(traj):
+    """Every byte a trajectory records: its fields, drifts included, and
+    each snapshot."""
+    parts = [json.dumps(traj.to_dict(), sort_keys=True).encode()]
+    for u, v in traj.snapshots:
+        parts += [u.values.tobytes(), v.values.tobytes()]
+    return parts
+
+
+def log_solves(monkeypatch, log, hook=None):
+    """Make each of evolve's solve_factored calls append the id of the
+    process it runs in to the file log, after calling hook(count), count
+    being the process's calls so far."""
+    counts = {}
+
+    def logged(*args, **kwargs):
+        pid = os.getpid()
+        counts[pid] = counts.get(pid, 0) + 1
+        if hook is not None:
+            hook(counts[pid])
+        with open(log, "a") as f:
+            f.write(f"{pid}\n")
+        return solve_factored(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_factored", logged)
+
+
+def calls_per_process(log):
+    counts = {}
+    for pid in log.read_text().split():
+        counts[int(pid)] = counts.get(int(pid), 0) + 1
+    return counts
+
+
+class TestTwoProcesses:
+    """Where two CPUs are usable, a child forked by evolve steps the second
+    half of the solvers' batches; nothing evolve returns or raises may
+    show it, and no child may outlive the call."""
+
+    @pytest.mark.parametrize(
+        "n, dt",
+        [(8192, 1e-3), (32768, 1e-3), (10000, 1e-3), (8192, 1.0)],
+        ids=["8192", "32768", "padded", "corner-crosses"],
+    )
+    def test_same_bytes_as_one_process(self, monkeypatch, n, dt):
+        params = RELAX_PARAMS
+        (batches, rows, block), _ = ShiftedFactor._shared_shapes(n)
+        factor_v = factor_shifted(params.tau / dt + params.gamma, 10.0 / n, n)
+        first_half = factor_v._over_batches(0, batches // 2, None).unknowns
+        if n == 10000:
+            assert batches * rows * block > n  # the blocks do not tile n
+        # the inhibitor's corner prefix reaches the second half at dt = 1
+        # only
+        assert (factor_v.w.size > first_half.stop) == (dt == 1.0)
+        forks = counted_forks(monkeypatch)
+        u0, v0 = gaussian_state(Grid(10.0, n))
+        runs = []
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            traj = evolve(params, u0, v0, dt, 150 * dt, snapshot_every=70)
+            runs.append(trajectory_bytes(traj))
+        assert len(forks) == 1
+        assert len(runs[0]) == 1 + 2 * 4  # fields, then t = 0, 70, 140, 150
+        assert runs[0] == runs[1]
+        assert_no_child_left()
+
+    def test_below_the_size_rule_one_process(self, monkeypatch):
+        # n = 6144 is three batches: one process, whatever the CPU count
+        forks = counted_forks(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        u0, v0 = gaussian_state(Grid(10.0, 6144))
+        evolve(RELAX_PARAMS, u0, v0, 1e-3, 0.01)
+        assert forks == []
+        assert ShiftedFactor._shared_shapes(6144)[0][0] == 3
+        assert ShiftedFactor._shared_shapes(6145)[0][0] == 4
+
+    def test_blow_up_same_as_one_process(self, monkeypatch, tmp_path):
+        # the ladder's flat start at n = 8192: eps = 1e-100 leaves the bound
+        # first at step 162, inside the window (150, 192]. Each process
+        # steps to the window's end; this one then replays it alone from
+        # its start, to the blow-up
+        g = Grid(10.0, SPLIT_N)
+        u0, v0 = Profile(g, np.full(SPLIT_N + 1, 1e-100)), Profile(g, np.zeros(SPLIT_N + 1))
+        k, (start, end) = 162, window_around(162, LADDER_SNAPSHOTS, LADDER_STEPS * 2)
+        assert (start, end) == (150, 192)
+        results = []
+        for cpus in (2, 1):
+            log = tmp_path / f"calls{cpus}"
+            log_solves(monkeypatch, log)
+            usable_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(BlowUpError) as exc:
+                    evolve(PARAMS, u0, v0, LADDER_DT, 2 * LADDER_STEPS * LADDER_DT,
+                           snapshot_every=LADDER_SNAPSHOTS)
+            results.append((exc.value.time, str(exc.value)))
+            calls = calls_per_process(log)
+            assert_no_child_left()
+            if cpus == 2:
+                assert sorted(calls.values()) == [2 * end, 2 * (end + k - start)]
+                assert calls[os.getpid()] == 2 * (end + k - start)
+            else:
+                assert calls == {os.getpid(): 2 * (end + k - start)}
+        assert results[0] == results[1]
+        assert results[0][0] == k * LADDER_DT
+
+    def test_blow_up_warnings_same_as_one_process(self, monkeypatch):
+        # the first step overflows (see test_non_finite_state_detected): its
+        # replay, here alone, warns as the one-process replay does
+        g = Grid(10.0, SPLIT_N)
+        vals = np.zeros(SPLIT_N + 1)
+        vals[1000:1002] = (-1e200, 1e200)
+        u0, v0 = Profile(g, vals), Profile(g, np.zeros(SPLIT_N + 1))
+        forks = counted_forks(monkeypatch)
+        results = []
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(BlowUpError) as exc:
+                    evolve(PARAMS, u0, v0, 0.01, 1.0)
+            results.append((
+                exc.value.time, str(exc.value),
+                [(w.category, str(w.message)) for w in caught],
+            ))
+        assert len(forks) == 1
+        assert results[0] == results[1]
+        assert any(issubclass(category, RuntimeWarning) for category, _ in results[0][2])
+        assert_no_child_left()
+
+    def test_step_allocates_no_state_array(self, monkeypatch, tmp_path):
+        # TestStepAllocation's measure, in this process, with both processes'
+        # calls counted: each process solves twice per step
+        n = 32768
+        n_steps = 2 * CHECK + 10
+        parent = os.getpid()
+        marks = {}
+
+        def mark(count):
+            if os.getpid() != parent:
+                return
+            if count == 3:
+                tracemalloc.reset_peak()
+                marks["start"] = tracemalloc.get_traced_memory()[0]
+            elif count == 2 * (2 * CHECK + 3) + 1:
+                marks["peak"] = tracemalloc.get_traced_memory()[1]
+
+        log = tmp_path / "calls"
+        log_solves(monkeypatch, log, mark)
+        usable_cpus(monkeypatch, 2)
+        u0, v0 = gaussian_state(Grid(10.0, n))
+        tracemalloc.start()
+        try:
+            evolve(PARAMS, u0, v0, dt=1e-3, t_final=n_steps * 1e-3)
+        finally:
+            tracemalloc.stop()
+        calls = calls_per_process(log)
+        assert len(calls) == 2
+        assert set(calls.values()) == {2 * n_steps}
+        assert marks["peak"] - marks["start"] <= 64 * 1024
+        assert_no_child_left()
+
+    def test_pinned_to_one_cpu(self, monkeypatch):
+        # two CPUs reported, one to run on: the two processes take turns on
+        # it, which needs the barrier to yield, and write the same bytes
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        allowed = os.sched_getaffinity(0)
+        u0, v0 = gaussian_state(Grid(10.0, SPLIT_N))
+        usable_cpus(monkeypatch, 1)
+        ref = trajectory_bytes(evolve(RELAX_PARAMS, u0, v0, 1e-3, 0.1, snapshot_every=40))
+        forks = counted_forks(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        os.sched_setaffinity(0, {min(allowed)})
+        try:
+            start = time.monotonic()
+            traj = evolve(RELAX_PARAMS, u0, v0, 1e-3, 0.1, snapshot_every=40)
+            elapsed = time.monotonic() - start
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert len(forks) == 1
+        assert trajectory_bytes(traj) == ref
+        assert elapsed < 30.0
+        assert_no_child_left()
+
+    def test_parent_error_kills_and_reaps_child(self, monkeypatch, tmp_path):
+        # an error here mid-run kills the child, which waits at a barrier,
+        # and propagates; the child is not waited for
+        parent = os.getpid()
+
+        def fail_here(count):
+            if os.getpid() == parent and count == 50:
+                raise ValueError("failed in the first process")
+
+        log_solves(monkeypatch, tmp_path / "calls", fail_here)
+        usable_cpus(monkeypatch, 2)
+        u0, v0 = gaussian_state(Grid(10.0, SPLIT_N))
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="failed in the first process"):
+            evolve(RELAX_PARAMS, u0, v0, 1e-3, 1.0)
+        assert time.monotonic() - start < 30.0
+        assert_no_child_left()
+
+    def test_child_error_raised_here(self, monkeypatch, tmp_path):
+        parent = os.getpid()
+
+        def fail_in_child(count):
+            if os.getpid() != parent and count == 50:
+                raise ValueError("failed in the second process")
+
+        log_solves(monkeypatch, tmp_path / "calls", fail_in_child)
+        usable_cpus(monkeypatch, 2)
+        u0, v0 = gaussian_state(Grid(10.0, SPLIT_N))
+        with pytest.raises(ValueError, match="failed in the second process"):
+            evolve(RELAX_PARAMS, u0, v0, 1e-3, 1.0)
+        assert_no_child_left()
+
+    def test_dead_child_raises_runtime_error(self, monkeypatch, tmp_path):
+        # a child killed mid-run leaves no result: this process stops
+        # waiting for it and raises RuntimeError instead of hanging
+        parent = os.getpid()
+
+        def die_in_child(count):
+            if os.getpid() != parent and count == 50:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        log_solves(monkeypatch, tmp_path / "calls", die_in_child)
+        usable_cpus(monkeypatch, 2)
+        u0, v0 = gaussian_state(Grid(10.0, SPLIT_N))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with status -9"):
+            evolve(RELAX_PARAMS, u0, v0, 1e-3, 1.0)
+        assert time.monotonic() - start < 30.0
+        assert_no_child_left()
 
 
 class TestExport:
