@@ -2,8 +2,8 @@
 while this process runs the other, and the barrier at which two such
 processes meet through shared memory.
 
-The package imports this module where it forks, inside the functions
-that do, so importing the package does not load it.
+The package imports this module inside the functions that fork or ask
+whether two CPUs are usable, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,13 @@ import os
 # reads of the partner's counter before a waiting process starts to
 # yield its CPU and to check that the partner still runs
 _SPINS = 500
+
+
+def two_cpus() -> bool:
+    """Whether this process may run on two or more CPUs, as
+    os.sched_getaffinity reports them at the time of the call; False
+    where that call does not exist."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 class PartnerExited(RuntimeError):

@@ -411,41 +411,23 @@ class InequalitySuiteReport(Record):
         return "\n".join(lines)
 
 
-def _draw_bumps(rng: np.random.Generator, span: float) -> list[tuple[float, float, float]]:
-    """The scalars of random_bumps, in its draw order: the bump count,
-    then each bump's center in [0, span], width and amplitude."""
-    return [
-        (rng.uniform(0.0, span), rng.uniform(0.3, 1.5), rng.uniform(-1.5, 1.5))
-        for _ in range(int(rng.integers(3, 7)))
-    ]
-
-
-def _sum_bumps(x: np.ndarray, bumps: list[tuple[float, float, float]]) -> np.ndarray:
-    """The Gaussians of _draw_bumps summed on the nodes x."""
-    out = np.zeros_like(x)
-    for c, width, amp in bumps:
-        out += amp * np.exp(-((x - c) ** 2) / (2.0 * width**2))
-    return out
-
-
 def random_bumps(rng: np.random.Generator, grid: Grid, span: float) -> np.ndarray:
     """Smooth random superposition of 3-6 Gaussians supported (to machine
     precision) inside [0, span]: draws the bump count, then each bump's
     center in [0, span], width and amplitude."""
-    return _sum_bumps(grid.nodes(), _draw_bumps(rng, span))
+    x = grid.nodes()
+    out = np.zeros_like(x)
+    for _ in range(int(rng.integers(3, 7))):
+        c, width, amp = (
+            rng.uniform(0.0, span), rng.uniform(0.3, 1.5), rng.uniform(-1.5, 1.5)
+        )
+        out += amp * np.exp(-((x - c) ** 2) / (2.0 * width**2))
+    return out
 
 
 # random_admissible_profile draws its crossing indices from ranges that are
 # empty on a grid of fewer nodes
 _MIN_SAMPLE_NODES = 30
-
-
-def _draw_crossings(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    """The crossing indices i1 < i2 of random_admissible_profile on n
-    intervals, drawn in that order."""
-    i1 = int(rng.integers(max(4, n // 40), n // 6))
-    i2 = int(rng.integers(i1 + max(4, n // 40), n // 3))
-    return i1, i2
 
 
 def random_admissible_profile(
@@ -454,7 +436,9 @@ def random_admissible_profile(
     """Seeded admissible sample: a smooth bump superposition plus a leading
     plateau, projected onto bands at random crossing indices i1 < i2, which
     are drawn before the bumps."""
-    i1, i2 = _draw_crossings(rng, grid.n)
+    n = grid.n
+    i1 = int(rng.integers(max(4, n // 40), n // 6))
+    i2 = int(rng.integers(i1 + max(4, n // 40), n // 3))
     raw = random_bumps(rng, grid, grid.x_max / 2.0)
     raw[: i1 + 1] += 1.0  # bias the head into [beta, 1]
     return project(Profile(grid, raw), i1, i2, beta, M)
@@ -500,41 +484,31 @@ def _pair_margins(
     return lipschitz, inner_l2(dw, dnw)
 
 
-def _sample_range(
-    params: Params, grid: Grid, n_samples: int, seed: int, lo: int, hi: int
-):
+def _sample_range(params: Params, grid: Grid, seed: int, lo: int, hi: int):
     """Margins of the suite's samples lo..hi-1 (lo even).
 
-    Draws every sample k < hi from the generator seeded by seed, in the
-    suite's order; of the samples before lo only the scalars are drawn,
-    which advances the generator as the whole sample does, and nothing is
-    evaluated or solved. Returns the margins in sample order (the pairs
-    inside the range only), the generator's state at hi, and the (w, N w,
-    s, N s) of the range's first and last samples, from which _join_ranges
-    forms the pair that straddles two adjacent ranges. No self-adjoint
-    pair (k - 1, k), k odd, straddles an even lo."""
-    rng = np.random.default_rng(seed)
+    Sample k draws from its own generator, seeded by child k of
+    numpy.random.SeedSequence(seed): the admissible sample w, the smooth
+    sample s and, for odd k, the monotonicity bump. So no sample depends
+    on which range holds it, and no self-adjoint pair (k - 1, k), k odd,
+    straddles an even lo. Returns the margins in sample order (the pairs
+    inside the range only) and the (w, N w, s, N s) of the range's first
+    and last samples, from which the pair that straddles two adjacent
+    ranges is formed."""
     beta, gamma = params.beta, params.gamma
     consts = compute_constants(beta, gamma)
     M = consts.M
     weights = grid.weights()
     lip_const = max(1.0, 1.0 / gamma)
-    half = n_samples // 2
     span = grid.x_max / 2.0
 
     margins: dict[str, list[float]] = {name: [] for name, _, _ in _SUITE_CHECKS}
     first = prev = prev_ls = None
-    for k in range(hi):
-        # admissible sample w, smooth sample s and, for k < n_samples // 2,
-        # the monotonicity bump
-        if k < lo:
-            _draw_crossings(rng, grid.n)
-            for _ in range(3 if k < half else 2):
-                _draw_bumps(rng, span)
-            continue
+    for k in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         w = random_admissible_profile(rng, grid, beta, M)
         s = Profile(grid, random_bumps(rng, grid, span))
-        bump = np.abs(random_bumps(rng, grid, span)) if k < half else None
+        bump = np.abs(random_bumps(rng, grid, span)) if k % 2 == 1 else None
 
         # each linear response is solved once. L(pos) and L(neg) start N(pos)
         # and N(neg); a sample with no negative node is its own positive
@@ -624,33 +598,7 @@ def _sample_range(
             margins["nonlocal_difference_positive"].append(difference)
         prev, prev_ls = cur, ls
 
-    return margins, rng.bit_generator.state, first, prev
-
-
-def _join_ranges(ranges: list, lip_const: float):
-    """Margins of consecutive _sample_range results in sample order, with
-    the pair that straddles each split, and the generator state at the
-    end of the last."""
-    margins, state, _, last = ranges[0]
-    for high_margins, state, first, high_last in ranges[1:]:
-        lipschitz, difference = _pair_margins(last, first, lip_const)
-        margins["response_lipschitz"].append(lipschitz)
-        margins["nonlocal_difference_positive"].append(difference)
-        for name, values in high_margins.items():
-            margins[name].extend(values)
-        last = high_last
-    return margins, state
-
-
-def _split_points(n_samples: int) -> tuple[int, int]:
-    """The even cuts a < b <= n_samples of a suite in two processes: a
-    child solves the samples [a, b), half of them, and the first process
-    [0, a) and [b, n_samples). Every monotonicity sample sits below
-    n_samples // 2, so with a the even number nearest half of that each
-    process holds about half of those too, the two counts within 2 of
-    each other."""
-    a = max(2, (n_samples // 2 + 2) // 4 * 2)
-    return a, a + n_samples // 4 * 2
+    return margins, first, prev
 
 
 def verify_inequality_suite(
@@ -673,25 +621,24 @@ def verify_inequality_suite(
     grid-refinement order check for the two resolvent code paths runs on
     three analytic bump profiles.
 
-    One seeded generator feeds every sample where it is used. Sample k is
-    admissible sample w, then smooth sample s, then (for k < n_samples //
-    2) the monotonicity bump; the ladder's three (center, width) pairs are
-    drawn after the last sample. The pair checks keep only the previous
-    sample, so the suite holds a fixed number of state-sized arrays
-    whatever n_samples is.
+    Sample k draws from its own generator, seeded by child k of
+    numpy.random.SeedSequence(seed): admissible sample w, then smooth
+    sample s, then (for odd k) the monotonicity bump. The ladder's three
+    (center, width) pairs draw from numpy.random.default_rng(seed). So
+    sample k depends on (seed, k) only, not on n_samples or on which
+    process solves it. The pair checks keep only the previous sample, so
+    the suite holds a fixed number of state-sized arrays whatever
+    n_samples is.
 
     Where two CPUs are usable (os.sched_getaffinity) and n_samples >= 4,
-    the suite uses two processes: a child forked for it solves the middle
-    half of the samples, [a, b), while this process solves [0, a) and
-    [b, n_samples), the cuts even and a about n_samples / 4 (for 100
-    samples, [26, 76) in the child), so that each process holds about
-    half of the monotonicity samples, which all sit in the first half.
-    A skipped sample's scalars are drawn and nothing else. This process
-    then forms the pairs that straddle the cuts and draws the ladder from
-    the generator state at the end. Each margin is the same arithmetic on
-    the same samples either way, so the report's bytes do not depend on
-    the split or on the CPU count. Spans that a tracer records in this
-    process cover only its own samples.
+    the suite uses two processes: a child forked for it solves the
+    samples [c, n_samples), c = 2 (n_samples // 4), while this process
+    solves [0, c), so each holds half of the monotonicity samples (within
+    one). This process then forms the pair (c - 1, c) from the child's
+    first sample. Each margin is the same arithmetic on the same samples
+    either way, so the report's bytes do not depend on the CPU count.
+    Spans that a tracer records in this process cover only its own
+    samples.
 
     The competitor gap lemma is carried by competitor_gap_closed_form, the
     closed-form bound chain. competitor_gap_on_grid evaluates the same
@@ -706,46 +653,34 @@ def verify_inequality_suite(
     solve_inhibitor's InhibitorError passes through when any inhibitor
     solve of the suite falls short of tolerance, before that response
     feeds a margin; a child's error is raised in this process, and when
-    two ranges fail, the error of the lower one is raised, as in a run on
-    one CPU.
+    both processes fail, this process's error is raised, as in a run on
+    one CPU, where its samples come first. A negative seed raises
+    ValueError before any process is forked.
     """
     if grid.n < _MIN_SAMPLE_NODES:
         raise ValueError(
             f"the inequality suite needs n >= {_MIN_SAMPLE_NODES}, got n = {grid.n}"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     beta, gamma = params.beta, params.gamma
     consts = compute_constants(beta, gamma)
 
-    def sample_range(lo: int, hi: int):
-        return _sample_range(params, grid, n_samples, seed, lo, hi)
+    from ._processes import in_two_processes, two_cpus
 
-    import os
-
-    if n_samples >= 4 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-        from ._processes import in_two_processes
-
-        a, b = _split_points(n_samples)
-
-        def outer_ranges(_):
-            low = sample_range(0, a)
-            if b == n_samples:
-                return [low], None
-            try:
-                return [low, sample_range(b, n_samples)], None
-            except Exception as err:
-                # an error of the child's range, which comes first on one
-                # CPU, is raised before this one
-                return [low], err
-
-        (outer, error), middle = in_two_processes(outer_ranges, lambda _: sample_range(a, b))
-        if error is not None:
-            raise error
-        ranges = [outer[0], middle, *outer[1:]]
-        margins, state = _join_ranges(ranges, max(1.0, 1.0 / gamma))
+    if n_samples >= 4 and two_cpus():
+        cut = n_samples // 4 * 2
+        (margins, _, last), (upper, first) = in_two_processes(
+            lambda _: _sample_range(params, grid, seed, 0, cut),
+            lambda _: _sample_range(params, grid, seed, cut, n_samples)[:2],
+        )
+        lipschitz, difference = _pair_margins(last, first, max(1.0, 1.0 / gamma))
+        margins["response_lipschitz"].append(lipschitz)
+        margins["nonlocal_difference_positive"].append(difference)
+        for name, values in upper.items():
+            margins[name].extend(values)
     else:
-        margins, state, _, _ = sample_range(0, n_samples)
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.state = state
+        margins, _, _ = _sample_range(params, grid, seed, 0, n_samples)
     details: dict[str, str] = {}
 
     # closed-form competitor gap: the bound chain lands exactly on -M0
@@ -774,6 +709,7 @@ def verify_inequality_suite(
     # ladder runs on the shifted kind so the truncation mismatch, of size
     # exp(-sqrt(gamma_eff) x_max), sits far below the h^2 differences for
     # every gamma > 0; the unshifted kind is cross-checked in the sandwich.
+    rng = np.random.default_rng(seed)
     ratios = []
     base_n = max(grid.n // 4, 64)
     for _ in range(3):

@@ -320,15 +320,11 @@ def _two_processes_usable(batches: int) -> bool:
     written before it, and where each process would own at least two of
     the solvers' batches (a step at n = 4096, two batches, was slower in
     two processes than in one; at n = 8192, four batches, it was faster)."""
-    import os
     import platform
 
-    return (
-        batches // 2 >= 2
-        and platform.machine() in ("x86_64", "AMD64")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-    )
+    from ._processes import two_cpus
+
+    return batches // 2 >= 2 and platform.machine() in ("x86_64", "AMD64") and two_cpus()
 
 
 def _shared_arrays(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:

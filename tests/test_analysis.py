@@ -42,6 +42,11 @@ from fhn_pulse.operators import InhibitorError
 REF = Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4)
 
 
+def sample_stream(seed, k):
+    """The generator that inequality-suite sample k draws from."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+
 def usable_cpus(monkeypatch, count):
     """Make os.sched_getaffinity report count CPUs, which decides whether
     the inequality suite forks."""
@@ -362,12 +367,12 @@ class TestInequalitySuite:
     def test_unconverged_smooth_response_raises(self, monkeypatch):
         # the first smooth sample's response falls short of tolerance: the
         # suite stops on that solve, before the response feeds a margin.
-        # The sample is rebuilt from the draw order (admissible sample 0,
-        # then smooth sample 0) and recognized by its values
+        # The sample is rebuilt from sample 0's stream (admissible sample,
+        # then smooth sample) and recognized by its values
         samples, seed, grid = 4, 0, Grid(30.0, 512)
         params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
         M = compute_constants(params.beta, params.gamma).M
-        rng = np.random.default_rng(seed)
+        rng = sample_stream(seed, 0)
         random_admissible_profile(rng, grid, params.beta, M)
         first_smooth = random_bumps(rng, grid, span=grid.x_max / 2.0)
         solve = analysis.solve_inhibitor
@@ -421,16 +426,12 @@ class TestInequalitySuite:
         # each admissible and smooth sample, half the admissible ones minus
         # a bump (monotonicity), and each admissible sample's negative part
         # and, when it has a negative node, its positive part: the sandwich
-        # reuses the positive parts' responses. The samples are replayed in
-        # the suite's draw order
-        rng = np.random.default_rng(0)
+        # reuses the positive parts' responses. The admissible samples are
+        # rebuilt from their streams; the odd ones carry a bump
         expected = 0
         for k in range(samples):
-            w = random_admissible_profile(rng, grid, params.beta, M)
-            random_bumps(rng, grid, span=grid.x_max / 2.0)
-            if k < samples // 2:
-                random_bumps(rng, grid, span=grid.x_max / 2.0)
-            expected += 3 + (k < samples // 2) + bool(np.any(w.values < 0.0))
+            w = random_admissible_profile(sample_stream(0, k), grid, params.beta, M)
+            expected += 3 + k % 2 + bool(np.any(w.values < 0.0))
         assert expected < 4.5 * samples  # some sample has no negative node
         assert calls["suite"] == expected
         # the admissible samples' energies reuse their responses: the
@@ -479,17 +480,17 @@ class TestInequalitySuite:
 
     def test_report_digest(self):
         # the sha256 of a small report, as the suite gives it drawing each
-        # sample where it is used: the draw order and each margin's
-        # arithmetic fix every byte. The bytes also follow numpy's exp and
-        # BLAS dot kernels (numpy 2.4, OpenBLAS 0.3.31 on AVX-512), so a
-        # build whose kernels round differently needs the digest re-taken
-        # from a commit known to be good. The report's constants include
+        # sample from its own stream: the streams, the draw order and each
+        # margin's arithmetic fix every byte. The bytes also follow numpy's
+        # exp and BLAS dot kernels (numpy 2.4, OpenBLAS 0.3.31 on AVX-512),
+        # so a build whose kernels round differently needs the digest
+        # re-taken from a commit known to be good. The report's constants include
         # the tail cutoff M, so its last bits move the digest too
         params = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
         report = verify_inequality_suite(params, Grid(30.0, 512), 7, seed=3)
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "fc9ed0127fb6c40bb29756d394a3f9c1c801addbcf017b960ebd0f7640a2af7b"
+            "85b95245caf8a9672bf4d1b000960f4bc86ecf45b39877fee4d065dc162e0dc9"
         )
 
     def test_memory_does_not_grow_with_samples(self):
@@ -600,46 +601,39 @@ class TestTwoProcessSuite:
     PARAMS = Params(d=0.005, tau=1.0, gamma=0.3, beta=0.4)
 
     def test_ranges_join_at_every_even_split(self):
-        grid, n, seed = Grid(30.0, 256), 7, 3
-        whole, state, _, _ = analysis._sample_range(self.PARAMS, grid, n, seed, 0, n)
+        # two ranges joined by the pair that straddles their cut give the
+        # margins of one range over all the samples
+        grid, n, seed, lip_const = Grid(30.0, 256), 7, 3, 1.0 / 0.3
+        whole, _, _ = analysis._sample_range(self.PARAMS, grid, seed, 0, n)
         assert len(whole["response_lipschitz"]) == n - 1
-        cuts = [(2,), (4,), (6,), (2, 4), (2, 6), (4, 6)]
-        for cut in cuts:
-            bounds = [0, *cut, n]
-            ranges = [
-                analysis._sample_range(self.PARAMS, grid, n, seed, lo, hi)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            margins, joined_state = analysis._join_ranges(ranges, 1.0 / 0.3)
+        for cut in (2, 4, 6):
+            margins, _, last = analysis._sample_range(self.PARAMS, grid, seed, 0, cut)
+            upper, first, _ = analysis._sample_range(self.PARAMS, grid, seed, cut, n)
+            lipschitz, difference = analysis._pair_margins(last, first, lip_const)
+            margins["response_lipschitz"].append(lipschitz)
+            margins["nonlocal_difference_positive"].append(difference)
+            for name, values in upper.items():
+                margins[name].extend(values)
             assert margins == whole, cut
-            assert joined_state == state, cut
 
-    def test_skipped_samples_draw_scalars_only(self, monkeypatch):
-        # a range evaluates the bumps of its own samples only: the
-        # admissible and smooth samples, and the monotonicity bump below
-        # n // 2 = 3, of samples 4 and 5
-        sums = []
-        sum_bumps = analysis._sum_bumps
+    def test_sample_depends_on_seed_and_index_only(self, monkeypatch):
+        # a longer suite keeps the margins of its common samples: sample k
+        # is drawn from its own stream, whatever n_samples is
+        usable_cpus(monkeypatch, 1)
+        sample_range, runs = analysis._sample_range, []
 
-        def counted(x, bumps):
-            sums.append(len(bumps))
-            return sum_bumps(x, bumps)
+        def recorded(*args):
+            result = sample_range(*args)
+            runs.append(result[0])
+            return result
 
-        monkeypatch.setattr(analysis, "_sum_bumps", counted)
-        analysis._sample_range(self.PARAMS, Grid(30.0, 256), 7, 3, 4, 6)
-        assert len(sums) == 4
-
-    def test_split_balances_the_monotonicity_samples(self):
-        # both cuts even, the child's range half the samples (within 2),
-        # and each process within 2 of the other's monotonicity samples
-        for n in range(4, 201):
-            a, b = analysis._split_points(n)
-            assert 0 < a < b <= n and a % 2 == 0 and b % 2 == 0, n
-            assert abs((b - a) - (n - (b - a))) <= 3, n
-            half = n // 2
-            child = max(0, min(b, half) - a)
-            assert abs(child - (half - child)) <= 2, n
-        assert analysis._split_points(100) == (26, 76)
+        monkeypatch.setattr(analysis, "_sample_range", recorded)
+        for samples in (6, 10):
+            verify_inequality_suite(self.PARAMS, Grid(30.0, 256), samples, seed=4)
+        short, long = runs
+        for name in ("response_h1_bound", "response_bounds", "nonlocal_positive"):
+            assert long[name][:6] == short[name], name
+        assert long["response_monotone"][:3] == short["response_monotone"]
 
     def test_forked_report_equals_one_cpu_report(self, monkeypatch):
         forks = []
@@ -676,25 +670,6 @@ class TestTwoProcessSuite:
         monkeypatch.setattr(analysis, "solve_inhibitor", failing_in_child)
         with pytest.raises(InhibitorError, match=r"residual 2\.500e-03 after 50"):
             verify_inequality_suite(self.PARAMS, Grid(30.0, 256), 8, seed=0)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_middle_error_raised_before_upper_error(self, monkeypatch):
-        # this process's upper range [b, n) and the child's middle one
-        # [a, b) both fail: the middle range's error is raised, as on one
-        # CPU, where it comes first
-        usable_cpus(monkeypatch, 2)
-        sample_range = analysis._sample_range
-
-        def failing(params, grid, n, seed, lo, hi):
-            if lo > 0:
-                raise InhibitorError(f"samples from {lo} failed")
-            return sample_range(params, grid, n, seed, lo, hi)
-
-        monkeypatch.setattr(analysis, "_sample_range", failing)
-        assert analysis._split_points(10) == (2, 6)
-        with pytest.raises(InhibitorError, match="samples from 2 failed"):
-            verify_inequality_suite(self.PARAMS, Grid(30.0, 256), 10, seed=0)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -751,5 +726,5 @@ class TestTwoProcessSuite:
         if (os.cpu_count() or 1) > 1:
             assert int(threads) > 1
         assert digest == (
-            "fc9ed0127fb6c40bb29756d394a3f9c1c801addbcf017b960ebd0f7640a2af7b"
+            "85b95245caf8a9672bf4d1b000960f4bc86ecf45b39877fee4d065dc162e0dc9"
         )

@@ -2,6 +2,7 @@
 configuration merging, and byte-level determinism of the data files."""
 
 import json
+import os
 import shutil
 
 import numpy as np
@@ -438,6 +439,32 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "fhn-pulse: error: samples must be at least 2\n"
+
+    def test_negative_seed_exits_1_before_forking(self, tmp_path, monkeypatch, capsys):
+        # the seed is checked before the suite forks, so one process
+        # reports it, with a message naming the seed
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        out = tmp_path / "never"
+        rc = main(["verify", "--beta", "0.4", "--gamma", "0.3", "--d", "0.005",
+                   "--n", "256", "--samples", "4", "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "fhn-pulse: error: seed must be a non-negative integer, got -1\n"
+        )
+        assert forks == []
 
     @pytest.mark.parametrize("n", ["16", "29"])
     def test_too_few_nodes_exit_1_without_files(self, tmp_path, capsys, n):

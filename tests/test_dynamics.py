@@ -23,6 +23,10 @@ from fhn_pulse.grid import profile_from_csv
 from fhn_pulse.model import negative_tail_cutoff, reaction_f
 from fhn_pulse.operators import ShiftedFactor, factor_shifted, solve_factored
 
+# evolve runs the steps between two bound checks with floating-point
+# errors ignored; a RuntimeWarning that escapes them fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 PARAMS = Params(d=0.01, tau=1.0, gamma=0.3, beta=0.4)
 CHECK = dynamics._CHECK_EVERY  # steps between two of evolve's bound checks
 RELAX_STATE = (
