@@ -635,6 +635,17 @@ class TestTwoProcessSuite:
             assert long[name][:6] == short[name], name
         assert long["response_monotone"][:3] == short["response_monotone"]
 
+    @pytest.mark.parametrize("cpus, usable", [(1, False), (2, True), (3, True), (None, False)])
+    def test_two_cpus_reads_affinity_at_call_time(self, monkeypatch, cpus, usable):
+        # None: a platform without os.sched_getaffinity
+        from fhn_pulse import _processes
+
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            usable_cpus(monkeypatch, cpus)
+        assert _processes.two_cpus() is usable
+
     def test_forked_report_equals_one_cpu_report(self, monkeypatch):
         forks = []
         fork = os.fork
