@@ -654,15 +654,24 @@ def verify_inequality_suite(
     solve of the suite falls short of tolerance, before that response
     feeds a margin; a child's error is raised in this process, and when
     both processes fail, this process's error is raised, as in a run on
-    one CPU, where its samples come first. A negative seed raises
-    ValueError before any process is forked.
+    one CPU, where its samples come first. n below 30, x_max below 4, a
+    negative seed, and a tol that is not finite and nonnegative raise
+    ValueError before any sample is solved or process forked.
     """
     if grid.n < _MIN_SAMPLE_NODES:
         raise ValueError(
             f"the inequality suite needs n >= {_MIN_SAMPLE_NODES}, got n = {grid.n}"
         )
+    if grid.x_max < 4.0:
+        raise ValueError(
+            "the inequality suite needs x_max >= 4, since its refinement ladder "
+            f"centres bumps in [1, x_max / 4], got x_max = {grid.x_max}"
+        )
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    # every check held to tol would fail by construction
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     beta, gamma = params.beta, params.gamma
     consts = compute_constants(beta, gamma)
 

@@ -1,17 +1,18 @@
 """Command-line interface: configuration loading, subcommand dispatch, and
 result emission.
 
-Subcommands: constants, solve, sweep-gamma1, verify, analyze, evolve. The
-SUBCOMMANDS table declares each key once, with its type and default, and
-the flags are made from it. An optional --config JSON file holds the same
-keys, typed as the flags: an int for a float key becomes a float; a bool
-for a number, a float for an int, a non-string path, or a null where the
-default is not None is a configuration error. Explicit flags win. Every
-run directory receives a manifest echoing the effective configuration.
+Subcommands: constants, solve, sweep-gamma1, verify, analyze, evolve,
+decay-rate. The SUBCOMMANDS table declares each key once, with its type
+and default, and the flags are made from it. An optional --config JSON
+file holds the same keys, typed as the flags: an int for a float key
+becomes a float; a bool for a number, a float for an int, a non-string
+path, or a null where the default is not None is a configuration error.
+Explicit flags win. Every run directory receives a manifest echoing the
+effective configuration.
 Exit codes: 0 success, 1 usage or configuration error, 2 solver
 non-convergence, a constraint-pinned solve (active constraints at the
-end, so no standing pulse; analyze refuses such a run too) or blow-up,
-3 verification failures.
+end, so no standing pulse; analyze and decay-rate refuse such a run too)
+or blow-up, 3 verification failures.
 
 Numbers are written with 17 significant digits and JSON keys are sorted,
 so identical configurations produce byte-identical data files (the
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
@@ -35,7 +37,7 @@ from .admissible import build_q0
 from .analysis import check_pulse_properties, linearize, verify_inequality_suite
 from .dynamics import BlowUpError, evolve, export_trajectory
 from .energy import EnergyReport
-from .grid import Grid, mirror, profile_from_csv, profile_to_csv
+from .grid import Grid, Profile, mirror, profile_from_csv, profile_to_csv
 from .minimizer import MinimizeOptions, SolveResult, minimize
 from .model import Params, compute_constants, gamma0, gamma1_direct, gamma1_via_potential
 from .operators import InhibitorError
@@ -69,6 +71,7 @@ class _Key(NamedTuple):
 
 
 _RUN = _Key(str, help="directory written by the solve subcommand")
+_TAU = _Key(float, None, "override the stored tau")
 
 # The subcommands' keys, each declared once: build_parser makes a flag of
 # every key (x_max becomes --x-max) and merge_config takes the defaults and
@@ -105,7 +108,15 @@ SUBCOMMANDS: dict[str, tuple[str, object, dict[str, _Key]]] = {
         "dt": _Key(float, 1e-3),
         "t_final": _Key(float, 10.0),
         "snapshot_every": _Key(int, 0),
-        "tau": _Key(float, None, "override the stored tau"),
+        "tau": _TAU,
+    }),
+    "decay-rate": ("perturb a stored pulse and record its relaxation", None, {
+        "run": _RUN,
+        "amplitude": _Key(float, 0.01, "relative perturbation of u0 around x1"),
+        "dt": _Key(float, 1e-3),
+        "t_final": _Key(float, 10.0),
+        "snapshot_every": _Key(int, 1000),
+        "tau": _TAU,
     }),
 }
 
@@ -313,15 +324,24 @@ def load_solve_run(run_dir: str | pathlib.Path) -> SolveResult:
     return result
 
 
+def _load_pulse(command: str, run: str) -> SolveResult | None:
+    """The stored solve run, or None when it is no standing pulse, which
+    is said on stderr."""
+    result = load_solve_run(run)
+    if result.is_pulse:
+        return result
+    print(
+        f"{command}: stored run is no standing pulse: converged={result.converged} "
+        f"active={result.active_constraint_count} polish={result.polish}",
+        file=sys.stderr,
+    )
+    return None
+
+
 def _cmd_analyze(cfg: dict) -> int:
     t0 = time.monotonic()
-    result = load_solve_run(cfg["run"])
-    if not result.is_pulse:
-        print(
-            f"analyze: stored run is no standing pulse: converged={result.converged} "
-            f"active={result.active_constraint_count} polish={result.polish}",
-            file=sys.stderr,
-        )
+    result = _load_pulse("analyze", cfg["run"])
+    if result is None:
         return 2
     lin = linearize(result.params)
     props = check_pulse_properties(result)
@@ -369,6 +389,43 @@ def _cmd_evolve(cfg: dict) -> int:
     return 0
 
 
+def _cmd_decay_rate(cfg: dict) -> int:
+    """Relax the stored pulse from u0 (1 + amplitude bump), a bump centred
+    on the crossing x1, and record max|u(t) - u0| at every snapshot."""
+    t0 = time.monotonic()
+    amplitude = cfg["amplitude"]
+    # the table reports distances relative to the initial perturbation
+    if not (math.isfinite(amplitude) and amplitude != 0.0):
+        raise ConfigError(f"amplitude must be finite and nonzero, got {amplitude}")
+    result = _load_pulse("decay-rate", cfg["run"])
+    if result is None:
+        return 2
+    params = result.params
+    if cfg["tau"] is not None:
+        params = Params(d=params.d, tau=cfg["tau"], gamma=params.gamma, beta=params.beta)
+    u0 = result.u0.values
+    x = result.grid.nodes()
+    bump = np.exp(-((x - result.x1) ** 2) / max(4.0 * result.x1**2, 1e-4))
+    u_pert = Profile(result.grid, u0 * (1.0 + amplitude * bump))
+    try:
+        traj = evolve(params, u_pert, result.v0, dt=cfg["dt"], t_final=cfg["t_final"],
+                      snapshot_every=cfg["snapshot_every"])
+    except BlowUpError as err:
+        print(f"decay-rate: {err}", file=sys.stderr)
+        return 2
+    d0 = float(np.max(np.abs(u_pert.values - u0)))
+    distances = [float(np.max(np.abs(u.values - u0))) for u, _ in traj.snapshots]
+    out = pathlib.Path(cfg["out"]) if cfg["out"] else pathlib.Path(cfg["run"], "decay-rate")
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "decay.csv", "t,u_distance", (traj.times, distances))
+    write_manifest(out, "decay-rate", cfg, t0)
+    print(f"pulse: J={result.energy.total:+.3e} x1={result.x1:.5f} tau={params.tau:g}")
+    print(f"initial |u - pulse|_inf = {d0:.3e}")
+    for t, dist in zip(traj.times, distances):
+        print(f"t={t:7.3f}  |u - pulse|_inf = {dist:.6e}  ({dist / d0:.4f} of initial)")
+    return 0
+
+
 _COMMANDS = {
     "constants": _cmd_constants,
     "solve": _cmd_solve,
@@ -376,6 +433,7 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "analyze": _cmd_analyze,
     "evolve": _cmd_evolve,
+    "decay-rate": _cmd_decay_rate,
 }
 
 

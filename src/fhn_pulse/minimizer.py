@@ -64,16 +64,13 @@ from .admissible import BAND_TOL, band_bounds, build_q0, detect_crossings, proje
 from .energy import EnergyReport, evaluate_energy
 from .grid import Grid, Profile, crossing_location
 from .model import Params, _outer_roots, head_geometry, interface_width, negative_tail_cutoff
-from .operators import InhibitorError, solve_steady
+from .operators import ARMIJO_C, BACKTRACK, LS_MAX, InhibitorError, solve_steady
 from .records import Record
 
 
-ARMIJO_C = 1e-4
-BACKTRACK = 0.5
 STEP_INIT = 1.0
 STEP_MIN = 1e-6
 STEP_MAX = 1e2
-LS_MAX = 40  # backtracking trials per line search
 # Armijo slack, as a multiple of the summed energy magnitudes: a change in J
 # below the roundoff of the energy sum is neither a decrease nor a rise
 ENERGY_ROUNDOFF = 16.0 * float(np.finfo(float).eps)

@@ -140,14 +140,20 @@ class ConstantsReport(Record):
 def compute_constants(beta: float, gamma: float) -> ConstantsReport:
     """Evaluate every closed-form constant at (beta, gamma).
 
-    Requires beta in (1/3, 1/2) and gamma > 0. M2 degenerates to +inf when
-    gamma >= gamma0 (its denominator changes sign there); m2 is implemented
-    exactly as printed and is diagnostic-only.
+    Requires beta in (1/3, 1/2) and gamma > 0, with gamma**2.5 > 0 in
+    float64 (gamma above ~3.6e-130): M1 divides by it, and (1 + 1/gamma)**2
+    overflows further down. M2 degenerates to +inf when gamma >= gamma0
+    (its denominator changes sign there); m2 is implemented exactly as
+    printed and is diagnostic-only.
     """
     if not (1.0 / 3.0 < beta < 0.5):
         raise ValueError(f"constants require beta in (1/3, 1/2), got {beta}")
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"constants require gamma > 0, got {gamma}")
+    if gamma**2.5 == 0.0:
+        raise ValueError(
+            f"constants require gamma**2.5 > 0 in float64, got gamma = {gamma}"
+        )
 
     beta1, beta2 = potential_roots(beta)
     g0 = gamma0(beta)

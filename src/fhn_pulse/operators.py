@@ -715,6 +715,16 @@ def _cubic_balance(vl: np.ndarray, gamma: float) -> np.ndarray:
     return w
 
 
+# The backtracking of the damped Newton solves, shared with the
+# minimizer's line search: at most LS_MAX trials, the step scaled by
+# BACKTRACK after each, until Armijo's sufficient decrease with constant
+# ARMIJO_C holds. Along a Newton step the slope of ||r||^2 is -2 ||r||^2,
+# so the Newton solves accept ||r_t||^2 <= (1 - 2 ARMIJO_C t) ||r||^2.
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+LS_MAX = 40
+
+
 def _check_gamma(gamma: float) -> None:
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -817,15 +827,15 @@ def solve_inhibitor(
         _ptsv(diag, off, step[:m])
         t = 1.0
         accepted = False
-        for _ in range(40):
+        for _ in range(LS_MAX):
             np.multiply(step, t, out=v_try)
             v_try += v
             _fd_residual(v_try, uu, gamma, h, r_try, scratch)
             rn2_try = float(np.dot(r_try, r_try))
-            if rn2_try <= (1.0 - 2e-4 * t) * rn2:
+            if rn2_try <= (1.0 - 2.0 * ARMIJO_C * t) * rn2:
                 accepted = True
                 break
-            t *= 0.5
+            t *= BACKTRACK
         if not accepted:
             break
         v, v_try = v_try, v
@@ -1036,17 +1046,17 @@ def solve_steady(
         du, dv = _schur_solve(lub, piv, ja, jb, d, h, r)
         t = 1.0
         accepted = False
-        for _ in range(40):
+        for _ in range(LS_MAX):
             u_try = u.copy()
             v_try = v.copy()
             u_try[:-1] += t * du
             v_try[:-1] += t * dv
             r_try = steady_residual(u_try, v_try, d, beta, gamma, h)
             rn2_try = float(np.vdot(r_try, r_try))
-            if rn2_try <= (1.0 - 2e-4 * t) * rn2 or at_floor(r_try, u_try, v_try):
+            if rn2_try <= (1.0 - 2.0 * ARMIJO_C * t) * rn2 or at_floor(r_try, u_try, v_try):
                 accepted = True
                 break
-            t *= 0.5
+            t *= BACKTRACK
         if not accepted:
             break
         u, v, r, rn2 = u_try, v_try, r_try, rn2_try

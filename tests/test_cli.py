@@ -232,7 +232,21 @@ SURFACE = {
     ("evolve", "tau", float, None),
     ("evolve", "out", str, None),
     ("evolve", "seed", int, 0),
+    ("decay-rate", "run", str, REQ),
+    ("decay-rate", "amplitude", float, 0.01),
+    ("decay-rate", "dt", float, 1e-3),
+    ("decay-rate", "t_final", float, 10.0),
+    ("decay-rate", "snapshot_every", int, 1000),
+    ("decay-rate", "tau", float, None),
+    ("decay-rate", "out", str, None),
+    ("decay-rate", "seed", int, 0),
 }
+
+
+def _copy_run(run, dest) -> None:
+    """Copy a solve run without the outputs other commands wrote into it."""
+    ignore = shutil.ignore_patterns("analyze_report.json", "evolve", "decay-rate")
+    shutil.copytree(run, dest, ignore=ignore)
 
 
 def _flags(cfg: dict) -> list[str]:
@@ -283,6 +297,8 @@ class TestConfigTyping:
                    "samples": 3, "seed": 1},
         "analyze": {},
         "evolve": {"dt": 0.01, "t_final": 1, "snapshot_every": 50, "tau": 2},
+        "decay-rate": {"amplitude": -0.02, "dt": 0.01, "t_final": 1,
+                       "snapshot_every": 50, "tau": 2},
     }
 
     @pytest.mark.parametrize("command", list(CONFIGS))
@@ -290,7 +306,7 @@ class TestConfigTyping:
         self, command, solve_run, tmp_path, capsys
     ):
         cfg = dict(self.CONFIGS[command])
-        if command in ("analyze", "evolve"):
+        if command in ("analyze", "evolve", "decay-rate"):
             cfg["run"] = str(solve_run)
         outputs, configs = [], []
         for side in ("flags", "config"):
@@ -387,6 +403,21 @@ class TestSweep:
         assert capsys.readouterr().err == f"fhn-pulse: error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["constants", "verify"])
+@pytest.mark.parametrize("gamma", ["1e-300", "1e-140"])
+def test_underflowing_gamma_exits_1(tmp_path, capsys, command, gamma):
+    # (1 + 1/gamma)**2 overflows at 1e-300 and gamma**2.5 underflows to 0
+    # at 1e-140; both used to end in a traceback
+    out = tmp_path / "never"
+    args = ["--beta", "0.4", "--gamma", gamma, "--out", str(out)]
+    if command == "verify":
+        args += ["--d", "0.005", "--n", "256", "--samples", "2"]
+    assert main([command, *args]) == 1
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "fhn-pulse: error: constants require "
+                                   f"gamma**2.5 > 0 in float64, got gamma = {gamma}\n")
+
+
 class TestVerify:
     def test_report_written_and_passes(self, tmp_path, capsys):
         out = tmp_path / "ver"
@@ -436,15 +467,12 @@ class TestVerify:
                    "--n", "256", "--samples", samples, "--out", str(out)])
         assert rc == 1
         assert not out.exists()
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "fhn-pulse: error: samples must be at least 2\n"
+        assert capsys.readouterr() == ("", "fhn-pulse: error: samples must be at least 2\n")
 
-    def test_negative_seed_exits_1_before_forking(self, tmp_path, monkeypatch, capsys):
-        # the seed is checked before the suite forks, so one process
-        # reports it, with a message naming the seed
-        forks = []
-        fork = os.fork
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The children os.fork starts, with two CPUs usable."""
+        forks, fork = [], os.fork
 
         def counted_fork():
             pid = fork()
@@ -453,17 +481,34 @@ class TestVerify:
             return pid
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
-        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return forks
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["--x-max", "3.9"], "the inequality suite needs x_max >= 4, since its "
+             "refinement ladder centres bumps in [1, x_max / 4], got x_max = 3.9"),
+            (["--tol", "nan"], "tol must be finite and nonnegative, got nan"),
+            (["--tol", "-1"], "tol must be finite and nonnegative, got -1.0"),
+            (["--tol", "inf"], "tol must be finite and nonnegative, got inf"),
+        ],
+        ids=["negative_seed", "x_max_below_4", "nan_tol", "negative_tol", "infinite_tol"],
+    )
+    def test_bad_setting_exits_1_before_forking(
+        self, tmp_path, capsys, forks, flags, message
+    ):
+        # checked before the suite forks, so one process reports it. An
+        # empty ladder range [1, x_max / 4] used to fail only after every
+        # sample was solved, and a tol that is not finite and nonnegative
+        # failed every check held to it, a FAIL verdict
         out = tmp_path / "never"
         rc = main(["verify", "--beta", "0.4", "--gamma", "0.3", "--d", "0.005",
-                   "--n", "256", "--samples", "4", "--seed", "-1", "--out", str(out)])
+                   "--n", "256", "--samples", "4", *flags, "--out", str(out)])
         assert rc == 1
         assert not out.exists()
-        assert capsys.readouterr().err == (
-            "fhn-pulse: error: seed must be a non-negative integer, got -1\n"
-        )
+        assert capsys.readouterr() == ("", f"fhn-pulse: error: {message}\n")
         assert forks == []
 
     @pytest.mark.parametrize("n", ["16", "29"])
@@ -475,10 +520,8 @@ class TestVerify:
                    "--n", n, "--samples", "2", "--out", str(out)])
         assert rc == 1
         assert not out.exists()
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"fhn-pulse: error: the inequality suite needs n >= 30, got n = {n}\n"
+        assert capsys.readouterr() == (
+            "", f"fhn-pulse: error: the inequality suite needs n >= 30, got n = {n}\n"
         )
 
     def test_thirty_nodes_run(self, tmp_path):
@@ -514,9 +557,6 @@ class TestAnalyze:
         (broken / "solve_result.json").write_text(json.dumps(meta))
         assert main(["analyze", "--run", str(broken)]) == 1
 
-    def test_missing_run_exits_1(self, tmp_path):
-        assert main(["analyze", "--run", str(tmp_path / "nope")]) == 1
-
     @pytest.mark.parametrize(
         "moved, message",
         [(1e-3, "non-uniform x column in"), (None, "malformed profile CSV")],
@@ -524,9 +564,7 @@ class TestAnalyze:
     )
     def test_bad_profile_csv_exits_1(self, solve_run, tmp_path, capsys, moved, message):
         broken = tmp_path / "broken"
-        shutil.copytree(
-            solve_run, broken, ignore=shutil.ignore_patterns("analyze_report.json", "evolve")
-        )
+        _copy_run(solve_run, broken)
         lines = (broken / "u0.csv").read_text().splitlines()
         if moved is None:
             lines = lines[:3]  # the header and two nodes
@@ -542,25 +580,27 @@ class TestAnalyze:
     def test_pinned_run_exits_2(self, tmp_path, capsys):
         # complex far-field eigenvalues and a state pinned all the way out
         # (the zero crossing lands so close to x_max that no tail is left):
-        # a converged run with active constraints is no pulse to analyze
+        # a converged run with active constraints is no pulse to analyze;
+        # decay-rate refuses it with the same line and writes nothing either
         run = tmp_path / "pinned"
         args = ["--beta", "0.4", "--gamma", "0.1", "--d", "1.0", "--x-max", "20"]
         assert main(["solve", *args, "--n", "256", "--out", str(run)]) == 2
         data = json.loads((run / "solve_result.json").read_text())
         assert data["converged"] and data["active_constraint_count"] > 0
+        files = sorted(run.iterdir())
         capsys.readouterr()
         assert main(["analyze", "--run", str(run)]) == 2
         err = capsys.readouterr().err
         assert "no standing pulse" in err
         assert f"active={data['active_constraint_count']}" in err
-        assert not (run / "analyze_report.json").exists()
+        assert main(["decay-rate", "--run", str(run)]) == 2
+        assert capsys.readouterr() == ("", err.replace("analyze: ", "decay-rate: ", 1))
+        assert sorted(run.iterdir()) == files
 
     def test_saddle_run_exits_2(self, solve_run, tmp_path, capsys):
         # a run whose descent stopped on an odd-index saddle is no pulse
         run = tmp_path / "saddle"
-        shutil.copytree(
-            solve_run, run, ignore=shutil.ignore_patterns("analyze_report.json", "evolve")
-        )
+        _copy_run(solve_run, run)
         meta = json.loads((run / "solve_result.json").read_text())
         meta["polish"] = "saddle"
         (run / "solve_result.json").write_text(json.dumps(meta))
@@ -593,12 +633,17 @@ class TestLoadSolveRun:
         assert result.polish == "skipped" and result.polish_steps == 0
         assert main(["analyze", "--run", str(old), "--out", str(tmp_path / "a")]) == 0
 
-    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    @pytest.mark.parametrize("command", ["analyze", "evolve", "decay-rate"])
+    def test_missing_run_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--run", str(tmp_path / "nope"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("fhn-pulse: error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "evolve", "decay-rate"])
     def test_v0_on_other_grid_exits_1(self, solve_run, tmp_path, capsys, command):
         broken = tmp_path / "broken"
-        shutil.copytree(
-            solve_run, broken, ignore=shutil.ignore_patterns("analyze_report.json", "evolve")
-        )
+        _copy_run(solve_run, broken)
         profile_to_csv(Profile(Grid(12.0, 1024), np.zeros(1025)), broken / "v0.csv")
         args = [command, "--run", str(broken), "--out", str(tmp_path / "out")]
         assert main(args) == 1
@@ -606,7 +651,7 @@ class TestLoadSolveRun:
         err = capsys.readouterr().err
         assert err == "fhn-pulse: error: stored profiles disagree with the recorded grid\n"
 
-    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    @pytest.mark.parametrize("command", ["analyze", "evolve", "decay-rate"])
     @pytest.mark.parametrize(
         "edit",
         [
@@ -662,31 +707,28 @@ class TestEvolve:
                    flag, value, "--out", str(out)])
         assert rc == 1
         assert not out.exists()
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"fhn-pulse: error: {message}\n"
+        assert capsys.readouterr() == ("", f"fhn-pulse: error: {message}\n")
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
-    def test_blow_up_exits_2_without_manifest(self, solve_run, tmp_path, capsys, sign):
+    @pytest.mark.parametrize("command", ["evolve", "decay-rate"])
+    def test_blow_up_exits_2_without_manifest(
+        self, solve_run, tmp_path, capsys, command, sign
+    ):
         # an activator at +-100 leaves the a-priori bound in the first step,
         # which evolve checks on its own; the run is longer than one check
         # window, and the message is the per-step check's, to the byte
         run = tmp_path / "big"
-        shutil.copytree(
-            solve_run, run, ignore=shutil.ignore_patterns("analyze_report.json", "evolve")
-        )
+        _copy_run(solve_run, run)
         grid = load_solve_run(solve_run).grid
         profile_to_csv(Profile(grid, np.full(grid.n + 1, sign * 100.0)), run / "u0.csv")
         out = tmp_path / "out"
         capsys.readouterr()
-        rc = main(["evolve", "--run", str(run), "--dt", "1e-2", "--t-final", "2",
+        rc = main([command, "--run", str(run), "--dt", "1e-2", "--t-final", "2",
                    "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "evolve: state norm exceeded 37.9 at t = 0.01; "
-            "the trajectory is blowing up\n"
-        )
-        assert not (out / "manifest.json").exists()
+        assert capsys.readouterr() == ("", f"{command}: state norm exceeded 37.9 at "
+                                       "t = 0.01; the trajectory is blowing up\n")
+        assert not out.exists()
 
     def test_runs_wherever_solve_finds_a_pulse(self, tmp_path):
         # beta = 0.3 lies outside the window (1/3, 1/2) of the paper's
@@ -715,3 +757,63 @@ class TestEvolve:
         assert len(names[0]) == 11  # trajectory.json and 5 snapshot pairs
         for name in names[0]:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
+class TestDecayRate:
+    ARGS = ["--dt", "0.01", "--t-final", "0.1", "--snapshot-every", "5"]
+
+    @pytest.mark.parametrize("tau_args, tau", [([], "1"), (["--tau", "2"], "2")])
+    def test_distance_table_and_csv(self, solve_run, tmp_path, capsys, tau_args, tau):
+        out = tmp_path / "decay"
+        args = ["decay-rate", "--run", str(solve_run), *self.ARGS, *tau_args]
+        assert main(args + ["--out", str(out)]) == 0
+        pulse, initial, *table = capsys.readouterr().out.splitlines()
+        assert pulse.startswith("pulse: J=") and pulse.endswith(f" tau={tau}")
+        # snapshots at t = 0, every 5 of the 10 steps and at the end, the
+        # table's distances at full precision in decay.csv
+        header, *rows = (out / "decay.csv").read_text().splitlines()
+        assert header == "t,u_distance" and len(rows) == len(table) == 3
+        d0 = float(rows[0].split(",")[1])
+        assert initial == f"initial |u - pulse|_inf = {d0:.3e}"
+        for line, row in zip(table, rows):
+            t, dist = map(float, row.split(","))
+            ratio = f"({dist / d0:.4f} of initial)"
+            assert line == f"t={t:7.3f}  |u - pulse|_inf = {dist:.6e}  {ratio}"
+        assert table[0].endswith("(1.0000 of initial)")
+        assert json.loads((out / "manifest.json").read_text())["command"] == "decay-rate"
+        assert sorted(p.name for p in out.iterdir()) == ["decay.csv", "manifest.json"]
+
+    def test_default_out_inside_run_and_rerun_byte_identical(self, solve_run, tmp_path):
+        args = ["decay-rate", "--run", str(solve_run), *self.ARGS]
+        assert main(args) == 0
+        assert main(args + ["--out", str(tmp_path / "again")]) == 0
+        first = (solve_run / "decay-rate" / "decay.csv").read_bytes()
+        assert first == (tmp_path / "again" / "decay.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--snapshot-every", "-2"], "snapshot_every must be nonnegative, got -2"),
+            (["--dt", "0"], "dt must be positive and finite, got 0.0"),
+            (["--dt", "-0.001"], "dt must be positive and finite, got -0.001"),
+            (["--dt", "nan"], "dt must be positive and finite, got nan"),
+            (["--t-final", "0"], "t_final must be positive and finite, got 0.0"),
+            (["--t-final", "inf"], "t_final must be positive and finite, got inf"),
+            (["--dt", "5e-324"], "t_final / dt must be finite, got 10.0 / 5e-324"),
+            (["--amplitude", "nan"], "amplitude must be finite and nonzero, got nan"),
+            (["--amplitude", "inf"], "amplitude must be finite and nonzero, got inf"),
+            (["--amplitude", "0"], "amplitude must be finite and nonzero, got 0.0"),
+            (["--tau", "0"], "tau must be positive, got 0.0"),
+        ],
+        ids=["negative_snapshot_every", "zero_dt", "negative_dt", "nan_dt",
+             "zero_t_final", "inf_t_final", "overflowing_step_count", "nan_amplitude",
+             "infinite_amplitude", "zero_amplitude", "zero_tau"],
+    )
+    def test_bad_controls_exit_1_without_files(
+        self, solve_run, tmp_path, capsys, args, message
+    ):
+        out = tmp_path / "never"
+        rc = main(["decay-rate", "--run", str(solve_run), *args, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr() == ("", f"fhn-pulse: error: {message}\n")
