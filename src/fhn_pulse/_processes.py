@@ -1,14 +1,18 @@
 """Two processes for one computation: a child forked to run one part
-while this process runs the other, and the barrier at which two such
-processes meet through shared memory.
+while this process runs the other, the shared memory they work in, and
+the barrier at which two such processes meet through it.
 
-The package imports this module inside the functions that fork or ask
-whether two CPUs are usable, so importing the package does not load it.
+The package imports this module inside the functions that fork, ask
+whether two CPUs are usable or allocate shared memory, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
 
+import math
 import os
+
+import numpy as np
 
 # reads of the partner's counter before a waiting process starts to
 # yield its CPU and to check that the partner still runs
@@ -20,6 +24,17 @@ def two_cpus() -> bool:
     os.sched_getaffinity reports them at the time of the call; False
     where that call does not exist."""
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def shared_zeros(shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """A zeroed array, as np.zeros gives it, in an anonymous shared mapping
+    of its own, which starts on a page boundary: a process forked
+    afterwards reads and writes the same memory through it."""
+    import mmap
+
+    count = math.prod(shape)
+    memory = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(memory, dtype, count).reshape(shape)
 
 
 class PartnerExited(RuntimeError):
@@ -93,17 +108,18 @@ def in_two_processes(low, high):
 
 class Barrier:
     """The meeting point of two processes, 0 and 1, on two monotone
-    counters in memory they share: each raises its own counter at every
-    wait and returns once the other's has reached it. The data a process
-    wrote before a wait is visible to the other after it, since x86-64
-    makes stores visible in program order.
+    counters in memory they share, the first entries of rows 0 and 1 of
+    `counters`: each raises its own counter at every wait and returns
+    once the other's has reached it. The data a process wrote before a
+    wait is visible to the other after it, since x86-64 makes stores
+    visible in program order.
 
     A waiting process reads the other's counter _SPINS times, then yields
     its CPU between reads and checks that the other still runs, so two
     processes on one CPU take turns, and a partner that has exited raises
     PartnerExited instead of hanging the wait."""
 
-    def __init__(self, counters: list, me: int, partner_running):
+    def __init__(self, counters: np.ndarray, me: int, partner_running):
         self._mine = counters[me]
         self._theirs = counters[1 - me]
         self._running = partner_running

@@ -450,7 +450,7 @@ def random_admissible_profile(
 _SUITE_CHECKS: tuple[tuple[str, bool, str | None], ...] = (
     ("response_h1_bound", True, "max{1,1/gamma} ||w||_2 - ||Nw||_H1"),
     ("response_lipschitz", True, "max{1,1/gamma} ||w2-w1||_2 - ||Nw2-Nw1||_H1"),
-    ("response_monotone", True, "min (N w - N(w - bump))"),
+    ("response_monotone", True, "min (N w - N(w - bump)), x < x_max"),
     ("resolvent_sandwich", True, "min(Nw - L0 w, L w - Nw), w >= 0"),
     ("response_bounds", True, "-(M+1) <= Nw <= 1 on admissible w"),
     ("resolvent_self_adjoint", True, "-|<w1, L w2> - <w2, L w1>|"),
@@ -533,10 +533,11 @@ def _sample_range(params: Params, grid: Grid, seed: int, lo: int, hi: int):
             )
 
         if bump is not None:
-            # monotonicity: w and w minus a nonnegative bump
+            # monotonicity: w and w minus a nonnegative bump, over the
+            # nodes before x_max (both responses are pinned to 0 there)
             n_low = solve_inhibitor(Profile(grid, w.values - bump), gamma).v
             margins["response_monotone"].append(
-                float(np.min(nw.values - n_low.values))
+                float(np.min(nw.values[:-1] - n_low.values[:-1]))
             )
 
         # resolvent sandwich on nonnegative admissible input, and the

@@ -8,7 +8,8 @@ file holds the same keys, typed as the flags: an int for a float key
 becomes a float; a bool for a number, a float for an int, a non-string
 path, or a null where the default is not None is a configuration error.
 Explicit flags win. Every run directory receives a manifest echoing the
-effective configuration.
+effective configuration. analyze, evolve and decay-rate read the solve
+run R given by --run and write, by default, into R/<command>.
 Exit codes: 0 success, 1 usage or configuration error, 2 solver
 non-convergence, a constraint-pinned solve (active constraints at the
 end, so no standing pulse; analyze and decay-rate refuse such a run too)
@@ -124,9 +125,10 @@ SUBCOMMANDS: dict[str, tuple[str, object, dict[str, _Key]]] = {
 def command_keys(command: str) -> dict[str, _Key]:
     """Every key of a subcommand: its row of SUBCOMMANDS, then out and seed."""
     _, out_default, keys = SUBCOMMANDS[command]
+    default = f"${OUTDIR_ENV}, else RUN/{command}" if "run" in keys else f"${OUTDIR_ENV}"
     return {
         **keys,
-        "out": _Key(str, out_default, "output directory (default: $%s)" % OUTDIR_ENV),
+        "out": _Key(str, out_default, f"output directory (default: {default})"),
         "seed": _Key(int, 0, "random seed echoed in the manifest"),
     }
 
@@ -190,6 +192,10 @@ def merge_config(args: argparse.Namespace) -> dict:
     missing = sorted(k for k, v in cfg.items() if v is _REQUIRED)
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    if cfg["out"] is None and "run" in keys:
+        # a command on a stored run writes into a directory of its own
+        # there, beside the run's files and manifest
+        cfg["out"] = str(pathlib.Path(cfg["run"], args.command))
     return cfg
 
 
@@ -352,10 +358,9 @@ def _cmd_analyze(cfg: dict) -> int:
         "hamiltonian_residual_max": ham_max,
     }
     print(props.to_text())
-    out_dir = pathlib.Path(cfg["out"]) if cfg["out"] else pathlib.Path(cfg["run"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "analyze_report.json", report)
-    write_manifest(out_dir, "analyze", cfg, t0)
+    out = _prepare_out(cfg)
+    write_json(out / "analyze_report.json", report)
+    write_manifest(out, "analyze", cfg, t0)
     return 0 if props.all_passed else 3
 
 
@@ -365,9 +370,6 @@ def _cmd_evolve(cfg: dict) -> int:
     params = result.params
     if cfg["tau"] is not None:
         params = Params(d=params.d, tau=cfg["tau"], gamma=params.gamma, beta=params.beta)
-    out_dir = (
-        pathlib.Path(cfg["out"]) if cfg["out"] else pathlib.Path(cfg["run"]) / "evolve"
-    )
     try:
         traj = evolve(
             params,
@@ -380,8 +382,9 @@ def _cmd_evolve(cfg: dict) -> int:
     except BlowUpError as err:
         print(f"evolve: {err}", file=sys.stderr)
         return 2
-    index = export_trajectory(traj, out_dir)
-    write_manifest(out_dir, "evolve", cfg, t0)
+    out = pathlib.Path(cfg["out"])
+    index = export_trajectory(traj, out)
+    write_manifest(out, "evolve", cfg, t0)
     print(
         f"evolve: t_final={traj.t_final:.6g} u_drift={traj.u_drift:.3e} "
         f"v_drift={traj.v_drift:.3e} -> {index}"
@@ -415,8 +418,7 @@ def _cmd_decay_rate(cfg: dict) -> int:
         return 2
     d0 = float(np.max(np.abs(u_pert.values - u0)))
     distances = [float(np.max(np.abs(u.values - u0))) for u, _ in traj.snapshots]
-    out = pathlib.Path(cfg["out"]) if cfg["out"] else pathlib.Path(cfg["run"], "decay-rate")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _prepare_out(cfg)
     write_csv(out / "decay.csv", "t,u_distance", (traj.times, distances))
     write_manifest(out, "decay-rate", cfg, t0)
     print(f"pulse: J={result.energy.total:+.3e} x1={result.x1:.5f} tau={params.tau:g}")

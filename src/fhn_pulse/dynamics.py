@@ -33,9 +33,10 @@ blow-up is reported at the same step as by a check after every step.
 Where two CPUs are usable on x86-64 and the grid is large enough (four
 or more batches of the solvers' blocks, n > 6144), the steps run in two
 processes: a child forked for the run steps the unknowns of the second
-half of the batches, this process those of the first. Both work in one
-shared anonymous mapping (the state, the checkpoint, the blocked
-scratch and the solvers' edge values), and each forms the right-hand
+half of the batches, this process those of the first. Both work in
+shared memory, one anonymous mapping per array (_processes.shared_zeros:
+the state, the checkpoint, the blocked scratch and the solvers' edge
+values, and the barrier's counters), and each forms the right-hand
 sides on its own unknowns, solves over its own batches
 (ShiftedFactor._over_batches) and checks its own columns; they meet at
 a barrier in each solve, at each window's end and around each
@@ -53,7 +54,7 @@ import numpy as np
 
 from .grid import Grid, Profile, profile_to_csv
 from .model import Params, negative_tail_cutoff
-from .operators import ShiftedFactor, solve_factored
+from .operators import ShiftedFactor, _block_shape, solve_factored
 from .records import Record, write_json
 
 # steps between two bound checks of evolve; a failed check replays at
@@ -141,15 +142,16 @@ def evolve(
     Where os.sched_getaffinity reports two or more CPUs, the machine is
     x86-64 and each half of the solvers' batches holds at least two (n >
     6144), the steps run in two processes, as the module docstring
-    describes: the two decide each window's check alike, from both
-    halves' max and min, and a failed window is replayed here alone,
-    through the same per-step path. The trajectory, snapshots and drifts
-    included, has the same bytes at any CPU count, and a blow-up the same
-    time, message and warnings. The child leaves by os._exit on every
-    path and is reaped before evolve returns or raises; an error here
-    kills it first, and a child that dies raises RuntimeError. Spans
-    that a tracer records cover this process only, so in two processes
-    they time its half of each solve.
+    describes, on arrays in one shared anonymous mapping each: the two
+    decide each window's check alike, from both halves' max and min,
+    and a failed window is replayed here alone, through the same
+    per-step path. The trajectory, snapshots and drifts included, has
+    the same bytes at any CPU count, and a blow-up the same time,
+    message and warnings. The child leaves by os._exit on every path
+    and is reaped before evolve returns or raises; an error here kills
+    it first, and a child that dies raises RuntimeError. Spans that a
+    tracer records cover this process only, so in two processes they
+    time its half of each solve.
     """
     for name, value in (("dt", dt), ("t_final", t_final)):
         if not (value > 0.0 and math.isfinite(value)):
@@ -168,24 +170,22 @@ def evolve(
 
     h = grid.h
     m = grid.n  # unknowns per solve; the last node stays pinned at 0
-    shape, exchange = ShiftedFactor._shared_shapes(m)
-    batches = shape[0]
+    batches = _block_shape(m)[0]
     two_processes = _two_processes_usable(batches)
     if two_processes:
-        # everything both processes write or read of the other's: the
-        # scratch, the edge exchange, the state, the checkpoint, and the
-        # max/min slots and barrier counters, one 64-byte line per process
-        x, exchange_u, exchange_v, state, checkpoint, slots, counters = _shared_arrays(
-            [shape, (exchange,), (exchange,), (2, m + 1), (2, m + 1), (2, 8), (2, 8)]
-        )
-        counters = list(counters.view(np.int64)[:, :1])
+        from ._processes import shared_zeros as zeros
     else:
-        x = exchange_u = exchange_v = None
-        state, checkpoint = np.empty((2, m + 1)), np.empty((2, m + 1))
-    factor_u = ShiftedFactor(1.0 / dt, h, m, d, _scratch=x, _exchange=exchange_u)
+        zeros = np.zeros
+    # everything both processes write or read of the other's is allocated
+    # by zeros: the factors' scratch and edge exchanges, the state, the
+    # checkpoint, and the max/min slots and barrier counters, one 64-byte
+    # row per process
+    factor_u = ShiftedFactor(1.0 / dt, h, m, d, _zeros=zeros)
     # the u solve has read the blocked scratch before the v right-hand
     # side is formed there, so the two factors share it
-    factor_v = ShiftedFactor(tau / dt + gamma, h, m, _scratch=factor_u.x, _exchange=exchange_v)
+    factor_v = ShiftedFactor(tau / dt + gamma, h, m, _scratch=factor_u.x, _zeros=zeros)
+    state, checkpoint = zeros((2, m + 1)), zeros((2, m + 1))
+    slots, counters = zeros((2, 8)), zeros((2, 8), np.int64)
     shift_u = 1.0 / dt - beta
     shift_v = tau / dt
 
@@ -325,23 +325,6 @@ def _two_processes_usable(batches: int) -> bool:
     from ._processes import two_cpus
 
     return batches // 2 >= 2 and platform.machine() in ("x86_64", "AMD64") and two_cpus()
-
-
-def _shared_arrays(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Zeroed float64 arrays of the given shapes in one anonymous shared
-    mapping, each from the start of a 64-byte line: a process forked
-    afterwards reads and writes the same memory through them."""
-    import mmap
-
-    sizes = [math.prod(shape) for shape in shapes]
-    starts = [0]
-    for size in sizes:
-        starts.append(starts[-1] + -(-size // 8) * 8)
-    memory = mmap.mmap(-1, 8 * starts[-1])
-    return [
-        np.frombuffer(memory, float, size, 8 * start).reshape(shape)
-        for shape, size, start in zip(shapes, sizes, starts)
-    ]
 
 
 def export_trajectory(traj: Trajectory, out_dir: str | pathlib.Path) -> pathlib.Path:

@@ -140,20 +140,17 @@ class ConstantsReport(Record):
 def compute_constants(beta: float, gamma: float) -> ConstantsReport:
     """Evaluate every closed-form constant at (beta, gamma).
 
-    Requires beta in (1/3, 1/2) and gamma > 0, with gamma**2.5 > 0 in
-    float64 (gamma above ~3.6e-130): M1 divides by it, and (1 + 1/gamma)**2
-    overflows further down. M2 degenerates to +inf when gamma >= gamma0
-    (its denominator changes sign there); m2 is implemented exactly as
-    printed and is diagnostic-only.
+    Requires beta in (1/3, 1/2) and gamma > 0 large enough that d0 > 0
+    and M1 is finite in float64: d0 underflows to 0 below gamma ~ 2.5e-78
+    (and M1 overflows below ~2e-109), and ValueError is raised there
+    before any arithmetic error. M2 degenerates to +inf when gamma >=
+    gamma0 (its denominator changes sign there); m2 is implemented
+    exactly as printed and is diagnostic-only.
     """
     if not (1.0 / 3.0 < beta < 0.5):
         raise ValueError(f"constants require beta in (1/3, 1/2), got {beta}")
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"constants require gamma > 0, got {gamma}")
-    if gamma**2.5 == 0.0:
-        raise ValueError(
-            f"constants require gamma**2.5 > 0 in float64, got gamma = {gamma}"
-        )
 
     beta1, beta2 = potential_roots(beta)
     g0 = gamma0(beta)
@@ -163,16 +160,25 @@ def compute_constants(beta: float, gamma: float) -> ConstantsReport:
     one_minus = 1.0 - 2.0 * beta
     c0 = 11.0 / 20.0 - (1.0 + beta) / 12.0 + beta / 6.0
     shape = (1.0 + one_minus / (48.0 * c0)) ** 3
-    a = (2.0 / 9.0) * (one_minus / 24.0) ** 2 / ((1.0 + 1.0 / gamma) ** 2 * shape)
+    # gamma enters a, M0 and M1 as a float64 scalar, whose power and
+    # quotient round as Python's but give inf on overflow and division by
+    # 0 instead of raising, so a gamma too small reaches the check below
+    with np.errstate(all="ignore"):
+        g = np.float64(gamma)
+        denom = (1.0 + 1.0 / g) ** 2 * shape
+        a = float((2.0 / 9.0) * (one_minus / 24.0) ** 2 / denom)
+        M0 = float((1.0 / 9.0) * (one_minus / 24.0) ** 3 / denom)
+        M1 = float(
+            beta**2 / (8.0 * (gamma + 1.0) ** 1.5)
+            + (M + 1.0) / (2.0 * g**1.5)
+            + 2.0 * (M + 1.0) / g**2.5
+        )
     b = a * (1.0 + one_minus / (24.0 * c0))
     d0 = (b - a) ** 2
-    M0 = (1.0 / 9.0) * (one_minus / 24.0) ** 3 / ((1.0 + 1.0 / gamma) ** 2 * shape)
-
-    M1 = (
-        beta**2 / (8.0 * (gamma + 1.0) ** 1.5)
-        + (M + 1.0) / (2.0 * gamma**1.5)
-        + 2.0 * (M + 1.0) / gamma**2.5
-    )
+    if not (d0 > 0.0 and math.isfinite(M1)):
+        raise ValueError(
+            f"constants require d0 > 0 and a finite M1 in float64, got gamma = {gamma}"
+        )
     m2_den = -one_minus / 12.0 + beta**2 / (4.0 * (gamma + 1.0))
     M2 = M1 / m2_den if m2_den > 0.0 else math.inf
     m2 = 6.0 * M0 / one_minus

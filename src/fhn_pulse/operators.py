@@ -285,10 +285,12 @@ class ShiftedFactor:
     arrays. `_scratch`, private, is the blocked scratch of another factor
     on m unknowns to work in instead of its own, for a caller whose
     solves on the two factors never interleave with a right-hand side
-    still in the scratch. `_exchange`, private, is the array of each
-    block's two edge values and the corner value to use instead of its
-    own, in memory shared with the process that solves the other batches
-    (see _shared_shapes)."""
+    still in the scratch. `_zeros`, private, allocates the two arrays
+    that two processes solving over two ranges of the batches share:
+    the blocked scratch, unless `_scratch` is given, and the exchange of
+    each block's two edge values and the corner value. np.zeros by
+    default, it is _processes.shared_zeros for a factor whose
+    _over_batches parts solve in two processes."""
 
     def __init__(
         self,
@@ -297,7 +299,7 @@ class ShiftedFactor:
         m: int,
         a: float = 1.0,
         _scratch: np.ndarray | None = None,
-        _exchange: np.ndarray | None = None,
+        _zeros=np.zeros,
     ):
         if not (a > 0.0 and math.isfinite(a)):
             raise ValueError(f"diffusion coefficient must be positive and finite, got {a}")
@@ -326,10 +328,14 @@ class ShiftedFactor:
         self.edge_gemm = np.stack([forward[:, -1], delta * self.gemm[:, 0]], axis=1)
         self.start_carry = delta * self.gemm[0, 0]
         self.m = m
-        shape, size = self._shared_shapes(m)
+        shape = _block_shape(m)
         self.pad = shape[0] * shape[1] * _BLOCK - m
-        self.x = _given_or_zeros(_scratch, shape, "scratch")
-        self._exchange = _given_or_zeros(_exchange, (size,), "exchange")
+        if _scratch is None:
+            _scratch = _zeros(shape)
+        elif _scratch.shape != shape:
+            raise ValueError(f"scratch of shape {_scratch.shape}, the factor needs {shape}")
+        self.x = _scratch
+        self._exchange = _zeros((2 * shape[0] * shape[1] + 1,))
         flat = self.x.reshape(-1)
         self.rhs = flat[self.pad :]
         self._head = flat[: self.pad]
@@ -365,14 +371,6 @@ class ShiftedFactor:
                 f"shifted operator is not positive definite (corner pivot {denom})"
             )
         self.corner = shift / denom
-
-    @staticmethod
-    def _shared_shapes(m: int) -> tuple[tuple[int, int, int], int]:
-        """The shape of the blocked scratch of a factor on m unknowns, in
-        batches, and the length of its exchange array: the memory two
-        processes solving over two ranges of the batches share."""
-        shape = _block_shape(m)
-        return shape, 2 * shape[0] * shape[1] + 1
 
     def _plan_carries(self) -> None:
         """The views a solve's carries go through. Each level below the
@@ -450,8 +448,8 @@ class ShiftedFactor:
         """A factor sharing every array of this one that solves over
         batches lo..hi-1 of the blocked scratch and their unknowns only,
         meeting the factor that solves the other batches in another
-        process at barrier (see the class docstring). The two must be
-        built over one `_exchange` in memory both processes share, and
+        process at barrier (see the class docstring). This factor must be
+        built with `_zeros` allocating memory both processes share, and
         the second range must start where the first ends."""
         import copy
 
@@ -537,15 +535,6 @@ class ShiftedFactor:
             prefix = out[first:end]
             np.multiply(w, scale, out=t)
             np.subtract(prefix, t, out=prefix)
-
-
-def _given_or_zeros(given: np.ndarray | None, shape: tuple, name: str) -> np.ndarray:
-    """`given`, checked to have the shape, or a fresh zero array."""
-    if given is None:
-        return np.zeros(shape)
-    if given.shape != shape:
-        raise ValueError(f"{name} of shape {given.shape}, the factor needs {shape}")
-    return given
 
 
 def factor_shifted(c: float, h: float, m: int, a: float = 1.0) -> ShiftedFactor:

@@ -245,7 +245,7 @@ SURFACE = {
 
 def _copy_run(run, dest) -> None:
     """Copy a solve run without the outputs other commands wrote into it."""
-    ignore = shutil.ignore_patterns("analyze_report.json", "evolve", "decay-rate")
+    ignore = shutil.ignore_patterns("analyze", "evolve", "decay-rate")
     shutil.copytree(run, dest, ignore=ignore)
 
 
@@ -404,18 +404,20 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("command", ["constants", "verify"])
-@pytest.mark.parametrize("gamma", ["1e-300", "1e-140"])
+@pytest.mark.parametrize("gamma", ["1e-300", "1e-140", "1e-110", "1e-80"])
 def test_underflowing_gamma_exits_1(tmp_path, capsys, command, gamma):
+    # d0 underflows to 0 at all four, and M1 overflows at all but 1e-80;
     # (1 + 1/gamma)**2 overflows at 1e-300 and gamma**2.5 underflows to 0
-    # at 1e-140; both used to end in a traceback
+    # at 1e-140, which used to end in a traceback, and 1e-110 and 1e-80
+    # used to print M1 = Infinity and d0 = 0 and exit 0
     out = tmp_path / "never"
     args = ["--beta", "0.4", "--gamma", gamma, "--out", str(out)]
     if command == "verify":
         args += ["--d", "0.005", "--n", "256", "--samples", "2"]
     assert main([command, *args]) == 1
     assert not out.exists()
-    assert capsys.readouterr() == ("", "fhn-pulse: error: constants require "
-                                   f"gamma**2.5 > 0 in float64, got gamma = {gamma}\n")
+    assert capsys.readouterr() == ("", "fhn-pulse: error: constants require d0 > 0 "
+                                   f"and a finite M1 in float64, got gamma = {gamma}\n")
 
 
 class TestVerify:
@@ -538,8 +540,13 @@ class TestVerify:
 
 class TestAnalyze:
     def test_report_into_run_dir(self, solve_run):
+        # the report and its manifest go to R/analyze; the solve's
+        # manifest stays
         assert main(["analyze", "--run", str(solve_run)]) == 0
-        report = json.loads((solve_run / "analyze_report.json").read_text())
+        for out, command in ((solve_run, "solve"), (solve_run / "analyze", "analyze")):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["command"] == command
+        report = json.loads((solve_run / "analyze" / "analyze_report.json").read_text())
         assert report["properties"]["all_passed"] is True
         assert report["linearization"]["real_eigenvalues"] is True
         assert 0.0 < report["hamiltonian_residual_max"] < 1e-2
@@ -607,7 +614,7 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", "--run", str(run)]) == 2
         assert "polish=saddle" in capsys.readouterr().err
-        assert not (run / "analyze_report.json").exists()
+        assert not (run / "analyze").exists()
 
 
 class TestLoadSolveRun:

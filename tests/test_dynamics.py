@@ -6,6 +6,7 @@ the two-process step against the one-process step (bit for bit), and
 trajectory export."""
 
 import json
+import mmap
 import os
 import pathlib
 import re
@@ -21,7 +22,7 @@ from fhn_pulse import Grid, Params, Profile, dynamics, evolve
 from fhn_pulse.dynamics import BlowUpError, export_trajectory
 from fhn_pulse.grid import profile_from_csv
 from fhn_pulse.model import negative_tail_cutoff, reaction_f
-from fhn_pulse.operators import ShiftedFactor, factor_shifted, solve_factored
+from fhn_pulse.operators import _block_shape, factor_shifted, solve_factored
 
 # evolve runs the steps between two bound checks with floating-point
 # errors ignored; a RuntimeWarning that escapes them fails the test
@@ -574,7 +575,7 @@ class TestTwoProcesses:
     )
     def test_same_bytes_as_one_process(self, monkeypatch, n, dt):
         params = RELAX_PARAMS
-        (batches, rows, block), _ = ShiftedFactor._shared_shapes(n)
+        batches, rows, block = _block_shape(n)
         factor_v = factor_shifted(params.tau / dt + params.gamma, 10.0 / n, n)
         first_half = factor_v._over_batches(0, batches // 2, None).unknowns
         if n == 10000:
@@ -601,8 +602,29 @@ class TestTwoProcesses:
         u0, v0 = gaussian_state(Grid(10.0, 6144))
         evolve(RELAX_PARAMS, u0, v0, 1e-3, 0.01)
         assert forks == []
-        assert ShiftedFactor._shared_shapes(6144)[0][0] == 3
-        assert ShiftedFactor._shared_shapes(6145)[0][0] == 4
+        assert _block_shape(6144)[0] == 3
+        assert _block_shape(6145)[0] == 4
+
+    def test_shared_zeros_seen_by_a_forked_child(self):
+        # each array evolve shares has a page-aligned mapping of its own;
+        # what the child writes there is what this process reads
+        from fhn_pulse._processes import in_two_processes, shared_zeros
+
+        counters = shared_zeros((2, 8), np.int64)
+        state = shared_zeros((2, 5))
+        assert counters.dtype == np.int64 and state.dtype == np.float64
+        assert not counters.any() and not state.any()
+        for a in (counters, state):
+            assert a.ctypes.data % mmap.PAGESIZE == 0
+
+        def child(running):
+            counters[1, 0] = 3
+            state[1] = 0.5
+
+        in_two_processes(lambda running: None, child)
+        assert counters.tolist() == [[0] * 8, [3] + [0] * 7]
+        assert state.tolist() == [[0.0] * 5, [0.5] * 5]
+        assert_no_child_left()
 
     def test_blow_up_same_as_one_process(self, monkeypatch, tmp_path):
         # the ladder's flat start at n = 8192: eps = 1e-100 leaves the bound

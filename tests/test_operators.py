@@ -28,6 +28,7 @@ from fhn_pulse import (
     solve_inhibitor,
 )
 from fhn_pulse import operators
+from fhn_pulse._processes import shared_zeros
 from fhn_pulse.analysis import random_admissible_profile, random_bumps
 from fhn_pulse.minimizer import _newton_polish
 from fhn_pulse.operators import (
@@ -329,17 +330,23 @@ class TestSolveFactored:
         assert factor.rhs.shape == (m,)
         assert np.shares_memory(factor.rhs, factor.x)
 
-    @pytest.mark.parametrize("m", [17, 32768])
-    def test_shared_scratch_matches_own_scratch(self, m):
+    @pytest.mark.parametrize(
+        "m, zeros",
+        [(17, np.zeros), (32768, np.zeros), (32768, shared_zeros)],
+        ids=["17", "32768", "shared"],
+    )
+    def test_shared_scratch_matches_own_scratch(self, m, zeros):
         # a factor built over another's blocked scratch solves to the bits
-        # of one with its own, and the other factor's solves are unchanged
+        # of one with its own, and the other factor's solves are unchanged;
+        # so do the two built in the memory two processes share
         h = 12.0 / m
         rhs = np.random.default_rng(m).standard_normal(m)
         own_u = factor_shifted(1000.0, h, m, 1e-6)
         own_v = factor_shifted(1000.1, h, m)
-        factor_u = factor_shifted(1000.0, h, m, 1e-6)
-        factor_v = operators.ShiftedFactor(1000.1, h, m, _scratch=factor_u.x)
+        factor_u = operators.ShiftedFactor(1000.0, h, m, 1e-6, _zeros=zeros)
+        factor_v = operators.ShiftedFactor(1000.1, h, m, _scratch=factor_u.x, _zeros=zeros)
         assert factor_v.x is factor_u.x
+        assert factor_v.nbytes == own_v.nbytes
         for _ in range(2):
             assert np.array_equal(solve_factored(factor_u, rhs), solve_factored(own_u, rhs))
             assert np.array_equal(solve_factored(factor_v, rhs), solve_factored(own_v, rhs))
